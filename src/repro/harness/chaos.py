@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import AccessMode
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    injector_scope,
-    spec,
-    with_retry,
-)
+from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
 from repro.harness.builder import Platform, build_platform, fresh_timing_context
 from repro.metrics.recorder import LatencyRecorder
 from repro.obs import counters as obs_counters
@@ -129,19 +122,11 @@ class ChaosReport:
 
 
 def _direct_transport(manager, domid: int, instance_id: int):
-    """A backend-equivalent transport for a migrated guest: same bounded
-    retry on transient faults, same TPM_FAIL degradation on exhaustion."""
+    """A backend-equivalent transport for a migrated guest: the ring
+    path's batch of one, retry envelope and degradation included."""
 
     def transport(wire: bytes) -> bytes:
-        from repro.util.errors import RetryExhausted
-
-        try:
-            return with_retry(
-                lambda: manager.handle_command(domid, instance_id, wire),
-                site="vtpm.backend.forward",
-            )
-        except RetryExhausted as exc:
-            return manager.fault_response(instance_id, exc)
+        return manager.handle_batch(domid, instance_id, [wire])[0]
 
     return transport
 

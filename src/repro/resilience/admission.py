@@ -81,13 +81,6 @@ class AdmissionController:
             "resilience.admitted", vm=vm_uuid
         )
 
-    def fast_admit(self, count: int) -> None:
-        """Bulk-admit ``count`` frames (the supervisor's all-green fast
-        path); state effects identical to :meth:`verdicts` admitting every
-        frame of the batch."""
-        self.admitted += count
-        self._admitted_counter.add(count)
-
     # -- feedback ----------------------------------------------------------------
 
     def observe_service_us(self, elapsed_us: float) -> None:

@@ -61,6 +61,13 @@ DEFAULT_COMMAND_DEADLINE_US = 100_000.0
 PROBE_WIRE = build_command(TPM_ORD_GetTestResult, b"")
 
 
+#: the states the per-frame hooks test, bound once: an enum member lookup
+#: through its class costs several times a module-global read
+_HEALTHY = HealthState.HEALTHY
+_QUARANTINED = HealthState.QUARANTINED
+_CLOSED = BreakerState.CLOSED
+
+
 def _return_code(response: bytes) -> int:
     return int.from_bytes(response[6:10], "big") if len(response) >= 10 else -1
 
@@ -124,19 +131,10 @@ class Supervisor:
         )
         self._backends[vm.uuid] = backend
         # Cache the per-guest objects on the back-end: the admit and
-        # observe hooks run once per frame, and resolving four dicts by
-        # uuid there is measurable at bench rates.  The admission budgets
-        # are per-instance constants (AdmissionConfig never mutates after
-        # attach), so their values are flattened too.
-        backend._sup_record = record
-        backend._sup_breaker = self._breakers[vm.uuid]
-        admission = self._admission[vm.uuid]
-        backend._sup_admission = admission
-        backend._sup_alpha = admission.config.ewma_alpha
-        backend._sup_deadline_us = self.command_deadline_us
-        backend._sup_admit_fast = (
-            admission.config.max_depth > 0
-            and admission.config.deadline_us >= 0.0
+        # observe hooks run once per notify, and resolving three dicts by
+        # uuid there is measurable at bench rates.
+        backend._supervised = (
+            record, self._breakers[vm.uuid], self._admission[vm.uuid]
         )
         backend.attach_supervision(self)
 
@@ -159,21 +157,13 @@ class Supervisor:
     # -- ring-side: admission ------------------------------------------------------
 
     def admit(self, backend, wires: List[bytes]) -> List[Optional[bytes]]:
-        """Verdicts for one ring notify's frames (None = admitted)."""
-        record = backend._sup_record
-        if record is None:
-            vm_uuid = backend.frontend.guest.uuid
-            record = self._records.get(vm_uuid)
-            if record is None:
-                return [None] * len(wires)
-            return self._admission[vm_uuid].verdicts(
-                wires, record, self._breakers[vm_uuid]
-            )
-        admission = backend._sup_admission
+        """Verdicts for one ring notify's frames (None = admitted); the
+        ring submits a lone frame as a batch of one."""
+        record, breaker, admission = backend._supervised
         n = len(wires)
         if (
-            record.state is HealthState.HEALTHY
-            and backend._sup_breaker.state is BreakerState.CLOSED
+            record.state is _HEALTHY
+            and breaker.state is _CLOSED
             and n <= admission.config.max_depth
             and (n - 1) * admission.service_estimate_us
             <= admission.config.deadline_us
@@ -184,31 +174,10 @@ class Supervisor:
             # k x estimate, maximal at k = n-1), and a closed breaker's
             # allow() returns True with zero side effects.  Bulk-admit
             # with identical state effects and skip the per-frame walk.
-            if n:
-                admission.fast_admit(n)
+            admission.admitted += n
+            admission._admitted_counter.add(n)
             return [None] * n
-        return admission.verdicts(wires, record, backend._sup_breaker)
-
-    def admit_one(self, backend, wire: bytes) -> Optional[bytes]:
-        """Single-frame :meth:`admit` (the ring's unbatched path).
-
-        A lone frame has backlog 0, so the depth and deadline bounds are
-        trivially satisfied; all-green reduces to the health and breaker
-        checks.
-        """
-        record = backend._sup_record
-        if (
-            backend._sup_admit_fast
-            and record is not None
-            and record.state is HealthState.HEALTHY
-            and backend._sup_breaker.state is BreakerState.CLOSED
-        ):
-            admission = backend._sup_admission
-            admission.admitted += 1
-            admission._admitted_counter.inc()
-            return None
-        (verdict,) = self.admit(backend, [wire])
-        return verdict
+        return admission.verdicts(wires, record, breaker)
 
     # -- monitor-side: the authoritative ordinal gate ------------------------------
 
@@ -240,69 +209,61 @@ class Supervisor:
 
     # -- backend-side: outcome observations ----------------------------------------
 
-    def observe_response(
-        self, backend, wire: bytes, response: bytes, elapsed_us: float
-    ) -> None:
-        """One forwarded command completed; update health and breaker.
+    def observe(self, backend, outcomes) -> None:
+        """Apply one ring notify's per-frame outcomes, in submission order.
+
+        Each outcome is ``(response, elapsed_us, exhausted)`` as reported
+        by :meth:`~repro.vtpm.manager.VtpmManager.handle_batch` after the
+        notify's last frame ran, so a batch never restarts its instance
+        under its own remaining frames; a lone frame is the n=1 case.
 
         The breaker measures *responsiveness*: any answered frame except a
         degraded ``TPM_FAIL`` counts as breaker success (an auth denial
         still proves the instance alive).  Health is stricter: only
-        ``TPM_SUCCESS`` inside the deadline feeds the recovery streak.
+        ``TPM_SUCCESS`` inside the deadline feeds the recovery streak, and
+        a frame that burned its whole retry budget counts as
+        ``retry-exhausted``.
         """
-        record = backend._sup_record
-        if record is None:
-            vm_uuid = backend.frontend.guest.uuid
-            record = self._records.get(vm_uuid)
-            if record is None:
-                return
-            admission = self._admission[vm_uuid]
-            breaker = self._breakers[vm_uuid]
-        else:
-            admission = backend._sup_admission
-            breaker = backend._sup_breaker
-        # The EWMA always sees the observation, fast path or slow.
-        admission.observe_service_us(elapsed_us)
-        if (
-            record.state is HealthState.HEALTHY
-            and breaker.state is BreakerState.CLOSED
-            and elapsed_us <= self.command_deadline_us
-            and len(response) >= 10
-            and response[6:10] == b"\x00\x00\x00\x00"
-        ):
-            # All-green fast path: a TPM_SUCCESS inside the deadline on a
-            # healthy record with a closed breaker.  record_success() on a
-            # closed breaker and note_success() on a healthy record reduce
-            # to exactly these three assignments (no transition is
-            # reachable), so the streaks stay byte-identical to the slow
-            # path.
-            breaker.consecutive_failures = 0
-            record.consecutive_failures = 0
-            record.consecutive_successes += 1
-            return
-        rc = _return_code(response)
-        if rc == TPM_FAIL:
-            record.note_failure("tpm-fail")
-            breaker.record_failure()
-        else:
-            breaker.record_success()
-            if elapsed_us > self.command_deadline_us:
-                record.note_failure("deadline-miss")
-            elif rc == TPM_SUCCESS:
-                record.note_success()
-        if record.state is HealthState.QUARANTINED:
-            self._supervised_restart(backend)
-
-    def on_exhausted(self, backend, exc: RetryExhausted) -> None:
-        """A ``with_retry`` episode burned its whole budget."""
-        vm_uuid = backend.frontend.guest.uuid
-        record = self._records.get(vm_uuid)
-        if record is None:
-            return
-        record.note_failure("retry-exhausted")
-        self._breakers[vm_uuid].record_failure()
-        if record.state is HealthState.QUARANTINED:
-            self._supervised_restart(backend)
+        record, breaker, admission = backend._supervised
+        alpha = admission.config.ewma_alpha
+        for response, elapsed_us, exhausted in outcomes:
+            if exhausted is None:
+                # The admission EWMA (AdmissionController.observe_service_us)
+                # sees every answered frame, fast path or slow.
+                admission.service_estimate_us += alpha * (
+                    elapsed_us - admission.service_estimate_us
+                )
+                if (
+                    record.state is _HEALTHY
+                    and breaker.state is _CLOSED
+                    and elapsed_us <= self.command_deadline_us
+                    and response.startswith(b"\x00\x00\x00\x00", 6)
+                ):
+                    # All-green fast path: a TPM_SUCCESS inside the
+                    # deadline on a healthy record with a closed breaker.
+                    # record_success() on a closed breaker and
+                    # note_success() on a healthy record reduce to exactly
+                    # these three assignments (no transition is
+                    # reachable), so the streaks match the slow path.
+                    breaker.consecutive_failures = 0
+                    record.consecutive_failures = 0
+                    record.consecutive_successes += 1
+                    continue
+                rc = _return_code(response)
+                if rc == TPM_FAIL:
+                    record.note_failure("tpm-fail")
+                    breaker.record_failure()
+                else:
+                    breaker.record_success()
+                    if elapsed_us > self.command_deadline_us:
+                        record.note_failure("deadline-miss")
+                    elif rc == TPM_SUCCESS:
+                        record.note_success()
+            else:
+                record.note_failure("retry-exhausted")
+                breaker.record_failure()
+            if record.state is _QUARANTINED:
+                self._supervised_restart(backend)
 
     def on_rebind(self, backend, new_instance_id: int) -> None:
         """The back-end was re-pointed (supervised restart or manager
@@ -436,7 +397,7 @@ class Supervisor:
                         charge("supervisor.wait", wait)
                         budget -= wait
                     # A real probe through the full forwarded path: its
-                    # outcome feeds back via observe_response.
+                    # outcome feeds back via observe().
                     if breaker.state is BreakerState.OPEN:
                         breaker.allow()  # cooldown elapsed → half-open slot
                     backend._forward(PROBE_WIRE)

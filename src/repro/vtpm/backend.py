@@ -20,14 +20,8 @@ from __future__ import annotations
 
 import functools
 
-from repro.faults import injector as _injector
-from repro.faults import with_retry
 from repro.obs import trace as obs_trace
-from repro.resilience.breaker import BreakerState
-from repro.resilience.health import HealthState
-from repro.sim import timing as _timing
-from repro.sim.timing import get_context
-from repro.util.errors import IdentityError, RetryExhausted, VtpmError
+from repro.util.errors import IdentityError, VtpmError
 from repro.vtpm.frontend import VtpmFrontend
 from repro.vtpm.manager import VtpmManager
 from repro.xen.hypervisor import Xen
@@ -38,15 +32,11 @@ class VtpmBackend:
 
     #: the owning :class:`~repro.resilience.supervisor.Supervisor`, if any
     supervision = None
-    #: per-guest supervision objects, cached here by ``Supervisor.attach``
-    #: so the per-command hooks skip the uuid dict lookups
-    _sup_record = None
-    _sup_breaker = None
-    _sup_admission = None
-    #: flattened per-instance admission constants (see Supervisor.attach)
-    _sup_alpha = 0.0
-    _sup_deadline_us = 0.0
-    _sup_admit_fast = False
+    #: the supervisor's per-notify outcome hook bound to this back-end
+    _observe = None
+    #: (health record, breaker, admission controller), cached here by
+    #: ``Supervisor.attach`` so the per-notify hooks skip uuid dict lookups
+    _supervised = None
 
     def __init__(
         self,
@@ -81,141 +71,45 @@ class VtpmBackend:
         """Route this ring's frames through the supervisor's admission
         control and report every forwarded outcome back to it."""
         self.supervision = supervisor
+        self._observe = functools.partial(supervisor.observe, self)
         self.frontend.ring.set_admission(
-            functools.partial(supervisor.admit, self),
-            functools.partial(supervisor.admit_one, self),
+            functools.partial(supervisor.admit, self)
         )
 
     # -- the forwarding path --------------------------------------------------------
 
     def _forward(self, wire: bytes) -> bytes:
-        """Prefix the configured instance number and hand to the manager.
+        """The unbatched ring layout's handler: a batch of one."""
+        return self._forward_batch([wire])[0]
+
+    def _forward_batch(self, wires: list) -> list:
+        """Prefix the configured instance number and hand one ring
+        notify's frames to the manager.
 
         ``front_domid`` comes from the ring itself (hypervisor ground
         truth); ``instance_id`` is backend configuration (attacker-editable
         in the baseline threat model).
 
-        Transient faults below the manager (an aborted device transaction)
-        abort the command *before* it touches TPM state, so the back-end
-        resends the identical wire bytes with bounded virtual-time backoff
-        — the real driver's interrupt-retry path.  The backoff is jittered
-        per instance so a storm hitting many instances does not retry in
-        lockstep.  A fault that outlives the budget degrades into a
-        ``TPM_FAIL`` frame, never a dead ring.
+        The manager resends a frame whose device transaction aborted with
+        bounded, per-instance-jittered virtual-time backoff, and degrades
+        one that outlives the budget into a ``TPM_FAIL`` frame, never a
+        dead ring.  Under supervision every frame's outcome is reported to
+        the supervisor once the notify's last frame has run.
         """
         tracer = obs_trace._current_tracer
         if tracer is None:
-            return self._forward_inner(wire)
+            return self.manager.handle_batch(
+                self.front_domid, self.instance_id, wires,
+                self.frontend.locality, self._observe,
+            )
         with tracer.start_span(
-            "backend.forward", {"instance": self.instance_id}
-        ):
-            return self._forward_inner(wire)
-
-    def _forward_inner(self, wire: bytes) -> bytes:
-        supervisor = self.supervision
-        # The latency clock read exists only for the supervisor's
-        # deadline watchdog; the unsupervised hot path skips it.
-        start_us = (
-            _timing._current_context.clock._now_us
-            if supervisor is not None else 0.0
-        )
-        if _injector._current_injector is None:
-            # Fault-free fast path: handle_command can only raise an
-            # injected fault through the ambient injector, so with no
-            # injector installed the retry envelope (clock read, loop
-            # frame, backoff bookkeeping) is pure overhead.
-            response = self.manager.handle_command(
-                self.front_domid, self.instance_id, wire,
-                self.frontend.locality,
-            )
-            if supervisor is not None:
-                elapsed_us = (
-                    _timing._current_context.clock._now_us - start_us
-                )
-                record = self._sup_record
-                breaker = self._sup_breaker
-                if (
-                    record is not None
-                    and record.state is HealthState.HEALTHY
-                    and breaker.state is BreakerState.CLOSED
-                    and elapsed_us <= self._sup_deadline_us
-                    and len(response) >= 10
-                    and response.startswith(b"\x00\x00\x00\x00", 6)
-                ):
-                    # Inlined all-green observation (see
-                    # Supervisor.observe_response): EWMA update plus the
-                    # exact success-streak assignments the slow path makes
-                    # when everything is healthy.
-                    admission = self._sup_admission
-                    alpha = self._sup_alpha
-                    if alpha > 0.0:
-                        admission.service_estimate_us += alpha * (
-                            elapsed_us - admission.service_estimate_us
-                        )
-                    breaker.consecutive_failures = 0
-                    record.consecutive_failures = 0
-                    record.consecutive_successes += 1
-                else:
-                    supervisor.observe_response(
-                        self, wire, response, elapsed_us
-                    )
-            return response
-        try:
-            response = with_retry(
-                self.manager.handle_command,
-                self.front_domid, self.instance_id, wire,
-                self.frontend.locality,
-                site="vtpm.backend.forward",
-                jitter_token=self.instance_id,
-            )
-        except RetryExhausted as exc:
-            if supervisor is not None:
-                supervisor.on_exhausted(self, exc)
-            return self.manager.fault_response(self.instance_id, exc)
-        if supervisor is not None:
-            supervisor.observe_response(
-                self, wire, response,
-                get_context().clock.now_us - start_us,
-            )
-        return response
-
-    def _forward_batch(self, wires: list) -> list:
-        """Hand a whole ring batch to the manager in one call.
-
-        The manager applies the bounded-retry envelope per command inside
-        the batch, so this path has the same fault-degradation behaviour
-        as :meth:`_forward` — just one ``vtpm.dispatch`` demux for the lot.
-        Under supervision each frame's outcome is observed with the
-        batch-average latency (individual frames are not separately
-        clocked inside one notify).
-        """
-        tracer = obs_trace._current_tracer
-        if tracer is None:
-            return self._forward_batch_inner(wires)
-        with tracer.start_span(
-            "backend.forward_batch",
+            "backend.forward",
             {"instance": self.instance_id, "frames": len(wires)},
         ):
-            return self._forward_batch_inner(wires)
-
-    def _forward_batch_inner(self, wires: list) -> list:
-        supervisor = self.supervision
-        start_us = (
-            get_context().clock.now_us if supervisor is not None else 0.0
-        )
-        responses = self.manager.handle_batch(
-            self.front_domid, self.instance_id, wires,
-            locality=self.frontend.locality,
-        )
-        if supervisor is not None and wires:
-            per_frame_us = (
-                get_context().clock.now_us - start_us
-            ) / len(wires)
-            for wire, response in zip(wires, responses):
-                supervisor.observe_response(
-                    self, wire, response, per_frame_us
-                )
-        return responses
+            return self.manager.handle_batch(
+                self.front_domid, self.instance_id, wires,
+                self.frontend.locality, self._observe,
+            )
 
     # -- re-binding (the attack knob, now fail-closed) -------------------------------
 

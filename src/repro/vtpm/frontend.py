@@ -46,6 +46,16 @@ class VtpmFrontend:
 
     def transport(self, wire: bytes) -> bytes:
         """Send one TPM command through the split driver."""
+        return self._guarded(self.ring.send_command, wire)
+
+    def transport_batch(self, wires: list) -> list:
+        """Send several TPM commands in one ring submission (one kick)."""
+        return self._guarded(self.ring.send_batch, wires, len(wires))
+
+    def _guarded(self, send, payload, frames=None):
+        """The guard both transports share: connected check, running
+        guest, and the root span (hidden entirely when sampled out).
+        ``frames`` is the batch size, None for the one-frame layout."""
         if not self.connected:
             raise VtpmError(
                 f"vTPM front-end of {self.guest.name} is not connected"
@@ -53,39 +63,21 @@ class VtpmFrontend:
         self.guest.require_running()
         tracer = obs_trace._current_tracer
         if tracer is None:
-            return self.ring.send_command(wire)
+            return send(payload)
         if tracer._stack or tracer.keep_root():
-            with tracer.start_span(
-                "frontend.command", {"domid": self.guest.domid}
+            domid = self.guest.domid
+            with (
+                tracer.start_span("frontend.command", {"domid": domid})
+                if frames is None else
+                tracer.start_span("frontend.batch",
+                                  {"domid": domid, "frames": frames})
             ):
-                return self.ring.send_command(wire)
+                return send(payload)
         # Sampled-out root: hide the tracer for the whole tree so every
         # nested guarded site takes its free tracer-is-None path.
         obs_trace._current_tracer = None
         try:
-            return self.ring.send_command(wire)
-        finally:
-            obs_trace._current_tracer = tracer
-
-    def transport_batch(self, wires: list) -> list:
-        """Send several TPM commands in one ring submission (one kick)."""
-        if not self.connected:
-            raise VtpmError(
-                f"vTPM front-end of {self.guest.name} is not connected"
-            )
-        self.guest.require_running()
-        tracer = obs_trace._current_tracer
-        if tracer is None:
-            return self.ring.send_batch(wires)
-        if tracer._stack or tracer.keep_root():
-            with tracer.start_span(
-                "frontend.batch",
-                {"domid": self.guest.domid, "frames": len(wires)},
-            ):
-                return self.ring.send_batch(wires)
-        obs_trace._current_tracer = None
-        try:
-            return self.ring.send_batch(wires)
+            return send(payload)
         finally:
             obs_trace._current_tracer = tracer
 

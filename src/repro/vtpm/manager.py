@@ -21,6 +21,7 @@ from repro.faults import with_retry
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
+from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_AUTHFAIL, TPM_FAIL
@@ -30,8 +31,6 @@ from repro.vtpm.storage import VtpmStorage
 from repro.xen.domain import Domain
 from repro.xen.hypervisor import Xen
 
-_VTPM_BATCHES = obs_counters.counter("vtpm.batches")
-_VTPM_BATCHED_COMMANDS = obs_counters.counter("vtpm.batched_commands")
 _VTPM_FAULT_RESPONSES = obs_counters.counter("vtpm.fault_responses")
 
 
@@ -157,7 +156,9 @@ class VtpmManager:
     def handle_command(
         self, caller_domid: int, instance_id: int, wire: bytes, locality: int = 0
     ) -> bytes:
-        """One packet from a back-end: authorize, execute, respond.
+        """One raw packet: authorize, execute, respond — no retry, no
+        supervision.  For direct callers (router, probe, explorer,
+        attacks); the ring path goes through :meth:`handle_batch`.
 
         ``caller_domid`` is hypervisor ground truth (the ring's front-end
         domain), not a backend claim; ``instance_id`` *is* a backend claim,
@@ -176,51 +177,60 @@ class VtpmManager:
         instance_id: int,
         wires: list,
         locality: int = 0,
+        observe=None,
     ) -> list:
-        """A batch of packets that arrived on one ring notify.
+        """The packets of one ring notify — a lone frame is a batch of one.
 
         The per-notify demux cost (``vtpm.dispatch``) is charged once for
         the whole batch — that amortization is the point of batching — but
         **every** command is still individually authorized, so a policy
         change or a rogue re-bind mid-batch is caught on the very next
-        frame.  Each wire gets the back-end's usual bounded-retry envelope;
-        a command that exhausts its retries degrades to a fault response
-        without poisoning the rest of the batch.
+        frame.  Each wire gets the bounded-retry envelope; a command that
+        exhausts its retries degrades to a fault response without
+        poisoning the rest of the batch.
+
+        ``observe``, when given, receives one ``(response, elapsed_us,
+        exhausted)`` outcome per frame after the last frame ran, each
+        timed around that frame's own dispatch (the supervisor's hook).
         """
         charge("vtpm.dispatch")
-        _VTPM_BATCHES.inc()
-        _VTPM_BATCHED_COMMANDS.add(len(wires))
         tracer = obs_trace._current_tracer
-        # The injector cannot be (un)installed mid-batch — the driver loop
-        # is synchronous — so one check covers the whole notify.  Without
-        # an injector, _dispatch_one can never raise an injected fault and
-        # the per-wire retry envelope is pure overhead.
-        faultless = _injector._current_injector is None
+        # The injector cannot be (un)installed mid-notify — the ring is
+        # serviced synchronously — so one check covers the whole batch.
+        # Without an injector, _dispatch_one can never raise an injected
+        # fault and the retry envelope is pure overhead.
+        retrying = _injector._current_injector is not None
+        clock = None if observe is None else _timing._current_context.clock
         responses = []
+        outcomes = []
         for wire in wires:
-            span = (
-                NULL_SPAN if tracer is None
-                else tracer.start_span("manager.dispatch",
-                                       {"instance": instance_id})
-            )
-            with span:
-                if faultless:
-                    responses.append(
-                        self._dispatch_one(
-                            caller_domid, instance_id, wire, locality
-                        )
+            if clock is not None:
+                start_us = clock._now_us
+            exhausted = None
+            with (NULL_SPAN if tracer is None else tracer.start_span(
+                "manager.dispatch", {"instance": instance_id}
+            )):
+                if not retrying:
+                    response = self._dispatch_one(
+                        caller_domid, instance_id, wire, locality
                     )
-                    continue
-                try:
-                    responses.append(
-                        with_retry(
+                else:
+                    try:
+                        response = with_retry(
                             self._dispatch_one, caller_domid, instance_id,
-                            wire, locality, site="vtpm.manager.batch",
+                            wire, locality, site="vtpm.backend.forward",
                             jitter_token=instance_id,
                         )
-                    )
-                except RetryExhausted as exc:
-                    responses.append(self.fault_response(instance_id, exc))
+                    except RetryExhausted as exc:
+                        exhausted = exc
+                        response = self.fault_response(instance_id, exc)
+            responses.append(response)
+            if clock is not None:
+                outcomes.append(
+                    (response, clock._now_us - start_us, exhausted)
+                )
+        if clock is not None:
+            observe(outcomes)
         return responses
 
     def _dispatch_one(

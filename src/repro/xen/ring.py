@@ -133,9 +133,9 @@ class TpmRing:
         frames still occupy their slot in the response vector, so the
         front-end always receives exactly one response per command.
 
-        ``admission_one``, when given, is the single-frame variant
-        (``wire -> verdict``) used on the unbatched path so one command
-        does not pay the list round-trip of the vector hook.
+        ``admission_one``, when given, is a single-frame variant
+        (``wire -> verdict``) for the unbatched layout; without it a lone
+        command goes to ``admission`` as a batch of one.
         """
         self._admission = admission
         self._admission_one = admission_one
@@ -215,20 +215,24 @@ class TpmRing:
         shed = count - len(admitted)
         if shed:
             _RING_SHED.add(shed)
-        if self._batch_backend is not None:
-            executed = iter(self._batch_backend(admitted) if admitted else [])
+        if not admitted:
+            executed = []
+        elif self._batch_backend is not None:
+            executed = self._batch_backend(admitted)
         else:
-            executed = iter(self._backend(command) for command in admitted)
+            executed = [self._backend(command) for command in admitted]
+        if len(executed) != len(admitted):
+            raise RingError(
+                f"back-end answered {len(executed)} frames for "
+                f"{len(admitted)} admitted"
+            )
         # Re-merge in submission order: every frame — admitted or shed —
         # gets exactly one response slot.
+        executed = iter(executed)
         responses = [
             next(executed) if verdict is None else verdict
             for verdict in verdicts
         ]
-        if len(responses) != count:
-            raise RingError(
-                f"back-end answered {len(responses)} frames for a batch of {count}"
-            )
         reply = _pack_vector(STATUS_BATCH_RESPONSE, responses)
         if len(reply) > PAGE_SIZE:
             raise RingError("batched responses exceed the page window")

@@ -596,3 +596,42 @@ class TestSupervisionNeutrality:
 
         ordinal = int.from_bytes(PROBE_WIRE[6:10], "big")
         assert classify_ordinal(ordinal) is CommandClass.READ
+
+
+class TestBatchObservesEachFrame:
+    """A batch reports every frame's own outcome, as singles do."""
+
+    def _failures(self, batched: bool, fault, **supervision) -> dict:
+        platform = build_platform(AccessMode.IMPROVED, seed=16, name="shape")
+        guest = platform.add_guest("alice")
+        platform.manager.save_all()
+        supervisor = platform.enable_supervision(**supervision)
+        injector = FaultInjector(
+            FaultPlan(name="unit-shape", seed=1, specs=(fault,)),
+            audit=platform.audit,
+        )
+        wires = [_pcr_read_wire(i) for i in range(8)]
+        with injector_scope(injector):
+            if batched:
+                guest.frontend.transport_batch(wires)
+            else:
+                for wire in wires:
+                    guest.frontend.transport(wire)
+        return dict(supervisor.record_for(guest.domain.uuid).failure_counts)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_one_wedged_frame_misses_its_deadline(self, batched):
+        # Frame 2's first attempt wedges (30 ms), its retry succeeds: that
+        # frame alone is slow, however many fast frames share its notify.
+        failures = self._failures(
+            batched, spec(FaultKind.WEDGE, at=(1,)),
+            command_deadline_us=20_000.0,
+        )
+        assert failures == {"deadline-miss": 1}
+
+    def test_wedge_storm_in_a_batch_exhausts_retries(self):
+        # 16 consecutive wedges burn four frames' whole retry budgets.
+        failures = self._failures(
+            True, spec(FaultKind.WEDGE, every=1, max_fires=16)
+        )
+        assert failures == {"retry-exhausted": 4}

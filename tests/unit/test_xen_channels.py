@@ -163,3 +163,18 @@ class TestTpmRing:
         ring.send_command(b"command-data")
         page = bytes(memory.page(ring.frame).data)
         assert b"response-data" in page
+
+    @pytest.mark.parametrize("answer", [
+        lambda cmds: [c[::-1] for c in cmds][:-1],           # one short
+        lambda cmds: [c[::-1] for c in cmds] + [b"extra"],   # one long
+    ], ids=["short", "long"])
+    def test_batch_reply_length_must_match_admitted(self, ring, answer):
+        ring.connect_backend(lambda cmd: cmd, answer)
+        with pytest.raises(RingError, match="answered .* frames for 3 admitted"):
+            ring.send_batch([b"a1", b"b2", b"c3"])
+
+    def test_batch_reply_length_counts_only_admitted(self, ring):
+        """Shed frames are answered by the verdict, not the back-end."""
+        ring.connect_backend(lambda cmd: cmd, lambda cmds: [c.upper() for c in cmds])
+        ring.set_admission(lambda cmds: [None, b"shed", None])
+        assert ring.send_batch([b"a1", b"b2", b"c3"]) == [b"A1", b"shed", b"C3"]
