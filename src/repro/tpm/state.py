@@ -134,33 +134,50 @@ class TpmState:
 
     # -- serialization ------------------------------------------------------------
 
+    #: ``(inputs, bytes)`` of the last serialized prefix (see ``serialize``)
+    _prefix_memo = None
+
     def serialize(self, include_volatile: bool = True) -> bytes:
-        """Full state blob (cleartext!) for persistence and migration."""
-        w = ByteWriter()
-        w.raw(STATE_MAGIC)
-        w.u32(self.key_bits)
-        w.u32(self.nv.capacity)
-        w.u8(1 if self.flags.owned else 0)
-        w.u8(1 if self.flags.disabled else 0)
-        w.u8(1 if self.flags.deactivated else 0)
-        w.u8(1 if self.flags.started else 0)
-        w.raw(self.owner_auth)
-        w.raw(self.tpm_proof)
-        w.raw(self.dir_register)
-        # EK
+        """Full state blob (cleartext!) for persistence and migration.
+
+        The prefix — sizes, flags, owner secret, tpmProof, DIR, EK and SRK
+        — only changes on ownership, flag, DIR and key-hierarchy commands,
+        so it is memoized, keyed on exactly those inputs and rebuilt on any
+        difference; PCRs, NV, counters and loaded keys are written fresh.
+        """
+        flags = self.flags
         ek = self.keys.ek
-        w.sized(ek.keypair.serialize_private() if ek else b"")
-        # SRK
         srk = self.keys.srk
-        if srk is not None:
-            w.u8(1)
-            w.sized(srk.keypair.serialize_private())
-            w.raw(srk.usage_auth)
-        else:
-            w.u8(0)
-        # PCRs
-        for value in self.pcrs.snapshot():
-            w.raw(value)
+        inputs = (
+            self.key_bits, self.nv.capacity, flags.owned, flags.disabled,
+            flags.deactivated, flags.started, self.owner_auth,
+            self.tpm_proof, self.dir_register, ek and ek.keypair,
+            srk and (srk.keypair, srk.usage_auth),
+        )
+        memo = self._prefix_memo
+        if memo is None or memo[0] != inputs:
+            w = ByteWriter()
+            w.raw(STATE_MAGIC)
+            w.u32(self.key_bits)
+            w.u32(self.nv.capacity)
+            w.u8(1 if flags.owned else 0)
+            w.u8(1 if flags.disabled else 0)
+            w.u8(1 if flags.deactivated else 0)
+            w.u8(1 if flags.started else 0)
+            w.raw(self.owner_auth)
+            w.raw(self.tpm_proof)
+            w.raw(self.dir_register)
+            w.sized(ek.keypair.serialize_private() if ek else b"")
+            if srk is not None:
+                w.u8(1)
+                w.sized(srk.keypair.serialize_private())
+                w.raw(srk.usage_auth)
+            else:
+                w.u8(0)
+            memo = self._prefix_memo = (inputs, w.getvalue())
+        w = ByteWriter()
+        w.raw(memo[1])
+        w.raw(b"".join(self.pcrs.snapshot()))
         # NV areas
         areas = self.nv.areas()
         w.u32(len(areas))

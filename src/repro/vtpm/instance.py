@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.crypto.random_source import RandomSource
 from repro.obs import trace as obs_trace
 from repro.sim import timing as _timing
 from repro.sim.timing import get_context
 from repro.tpm import constants as tc
 from repro.tpm.device import TpmDevice
-from repro.util.errors import VtpmError
 from repro.xen.memory import PAGE_SIZE, MemoryRegion, PhysicalMemory
 
 #: pages reserved per instance for the in-memory state image
@@ -24,8 +22,8 @@ STATE_PAGES = 8
 
 #: Ordinals that cannot change the *serialized* TPM state: pure reads, plus
 #: session setup (auth sessions and the RNG are volatile — deliberately not
-#: part of the state blob, see ``TpmState.serialize``).  After one of these
-#: the in-memory image is already current, so the re-serialize is skipped.
+#: part of the state blob, see ``TpmState.serialize``).  One of these leaves
+#: the in-memory image current, so it does not mark the image stale.
 _SERIALIZATION_NEUTRAL = frozenset(
     {
         tc.TPM_ORD_PcrRead,
@@ -41,40 +39,38 @@ _SERIALIZATION_NEUTRAL = frozenset(
 )
 
 
+def image_pages(blob: bytes) -> int:
+    """Frames a length-prefixed state image of ``blob`` occupies."""
+    return (len(blob) + 4 + PAGE_SIZE - 1) // PAGE_SIZE
+
+
 class VtpmInstance:
     """A per-VM virtual TPM, resident in the manager domain."""
-
-    #: memoized EK-fragment register image, filled lazily by the manager's
-    #: working-register model (class default covers restored instances too)
-    working_registers = None
-
-    #: virtual timestamp of the last executed command (class default covers
-    #: restored instances); the supervisor's watchdog reads it to tell a
-    #: quiet instance from a wedged one
-    last_activity_us = 0.0
 
     def __init__(
         self,
         instance_id: int,
         vm_uuid: str,
-        rng: RandomSource,
+        device: TpmDevice,
         memory: PhysicalMemory,
         manager_domid: int,
-        key_bits: int,
         bound_identity_hex: Optional[str] = None,
-        nv_capacity: Optional[int] = None,
+        pages: int = STATE_PAGES,
     ) -> None:
         self.instance_id = instance_id
         self.vm_uuid = vm_uuid
         self.bound_identity_hex = bound_identity_hex
-        self.device = TpmDevice(
-            rng, key_bits=key_bits, name=f"vtpm{instance_id}", nv_capacity=nv_capacity
-        )
-        self.device.power_on()
+        self.device = device
         self.commands_handled = 0
+        #: virtual timestamp of the last executed command; the supervisor's
+        #: watchdog reads it to tell a quiet instance from a wedged one
+        self.last_activity_us = 0.0
+        #: memoized EK-fragment register image, filled lazily by the
+        #: manager's working-register model
+        self.working_registers = None
         # The state image lives in real (simulated) manager-domain frames so
         # dump tooling sees exactly what a live manager process would hold.
-        frames = memory.allocate(manager_domid, STATE_PAGES)
+        frames = memory.allocate(manager_domid, pages)
         self.state_region = MemoryRegion(memory, manager_domid, frames)
         self._memory = memory
         self.sync_to_memory()
@@ -84,20 +80,22 @@ class VtpmInstance:
 
         Models the manager daemon's heap residency of instance state; no
         virtual time is charged because the real daemon holds this state
-        in place rather than copying it per command.
+        in place rather than copying it per command.  The manager calls
+        this once per ring notify, after the notify's last frame, when
+        :meth:`execute` has marked the image stale.
         """
         blob = self.device.save_state_blob()
         if len(blob) + 4 > self.state_region.size:
             # Grow: allocate more frames (the daemon's heap growing).
-            needed = (len(blob) + 4 + PAGE_SIZE - 1) // PAGE_SIZE
             old_frames = self.state_region.frames
             was_protected = self._memory.page(old_frames[0]).protected
-            frames = self._memory.allocate(self.state_region.domid, needed)
+            frames = self._memory.allocate(self.state_region.domid, image_pages(blob))
             self._memory.free(old_frames)
             self.state_region = MemoryRegion(self._memory, self.state_region.domid, frames)
             if was_protected:
                 self.state_region.set_protected(True)
         self.state_region.write(0, len(blob).to_bytes(4, "big") + blob)
+        self.image_stale = False
         return len(blob)
 
     def memory_image(self) -> bytes:
@@ -106,11 +104,12 @@ class VtpmInstance:
         return self.state_region.read(4, length)
 
     def execute(self, wire: bytes, locality: int = 0, parsed=None) -> bytes:
-        """Run one TPM command on this instance and refresh the image.
+        """Run one TPM command on this instance.
 
         ``parsed`` optionally carries the already-parsed frame (the monitor
-        parses every command once); it also lets us skip the state-image
-        refresh for ordinals that cannot alter the serialized state.
+        parses every command once).  A command that can alter the serialized
+        state marks the image stale; the manager refreshes it with
+        :meth:`sync_to_memory` once its notify's last frame has run.
         """
         tracer = obs_trace._current_tracer
         if tracer is None:
@@ -129,13 +128,7 @@ class VtpmInstance:
         else:
             ordinal = -1
         if ordinal not in _SERIALIZATION_NEUTRAL:
-            if tracer is None:
-                self.sync_to_memory()
-            else:
-                with tracer.start_span(
-                    "serialize", {"instance": self.instance_id}
-                ):
-                    self.sync_to_memory()
+            self.image_stale = True
         return response
 
     def idle_us(self) -> float:

@@ -25,8 +25,9 @@ from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_AUTHFAIL, TPM_FAIL
+from repro.tpm.device import TpmDevice
 from repro.util.errors import FaultInjected, RetryExhausted, VtpmError
-from repro.vtpm.instance import VtpmInstance
+from repro.vtpm.instance import VtpmInstance, image_pages
 from repro.vtpm.storage import VtpmStorage
 from repro.xen.domain import Domain
 from repro.xen.hypervisor import Xen
@@ -80,28 +81,17 @@ class VtpmManager:
             raise VtpmError(f"VM {vm.name} already has vTPM instance "
                             f"{self._by_vm[vm.uuid]}")
         charge("vtpm.instance.create")
-        identity_hex: Optional[str] = None
-        if self.mode is AccessMode.IMPROVED and self.identities is not None:
-            identity = self.identities.lookup(vm.domid) or self.identities.register(vm)
-            identity_hex = identity.hex
-        instance = VtpmInstance(
-            instance_id=next(self._ids),
-            vm_uuid=vm.uuid,
-            rng=self._rng.fork(f"vtpm-{vm.uuid}"),
-            memory=self.xen.memory,
-            manager_domid=self.manager_domid,
-            key_bits=self.key_bits,
-            bound_identity_hex=identity_hex,
-            nv_capacity=self.nv_capacity,
+        identity_hex = self.identity_for(vm)
+        instance_id = next(self._ids)
+        device = TpmDevice(
+            self._rng.fork(f"vtpm-{vm.uuid}"), key_bits=self.key_bits,
+            name=f"vtpm{instance_id}", nv_capacity=self.nv_capacity,
         )
-        self._instances[instance.instance_id] = instance
-        self._by_vm[vm.uuid] = instance.instance_id
-        if self.protector is not None:
-            self.protector.protect_region(
-                ("vtpm", instance.instance_id), instance.state_region
-            )
-        self.monitor.on_instance_created(
-            instance.instance_id, identity_hex or "", profile=profile
+        device.power_on()
+        instance = self._register(
+            VtpmInstance(instance_id, vm.uuid, device, self.xen.memory,
+                         self.manager_domid, identity_hex),
+            profile,
         )
         # Publish the binding the way xend did, for tooling parity.  A
         # stub-domain manager is unprivileged and publishes under its own
@@ -117,6 +107,48 @@ class VtpmManager:
             binding_path,
             str(instance.instance_id),
             privileged=manager_privileged,
+        )
+        return instance
+
+    def identity_for(self, vm: Domain) -> Optional[str]:
+        """The measured identity (hex) a new instance for ``vm`` is bound
+        to; ``None`` outside the improved regime."""
+        if self.mode is not AccessMode.IMPROVED or self.identities is None:
+            return None
+        return (self.identities.lookup(vm.domid) or self.identities.register(vm)).hex
+
+    def instance_from_blob(
+        self, vm: Domain, blob: bytes, identity_hex: Optional[str],
+        rng_label: str, retry_site: Optional[str] = None,
+    ) -> VtpmInstance:
+        """Rebuild and register a guest's vTPM from a state blob — restore
+        after reboot, or the destination leg of a migration.  With a
+        ``retry_site`` the device resume survives transient faults."""
+        instance_id = next(self._ids)
+
+        def resume() -> TpmDevice:
+            return TpmDevice.from_state_blob(
+                blob, rng=self._rng.fork(rng_label), name=f"vtpm{instance_id}"
+            )
+
+        device = resume() if retry_site is None else with_retry(resume, site=retry_site)
+        return self._register(VtpmInstance(
+            instance_id, vm.uuid, device, self.xen.memory, self.manager_domid,
+            identity_hex, pages=image_pages(blob),
+        ))
+
+    def _register(self, instance: VtpmInstance, profile=None) -> VtpmInstance:
+        """Put a new instance on the books, protect its frames and grant
+        its owning identity."""
+        self._instances[instance.instance_id] = instance
+        self._by_vm[instance.vm_uuid] = instance.instance_id
+        if self.protector is not None:
+            self.protector.protect_region(
+                ("vtpm", instance.instance_id), instance.state_region
+            )
+        self.monitor.on_instance_created(
+            instance.instance_id, instance.bound_identity_hex or "",
+            profile=profile,
         )
         return instance
 
@@ -166,10 +198,13 @@ class VtpmManager:
         """
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
-        if tracer is None:
-            return self._dispatch_one(caller_domid, instance_id, wire, locality)
-        with tracer.start_span("manager.dispatch", {"instance": instance_id}):
-            return self._dispatch_one(caller_domid, instance_id, wire, locality)
+        with (NULL_SPAN if tracer is None else tracer.start_span(
+            "manager.dispatch", {"instance": instance_id}
+        )):
+            try:
+                return self._dispatch_one(caller_domid, instance_id, wire, locality)
+            finally:
+                self._flush_image(instance_id, tracer)
 
     def handle_batch(
         self,
@@ -192,6 +227,8 @@ class VtpmManager:
         ``observe``, when given, receives one ``(response, elapsed_us,
         exhausted)`` outcome per frame after the last frame ran, each
         timed around that frame's own dispatch (the supervisor's hook).
+        The instance's state image is refreshed once, before ``observe``
+        runs, even when a frame raised.
         """
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
@@ -203,35 +240,49 @@ class VtpmManager:
         clock = None if observe is None else _timing._current_context.clock
         responses = []
         outcomes = []
-        for wire in wires:
-            if clock is not None:
-                start_us = clock._now_us
-            exhausted = None
-            with (NULL_SPAN if tracer is None else tracer.start_span(
-                "manager.dispatch", {"instance": instance_id}
-            )):
-                if not retrying:
-                    response = self._dispatch_one(
-                        caller_domid, instance_id, wire, locality
-                    )
-                else:
-                    try:
-                        response = with_retry(
-                            self._dispatch_one, caller_domid, instance_id,
-                            wire, locality, site="vtpm.backend.forward",
-                            jitter_token=instance_id,
+        try:
+            for wire in wires:
+                if clock is not None:
+                    start_us = clock._now_us
+                exhausted = None
+                with (NULL_SPAN if tracer is None else tracer.start_span(
+                    "manager.dispatch", {"instance": instance_id}
+                )):
+                    if not retrying:
+                        response = self._dispatch_one(
+                            caller_domid, instance_id, wire, locality
                         )
-                    except RetryExhausted as exc:
-                        exhausted = exc
-                        response = self.fault_response(instance_id, exc)
-            responses.append(response)
-            if clock is not None:
-                outcomes.append(
-                    (response, clock._now_us - start_us, exhausted)
-                )
+                    else:
+                        try:
+                            response = with_retry(
+                                self._dispatch_one, caller_domid, instance_id,
+                                wire, locality, site="vtpm.backend.forward",
+                                jitter_token=instance_id,
+                            )
+                        except RetryExhausted as exc:
+                            exhausted = exc
+                            response = self.fault_response(instance_id, exc)
+                responses.append(response)
+                if clock is not None:
+                    outcomes.append(
+                        (response, clock._now_us - start_us, exhausted)
+                    )
+        finally:
+            self._flush_image(instance_id, tracer)
         if clock is not None:
             observe(outcomes)
         return responses
+
+    def _flush_image(self, instance_id: int, tracer) -> None:
+        """Refresh the instance's state image once per notify, if a frame
+        changed the state, before any observer can read the frames."""
+        instance = self._instances.get(instance_id)
+        if instance is None or not instance.image_stale:
+            return
+        with (NULL_SPAN if tracer is None else tracer.start_span(
+            "serialize", {"instance": instance_id}
+        )):
+            instance.sync_to_memory()
 
     def _dispatch_one(
         self, caller_domid: int, instance_id: int, wire: bytes, locality: int = 0
@@ -319,41 +370,12 @@ class VtpmManager:
 
     def restore_instance(self, vm: Domain) -> VtpmInstance:
         """Re-create a guest's vTPM from persistent state after reboot."""
-        identity_hex: Optional[str] = None
-        if self.mode is AccessMode.IMPROVED and self.identities is not None:
-            identity = self.identities.lookup(vm.domid) or self.identities.register(vm)
-            identity_hex = identity.hex
+        identity_hex = self.identity_for(vm)
         blob = self.storage.load_instance_state(vm.uuid, identity_hex)
         charge("vtpm.instance.create")
-        instance = VtpmInstance.__new__(VtpmInstance)
-        instance.instance_id = next(self._ids)
-        instance.vm_uuid = vm.uuid
-        instance.bound_identity_hex = identity_hex
-        from repro.tpm.device import TpmDevice
-
         # Restore is recovery code: it must itself survive transient device
         # faults (the resumed TPM runs a Startup command on power-on).
-        instance.device = with_retry(
-            lambda: TpmDevice.from_state_blob(
-                blob, rng=self._rng.fork(f"vtpm-restore-{vm.uuid}"),
-                name=f"vtpm{instance.instance_id}",
-            ),
-            site="vtpm.manager.restore",
+        return self.instance_from_blob(
+            vm, blob, identity_hex, f"vtpm-restore-{vm.uuid}",
+            retry_site="vtpm.manager.restore",
         )
-        instance.commands_handled = 0
-        frames = self.xen.memory.allocate(
-            self.manager_domid, max(1, (len(blob) + 4 + 4095) // 4096)
-        )
-        from repro.xen.memory import MemoryRegion
-
-        instance.state_region = MemoryRegion(self.xen.memory, self.manager_domid, frames)
-        instance._memory = self.xen.memory
-        instance.sync_to_memory()
-        self._instances[instance.instance_id] = instance
-        self._by_vm[vm.uuid] = instance.instance_id
-        if self.protector is not None:
-            self.protector.protect_region(
-                ("vtpm", instance.instance_id), instance.state_region
-            )
-        self.monitor.on_instance_created(instance.instance_id, identity_hex or "")
-        return instance

@@ -358,45 +358,12 @@ class MigrationEndpoint:
 
     def _instantiate(self, state: bytes, target_vm: Domain):
         """Common tail: rebuild the instance on this platform."""
-        from repro.tpm.device import TpmDevice
-        from repro.vtpm.instance import VtpmInstance
-        from repro.xen.memory import MemoryRegion
-
         manager = self.manager
         charge("vtpm.instance.create")
-        identity_hex = None
-        if manager.identities is not None and manager.mode.value == "improved":
-            identity = (
-                manager.identities.lookup(target_vm.domid)
-                or manager.identities.register(target_vm)
-            )
-            identity_hex = identity.hex
-        instance = VtpmInstance.__new__(VtpmInstance)
-        instance.instance_id = next(manager._ids)
-        instance.vm_uuid = target_vm.uuid
-        instance.bound_identity_hex = identity_hex
-        instance.device = TpmDevice.from_state_blob(
-            state,
-            rng=manager._rng.fork(f"vtpm-mig-{target_vm.uuid}"),
-            name=f"vtpm{instance.instance_id}",
+        return manager.instance_from_blob(
+            target_vm, state, manager.identity_for(target_vm),
+            f"vtpm-mig-{target_vm.uuid}",
         )
-        instance.commands_handled = 0
-        frames = manager.xen.memory.allocate(
-            manager.manager_domid, max(1, (len(state) + 4 + 4095) // 4096)
-        )
-        instance.state_region = MemoryRegion(
-            manager.xen.memory, manager.manager_domid, frames
-        )
-        instance._memory = manager.xen.memory
-        instance.sync_to_memory()
-        manager._instances[instance.instance_id] = instance
-        manager._by_vm[target_vm.uuid] = instance.instance_id
-        if manager.protector is not None:
-            manager.protector.protect_region(
-                ("vtpm", instance.instance_id), instance.state_region
-            )
-        manager.monitor.on_instance_created(instance.instance_id, identity_hex or "")
-        return instance
 
 
 #: transfer attempts before an interrupted migration is declared dead
