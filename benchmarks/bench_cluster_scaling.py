@@ -48,13 +48,13 @@ def _p99(samples) -> float:
 def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
     """One fleet shape: route ``guests * steps`` commands (untraced, then
     traced at the default sampling rate), then storm."""
-    from repro.cluster import build_fleet
-    from repro.cluster.demo import _extend_wire, _storm_moves
+    from repro.cluster import build_fleet, storm_moves
     from repro.crypto.random_source import RandomSource
     from repro.harness.builder import fresh_timing_context
     from repro.obs import CountingSink, Tracer
     from repro.obs import trace as obs_trace
     from repro.sim.timing import get_context
+    from repro.tpm.marshal import extend_wire
 
     from bench_wallclock_pipeline import TRACE_SAMPLE_RATE
 
@@ -74,7 +74,7 @@ def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
     for _step in range(steps):
         for name in names:
             rng = streams[name]
-            wire = _extend_wire(rng.randint_below(16), rng.bytes(20))
+            wire = extend_wire(rng.randint_below(16), rng.bytes(20))
             before_us = clock.now_us
             fleet.router.send(name, wire)
             latencies.append(clock.now_us - before_us)
@@ -89,21 +89,21 @@ def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
         for _step in range(steps):
             for name in names:
                 rng = streams[name]
-                wire = _extend_wire(rng.randint_below(16), rng.bytes(20))
+                wire = extend_wire(rng.randint_below(16), rng.bytes(20))
                 fleet.router.send(name, wire)
     wall_traced = time.perf_counter() - wall_start
 
-    storm_moves = 0
+    moved = 0
     storm_wall = 0.0
     storm_virtual_us = 0.0
     if hosts > 1:
-        moves = _storm_moves(fleet, names)
+        moves = storm_moves(fleet, names)
         virtual_before = clock.now_us
         wall_start = time.perf_counter()
         records = fleet.migrator.storm(moves)
         storm_wall = time.perf_counter() - wall_start
         storm_virtual_us = clock.now_us - virtual_before
-        storm_moves = sum(1 for r in records if r.outcome == "moved")
+        moved = sum(1 for r in records if r.outcome == "moved")
 
     return {
         "hosts": hosts,
@@ -112,14 +112,14 @@ def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
         "traced_ops_per_sec": round(commands / wall_traced, 1),
         "trace_sample_rate": TRACE_SAMPLE_RATE,
         "p99_virtual_us": round(_p99(latencies), 3),
-        "storm_moves": storm_moves,
+        "storm_moves": moved,
         "storm_wall_seconds": round(storm_wall, 6),
         "storm_virtual_us_per_move": round(
-            storm_virtual_us / storm_moves, 1
-        ) if storm_moves else 0.0,
+            storm_virtual_us / moved, 1
+        ) if moved else 0.0,
         "moves_per_sec": round(
-            storm_moves / storm_wall, 1
-        ) if storm_moves and storm_wall else 0.0,
+            moved / storm_wall, 1
+        ) if moved and storm_wall else 0.0,
     }
 
 

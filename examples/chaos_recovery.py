@@ -22,18 +22,20 @@ Usage:  python examples/chaos_recovery.py [seed]
 
 import sys
 
-from repro.harness.chaos import default_chaos_plan, run_chaos_demo
+from repro.harness.chaos import ChaosScenario
+from repro.harness.scenario import run_demo
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 2026
-    plan = default_chaos_plan(seed)
+    scenario = ChaosScenario(seed=seed)
+    plan = scenario.default_plan()
     print(f"chaos plan: {plan.name!r}, {len(plan)} specs, "
           f"{len(plan.kinds())} fault kinds, seed {seed}")
     print("running control + chaos + replay (3 x 1000 commands)...\n")
 
-    result = run_chaos_demo(seed=seed, plan=plan)
-    clean, chaotic, replay = result["clean"], result["chaotic"], result["replay"]
+    result = run_demo(scenario, plan)
+    clean, chaotic, replay = result
 
     print("== chaotic run ==")
     for line in chaotic.summary_lines():

@@ -31,13 +31,12 @@ class CpuDumpAttack:
         victim = platform.manager.instance(victim_instance_id)
         # Drive one command through the victim's path so key material is
         # "in flight" at dump time (GetRandom exercises the dispatch path).
-        from repro.tpm.marshal import build_command
-        from repro.tpm.constants import TPM_ORD_GetRandom
-        from repro.util.bytesio import ByteWriter
+        from repro.tpm.marshal import get_random_wire
 
         guest_domid = self._victim_domid(victim.vm_uuid)
-        wire = build_command(TPM_ORD_GetRandom, ByteWriter().u32(8).getvalue())
-        platform.manager.handle_command(guest_domid, victim_instance_id, wire)
+        platform.manager.handle_command(
+            guest_domid, victim_instance_id, get_random_wire(8)
+        )
 
         hypercalls = HypercallInterface(platform.xen, self.attacker_domid)
         registers = hypercalls.dump_vcpu(platform.manager.manager_domid)

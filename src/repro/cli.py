@@ -30,8 +30,8 @@ Subcommands:
   must make the run fail — the self-check that each rule can fire.
 * ``report`` — run the full evaluation and print a markdown report.
 
-``chaos`` and ``experiment`` accept ``--trace PATH`` to stream every
-finished span tree to ``PATH`` as JSONL (``-`` for stdout).
+``chaos``, ``cluster`` and ``experiment`` accept ``--trace PATH`` to
+stream every finished span tree to ``PATH`` as JSONL (``-`` for stdout).
 """
 
 from __future__ import annotations
@@ -144,172 +144,76 @@ def _open_trace(path: str, sample_rate: int = 1):
     return Tracer(sink, sample_rate=sample_rate), CounterRegistry(), closer
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injection demo: a seeded workload survives injected chaos."""
-    from repro.harness.chaos import (
-        default_chaos_plan,
-        run_chaos_demo,
-        run_chaos_workload,
-    )
+def _scenario_for(args: argparse.Namespace):
+    """The scenario ``chaos``, ``chaos --supervised`` or ``cluster`` runs."""
+    if args.command == "cluster":
+        from repro.cluster import ClusterScenario
 
-    if args.supervised:
-        return _cmd_chaos_supervised(args)
-    plan = default_chaos_plan(args.seed)
+        return ClusterScenario(seed=args.seed, hosts=args.hosts,
+                               guests=args.guests, steps=args.steps)
+    from repro.harness.chaos import ChaosScenario, SupervisedChaosScenario
+
+    kind = SupervisedChaosScenario if args.supervised else ChaosScenario
+    if args.commands is None:  # each scenario has its own default
+        return kind(seed=args.seed)
+    return kind(seed=args.seed, commands=args.commands)
+
+
+def cmd_scenario(args: argparse.Namespace) -> int:
+    """Chaos, supervised-chaos or fleet demo: seeded faults, survived."""
+    from repro.harness.scenario import run_demo, run_once
+
+    scenario = _scenario_for(args)
     tracer, registry, closer = _open_trace(args.trace, args.trace_sample)
     with closer:
         if args.single:
-            report = run_chaos_workload(
-                seed=args.seed, commands=args.commands, plan=plan,
-                tracer=tracer, counters=registry,
-                conformance=args.conformance,
+            report = run_once(
+                scenario, scenario.default_plan(), tracer=tracer,
+                counters=registry, conformance=args.conformance,
             )
             for line in report.summary_lines():
                 print(line)
-            if args.conformance:
-                print(f"conformance: {report.conformance_checks} decisions "
-                      "oracle-checked, 0 mismatches")
+            _print_conformance(args, report.conformance_checks)
             _print_trace_summary(args.trace, tracer, registry)
             return 0
-        result = run_chaos_demo(
-            seed=args.seed, commands=args.commands, plan=plan,
-            tracer=tracer, counters=registry,
-        )
-    chaotic = result["chaotic"]
-    print("== chaotic run ==")
-    for line in chaotic.summary_lines():
+        result = run_demo(scenario, tracer=tracer, counters=registry,
+                          conformance=args.conformance)
+    print(f"== {scenario.title} ==")
+    for line in result.chaotic.summary_lines():
         print(line)
     print()
     print("== verdict ==")
-    print(f"fault kinds exercised : {len(chaotic.fault_counts)}")
-    print(f"state preserved       : {result['state_preserved']} "
-          "(PCR/NV digests match the fault-free run)")
-    print(f"deterministic         : {result['deterministic']} "
-          "(same seed → identical fault sequence)")
+    for line in scenario.verdict_lines(result):
+        print(line)
+    _print_conformance(args, result.conformance_checks)
     _print_trace_summary(args.trace, tracer, registry)
     return 0
 
 
-def _cmd_chaos_supervised(args: argparse.Namespace) -> int:
-    """Supervised chaos: wedge storm, probe flap, overload — survived."""
-    from repro.harness.chaos import (
-        SUPERVISED_COMMANDS,
-        run_supervised_chaos,
-        run_supervised_chaos_demo,
-        supervised_chaos_plan,
-    )
-
-    commands = args.commands if args.commands != 1000 else SUPERVISED_COMMANDS
-    plan = supervised_chaos_plan(args.seed)
-    tracer, registry, closer = _open_trace(args.trace, args.trace_sample)
-    with closer:
-        if args.single:
-            report = run_supervised_chaos(
-                seed=args.seed, commands=commands, plan=plan,
-                tracer=tracer, counters=registry,
-                conformance=args.conformance,
-            )
-            for line in report.summary_lines():
-                print(line)
-            if args.conformance:
-                print(f"conformance: {report.conformance_checks} decisions "
-                      "oracle-checked, 0 mismatches")
-            _print_trace_summary(args.trace, tracer, registry)
-            return 0
-        result = run_supervised_chaos_demo(
-            seed=args.seed, commands=commands, plan=plan,
-        )
-    chaotic = result["chaotic"]
-    print("== supervised chaotic run ==")
-    for line in chaotic.summary_lines():
-        print(line)
-    print()
-    print("== verdict ==")
-    print(f"zero silent drops     : {result['zero_dropped']} "
-          f"({chaotic.answered}/{chaotic.submitted} frames answered)")
-    print(f"supervision settled   : {chaotic.settled} "
-          "(every guest healthy-with-closed-breaker or explicitly failed)")
-    print(f"state preserved       : {chaotic.digests == result['clean'].digests} "
-          "(all guests' digests match the fault-free run)")
-    print(f"deterministic         : {result['deterministic']} "
-          "(same seed → identical fault + breaker sequences)")
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    """Fleet demo: migration storm + host crash, zero loss, replayable."""
-    from repro.cluster import (
-        default_cluster_plan,
-        run_cluster_demo,
-        run_cluster_workload,
-    )
-
-    plan = default_cluster_plan(
-        args.seed, args.hosts, crash_step=max(1, (2 * args.steps) // 3)
-    )
-    tracer, registry, closer = _open_trace(args.trace, args.trace_sample)
-    with closer:
-        if args.single:
-            report = run_cluster_workload(
-                seed=args.seed, hosts=args.hosts, guests=args.guests,
-                steps=args.steps, plan=plan, storm=True,
-                tracer=tracer, counters=registry,
-                conformance=args.conformance,
-            )
-            for line in report.summary_lines():
-                print(line)
-            if args.conformance:
-                print(f"conformance: {report.conformance_checks} decisions "
-                      "oracle-checked, 0 mismatches")
-            _print_trace_summary(args.trace, tracer, registry)
-            return 0
-        result = run_cluster_demo(
-            seed=args.seed, hosts=args.hosts, guests=args.guests,
-            steps=args.steps, plan=plan, tracer=tracer, counters=registry,
-        )
-    chaotic = result["chaotic"]
-    print("== chaotic fleet run ==")
-    for line in chaotic.summary_lines():
-        print(line)
-    print()
-    print("== verdict ==")
-    print(f"zero silent drops     : {result['zero_dropped']} "
-          f"({chaotic.answered}/{chaotic.submitted} frames answered)")
-    print(f"placed or failed      : True "
-          f"({len(chaotic.final_placements)} guests on UP hosts, "
-          f"{len(chaotic.placement_failures)} failed explicitly)")
-    print(f"state preserved       : {result['state_preserved']} "
-          "(all digests match the single-host fault-free control)")
-    print(f"deterministic         : {result['deterministic']} "
-          "(same seed → identical placement, migration and fault "
-          "sequences)")
-    _print_trace_summary(args.trace, tracer, registry)
-    return 0
+def _print_conformance(args: argparse.Namespace, checks: int) -> None:
+    if args.conformance:
+        print(f"conformance: {checks} decisions oracle-checked, 0 mismatches")
 
 
 def cmd_health(args: argparse.Namespace) -> int:
     """Run a short supervised scenario and print per-guest health."""
-    from repro.harness.chaos import run_supervised_chaos, supervised_chaos_plan
+    from repro.harness.chaos import SupervisedChaosScenario
+    from repro.harness.scenario import run_once
 
-    plan = supervised_chaos_plan(args.seed) if args.faults else None
-    report = run_supervised_chaos(
-        seed=args.seed, commands=args.commands, plan=plan,
-    )
+    scenario = SupervisedChaosScenario(seed=args.seed, commands=args.commands)
+    report = run_once(scenario, scenario.default_plan() if args.faults else None)
     print(f"plan={report.plan_name} seed={report.seed} "
           f"commands={report.commands} settled={report.settled}")
     for guest in sorted(report.health):
         record = report.health[guest]
         breaker_seq = report.breaker_sequences[guest]
-        shed = report.shed_counts.get(guest, {})
         print(f"\n{guest} (instance {record['instance']}):")
         print(f"  state     : {record['state']} "
               f"(restarts={record['restarts']}, "
               f"failures={record['failure_counts'] or 'none'})")
         print(f"  breaker   : {record['breaker']} "
               f"({len(breaker_seq)} state changes)")
-        print(f"  admission : admitted={report.admitted.get(guest, 0)} "
-              f"shed={sum(shed.values())}"
-              + (f" ({', '.join(f'{k}={v}' for k, v in sorted(shed.items()))})"
-                 if shed else ""))
+        print(f"  admission : {report.admission_text(guest)}")
         if record["transitions"]:
             print("  lifecycle : " + " ".join(record["transitions"]))
     return 0
@@ -358,9 +262,7 @@ def cmd_attack_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    import contextlib
-
-    from repro.obs import trace as obs_trace
+    from repro.harness.scenario import observed
 
     _register_experiments()
     names = list(EXPERIMENTS) if args.id == "all" else [args.id]
@@ -374,17 +276,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     tracer, _registry, closer = _open_trace(
         getattr(args, "trace", None), getattr(args, "trace_sample", 1)
     )
-    with closer:
-        scope = (
-            obs_trace.tracer_scope(tracer)
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
-        with scope:
-            for name in names:
-                result = EXPERIMENTS[name](args.quick)
-                print(result.render())
-                print()
+    with closer, observed(tracer):
+        for name in names:
+            result = EXPERIMENTS[name](args.quick)
+            print(result.render())
+            print()
     _print_trace_summary(getattr(args, "trace", None), tracer, None)
     return 0
 
@@ -398,14 +294,8 @@ def _trace_workload_op(workload: str) -> str:
 
 def _cmd_trace_live(args: argparse.Namespace) -> int:
     """``trace <workload>``: run it for real and show the span trees."""
-    from repro.obs import (
-        CounterRegistry,
-        InMemorySink,
-        Tracer,
-        format_span_tree,
-        registry_scope,
-        tracer_scope,
-    )
+    from repro.harness.scenario import observed
+    from repro.obs import CounterRegistry, InMemorySink, Tracer, format_span_tree
     from repro.util.errors import ReproError
     from repro.workloads.mixes import GuestSession
 
@@ -422,7 +312,7 @@ def _cmd_trace_live(args: argparse.Namespace) -> int:
     sink = InMemorySink()
     tracer = Tracer(sink)
     registry = CounterRegistry()
-    with tracer_scope(tracer), registry_scope(registry):
+    with observed(tracer, registry):
         for _ in range(args.count):
             try:
                 session.run_operation(op)
@@ -693,6 +583,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_runner_options(parser: argparse.ArgumentParser) -> None:
+    """The scenario runner's options, the same for every scenario."""
+    parser.add_argument("--single", action="store_true",
+                        help="one chaotic run only (skip control + replay)")
+    parser.add_argument("--trace", metavar="PATH", default=None,
+                        help="write span trees of the chaotic run as JSONL "
+                             "(- for stdout)")
+    parser.add_argument("--conformance", action="store_true",
+                        help="piggyback the reference-model oracle on every "
+                             "authz decision of every run")
+    parser.add_argument("--trace-sample", metavar="N", type=int, default=1,
+                        help="record 1-in-N root span trees (deterministic "
+                             "head sampling; counters stay exact)")
+    parser.set_defaults(fn=cmd_scenario)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -711,22 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection demo: seeded chaos, zero state loss",
     )
     p_chaos.add_argument("--seed", type=int, default=2026)
-    p_chaos.add_argument("--commands", type=int, default=1000)
+    p_chaos.add_argument("--commands", type=int, default=None,
+                         help="workload steps (default: 1000, or 600 "
+                              "with --supervised)")
     p_chaos.add_argument("--supervised", action="store_true",
                          help="run the supervised resilience demo (health "
                               "state machine, breakers, admission control)")
-    p_chaos.add_argument("--single", action="store_true",
-                         help="one chaotic run only (skip control + replay)")
-    p_chaos.add_argument("--trace", metavar="PATH", default=None,
-                         help="write span trees of the chaotic run as JSONL "
-                              "(- for stdout)")
-    p_chaos.add_argument("--conformance", action="store_true",
-                         help="piggyback the reference-model oracle on every "
-                              "authz decision (requires --single)")
-    p_chaos.add_argument("--trace-sample", metavar="N", type=int, default=1,
-                         help="record 1-in-N root span trees (deterministic "
-                              "head sampling; counters stay exact)")
-    p_chaos.set_defaults(fn=cmd_chaos)
+    _add_runner_options(p_chaos)
 
     p_cluster = sub.add_parser(
         "cluster",
@@ -736,19 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--hosts", type=int, default=4)
     p_cluster.add_argument("--guests", type=int, default=32)
     p_cluster.add_argument("--steps", type=int, default=96)
-    p_cluster.add_argument("--single", action="store_true",
-                           help="one chaotic run only (skip control + replay)")
-    p_cluster.add_argument("--trace", metavar="PATH", default=None,
-                           help="write span trees of the chaotic run as JSONL "
-                                "(- for stdout)")
-    p_cluster.add_argument("--conformance", action="store_true",
-                           help="piggyback the reference-model oracle on "
-                                "every host's authz decisions (requires "
-                                "--single)")
-    p_cluster.add_argument("--trace-sample", metavar="N", type=int, default=1,
-                           help="record 1-in-N root span trees (deterministic "
-                                "head sampling; counters stay exact)")
-    p_cluster.set_defaults(fn=cmd_cluster)
+    _add_runner_options(p_cluster)
 
     p_attack = sub.add_parser("attack-matrix", help="run the attack toolkit")
     p_attack.add_argument("--mode", choices=["baseline", "improved", "both"],

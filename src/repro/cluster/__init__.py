@@ -9,7 +9,8 @@ capacity, load and health signals); the :class:`ClusterMigrator` moves
 instances between hosts through the sealed-export path behind a
 fail-closed attestation handshake.
 
-``python -m repro cluster`` runs the acceptance demo; the unit and
+``python -m repro cluster`` runs the acceptance demo, the
+:class:`ClusterScenario` under :mod:`repro.harness.scenario`; the unit and
 integration suites exercise every piece in isolation.
 """
 
@@ -21,9 +22,9 @@ from repro.cluster.attestation import (
 )
 from repro.cluster.demo import (
     ClusterReport,
+    ClusterScenario,
     default_cluster_plan,
-    run_cluster_demo,
-    run_cluster_workload,
+    storm_moves,
 )
 from repro.cluster.fleet import Fleet, build_fleet
 from repro.cluster.hashring import ConsistentHashRing
@@ -36,6 +37,7 @@ __all__ = [
     "AttestationReport",
     "ClusterMigrator",
     "ClusterReport",
+    "ClusterScenario",
     "ConsistentHashRing",
     "Fleet",
     "FleetRouter",
@@ -49,7 +51,6 @@ __all__ = [
     "build_fleet",
     "default_cluster_plan",
     "measure_host",
-    "run_cluster_demo",
-    "run_cluster_workload",
+    "storm_moves",
     "verify_report",
 ]

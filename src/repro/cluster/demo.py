@@ -25,25 +25,24 @@ comparison meaningful.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 from repro.cluster.fleet import Fleet, build_fleet
 from repro.cluster.host import HostState
-from repro.core.config import AccessMode
 from repro.crypto.random_source import RandomSource
-from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
-from repro.harness.builder import fresh_timing_context
-from repro.harness.chaos import _state_digest
-from repro.obs import counters as obs_counters
-from repro.obs import trace as obs_trace
-from repro.sim.timing import get_context
+from repro.faults import FaultKind, FaultPlan, spec
+from repro.harness.scenario import (
+    ResponseLedger,
+    RunReport,
+    Scenario,
+    ScenarioResult,
+    state_digest,
+)
 from repro.tpm import marshal
-from repro.tpm.constants import NUM_PCRS, TPM_ORD_Extend, TPM_ORD_PcrRead
-from repro.util.errors import ClusterError, ReproError
+from repro.tpm.constants import NUM_PCRS
+from repro.util.errors import ClusterError
 
 DEFAULT_HOSTS = 4
 DEFAULT_GUESTS = 32
@@ -82,28 +81,17 @@ def default_cluster_plan(
     )
 
 
-@dataclass
-class ClusterReport:
-    """Everything one fleet run produced, for comparison and display."""
+@dataclass(kw_only=True)
+class ClusterReport(RunReport):
+    """One fleet run: the shared report plus placement and migration."""
 
-    seed: int
     hosts: int
     guests: int
     steps: int
-    plan_name: str
-    #: per-guest PCR/NV digest of the final instance, wherever it lives
-    state_digests: Dict[str, str]
     #: per-guest SHA-256 over every response frame, in script order
     response_digests: Dict[str, str]
-    fault_counts: Dict[str, int]
-    total_faults: int
-    event_signature: Tuple[Tuple[str, str, int], ...]
     placement_signature: Tuple
     migration_signature: Tuple[Tuple[str, str, str, str, int], ...]
-    #: the zero-silent-drop ledger
-    submitted: int
-    answered: int
-    malformed: int
     #: guests whose placement failed explicitly (admission refused)
     placement_failures: List[str]
     final_placements: Dict[str, str]
@@ -111,21 +99,16 @@ class ClusterReport:
     host_crashes: int
     migrations_moved: int
     migrations_failed: int
-    routed: int
     degraded: int
-    elapsed_virtual_us: float
-    #: decisions double-checked by the piggyback conformance oracle
-    #: (0 unless the run was started with ``conformance=True``)
-    conformance_checks: int = 0
 
-    def summary_lines(self) -> List[str]:
-        lines = [
-            f"plan={self.plan_name} seed={self.seed} "
-            f"hosts={self.hosts} guests={self.guests} steps={self.steps}",
-            f"faults injected: {self.total_faults} "
-            f"({', '.join(f'{k}={v}' for k, v in sorted(self.fault_counts.items())) or 'none'})",
-            f"ledger: submitted={self.submitted} answered={self.answered} "
-            f"malformed={self.malformed} degraded={self.degraded}",
+    digests_shown = 4
+
+    def shape(self) -> str:
+        return f"hosts={self.hosts} guests={self.guests} steps={self.steps}"
+
+    def detail_lines(self) -> List[str]:
+        return [
+            f"{self.ledger_line()} degraded={self.degraded}",
             f"host crashes survived: {self.host_crashes}; migrations: "
             f"{self.migrations_moved} moved, {self.migrations_failed} failed",
             f"placements: "
@@ -137,26 +120,9 @@ class ClusterReport:
                if self.placement_failures else ""),
             f"virtual time={self.elapsed_virtual_us / 1000.0:.2f} ms",
         ]
-        digest_head = sorted(self.state_digests.items())[:4]
-        for name, digest in digest_head:
-            lines.append(f"state[{name}] = {digest[:16]}…")
-        if len(self.state_digests) > len(digest_head):
-            lines.append(f"… and {len(self.state_digests) - len(digest_head)} "
-                         f"more guests, all digested")
-        return lines
 
 
-def _extend_wire(index: int, measurement: bytes) -> bytes:
-    return marshal.build_command(
-        TPM_ORD_Extend, struct.pack(">I", index) + measurement
-    )
-
-
-def _pcr_read_wire(index: int) -> bytes:
-    return marshal.build_command(TPM_ORD_PcrRead, struct.pack(">I", index))
-
-
-def _storm_moves(
+def storm_moves(
     fleet: Fleet, guest_names: List[str]
 ) -> List[Tuple[str, str, str]]:
     """Every STORM_STRIDE-th guest moves to its next admissible ring
@@ -181,245 +147,150 @@ def _storm_moves(
     return moves
 
 
-def run_cluster_workload(
-    seed: int = 2027,
-    hosts: int = DEFAULT_HOSTS,
-    guests: int = DEFAULT_GUESTS,
-    steps: int = DEFAULT_STEPS,
-    plan: Optional[FaultPlan] = None,
-    storm: bool = True,
-    mode: AccessMode = AccessMode.IMPROVED,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
-    conformance: bool = False,
-) -> ClusterReport:
-    """One full fleet run; ``plan=None`` means the fault-free control.
+@dataclass
+class ClusterScenario(Scenario):
+    """N hosts, M guests, a migration storm a third of the way in and the
+    default plan's host crash two thirds of the way in.
 
     Each guest's command script is drawn from an rng keyed to *(seed,
     guest name)* alone — independent of host count, placement, and every
     other guest — so the same scripts replay against any fleet shape and
-    the per-guest digests are directly comparable across shapes.
-
-    ``conformance=True`` piggybacks the charge-free reference-model
-    oracle (:mod:`repro.verify.oracle`) on every host's monitor and
-    raises if any authorization decision disagrees with it.
+    the per-guest digests are directly comparable across shapes.  The
+    control run is the same scripts on one host, where no storm happens.
     """
-    fresh_timing_context()
-    with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(obs_trace.tracer_scope(tracer))
-        if counters is not None:
-            stack.enter_context(obs_counters.registry_scope(counters))
-        return _run_cluster_workload(
-            seed, hosts, guests, steps, plan, storm, mode, conformance
+
+    seed: int = 2027
+    hosts: int = DEFAULT_HOSTS
+    guests: int = DEFAULT_GUESTS
+    steps: int = DEFAULT_STEPS
+
+    title = "chaotic fleet run"
+
+    def default_plan(self) -> FaultPlan:
+        return default_cluster_plan(
+            self.seed, self.hosts, crash_step=max(1, (2 * self.steps) // 3)
         )
 
+    def control(self) -> "ClusterScenario":
+        return replace(self, hosts=1)
 
-def _run_cluster_workload(
-    seed: int,
-    hosts: int,
-    guests: int,
-    steps: int,
-    plan: Optional[FaultPlan],
-    storm: bool,
-    mode: AccessMode,
-    conformance: bool = False,
-) -> ClusterReport:
-    # Capacity covers a whole fleet's worth of guests per host, so the
-    # one-host control run and mid-storm transients always fit.
-    fleet = build_fleet(
-        mode=mode, num_hosts=hosts, seed=seed, capacity=max(guests, 4),
-    )
-    oracles = []
-    if conformance:
-        from repro.verify.oracle import attach_oracle
+    def build(self) -> list:
+        # Capacity covers a whole fleet's worth of guests per host, so the
+        # one-host control run and mid-storm transients always fit.
+        self.fleet = build_fleet(num_hosts=self.hosts, seed=self.seed,
+                                 capacity=max(self.guests, 4))
+        self.audit = self.fleet.hosts["h0"].platform.audit
+        return [self.fleet.hosts[h].platform for h in sorted(self.fleet.hosts)]
 
-        oracles = [
-            attach_oracle(fleet.hosts[host_id].platform)
-            for host_id in sorted(fleet.hosts)
-        ]
-    guest_names = [f"g{index:02d}" for index in range(guests)]
-    placement_failures: List[str] = []
-    for name in guest_names:
-        try:
-            fleet.add_guest(name)
-        except ClusterError:
-            placement_failures.append(name)
-    placed = [n for n in guest_names if n not in placement_failures]
+    def setup(self) -> None:
+        self.placement_failures: List[str] = []
+        self.placed: List[str] = []
+        for name in (f"g{index:02d}" for index in range(self.guests)):
+            try:
+                self.fleet.add_guest(name)
+            except ClusterError:
+                self.placement_failures.append(name)
+            else:
+                self.placed.append(name)
+        self.streams = {
+            name: RandomSource(f"cluster-wl-{self.seed}-{name}".encode())
+            for name in self.placed
+        }
+        self.response_hash = {name: hashlib.sha256() for name in self.placed}
+        self.crash_count = 0
 
-    streams = {
-        name: RandomSource(f"cluster-wl-{seed}-{name}".encode())
-        for name in placed
-    }
-    response_hash = {name: hashlib.sha256() for name in placed}
+    def step(self, step: int, ledger: ResponseLedger) -> None:
+        fleet = self.fleet
+        self.crash_count += fleet.poll_host_faults()
+        for name in self.placed:
+            rng = self.streams[name]
+            if rng.randint_below(100) < 55:
+                wire = marshal.extend_wire(
+                    rng.randint_below(NUM_PCRS), rng.bytes(20)
+                )
+            else:
+                wire = marshal.pcr_read_wire(rng.randint_below(NUM_PCRS))
+            ledger.submitted += 1
+            response = fleet.router.send(name, wire)
+            ledger.answer(response)
+            self.response_hash[name].update(response)
 
-    injector = FaultInjector(
-        plan if plan is not None else FaultPlan(name="fault-free", seed=seed),
-        audit=fleet.hosts["h0"].platform.audit,
-    )
+        if step % CHECKPOINT_EVERY == 0:
+            for host_id in sorted(fleet.hosts):
+                fleet.hosts[host_id].platform.manager.save_all()
+        if step == max(1, self.steps // 3) and len(fleet.hosts) > 1:
+            fleet.migrator.storm(storm_moves(fleet, self.placed))
 
-    submitted = 0
-    answered = 0
-    malformed = 0
-    storm_step = max(1, steps // 3)
-    crash_count = 0
-    start_us = get_context().clock.now_us
-
-    with injector_scope(injector):
-        for step in range(1, steps + 1):
-            crash_count += fleet.poll_host_faults()
-            for name in placed:
-                rng = streams[name]
-                op = rng.randint_below(100)
-                if op < 55:
-                    wire = _extend_wire(
-                        rng.randint_below(NUM_PCRS), rng.bytes(20)
-                    )
-                else:
-                    wire = _pcr_read_wire(rng.randint_below(NUM_PCRS))
-                submitted += 1
-                response = fleet.router.send(name, wire)
-                answered += 1
-                try:
-                    marshal.parse_response(response)
-                # repro: allow[fail-closed] -- demo oracle counts malformed frames as its signal
-                except ReproError:
-                    malformed += 1
-                response_hash[name].update(response)
-
-            if step % CHECKPOINT_EVERY == 0:
-                for host_id in sorted(fleet.hosts):
-                    fleet.hosts[host_id].platform.manager.save_all()
-
-            if storm and step == storm_step and len(fleet.hosts) > 1:
-                fleet.migrator.storm(_storm_moves(fleet, placed))
-
-        state_digests = {
-            name: _state_digest(fleet.instance_for(name)) for name in placed
+    def finish(self) -> Dict[str, str]:
+        return {
+            name: state_digest(self.fleet.instance_for(name))
+            for name in self.placed
         }
 
-    conformance_checks = 0
-    if oracles:
-        from repro.verify.oracle import settle_oracles
-
-        conformance_checks = settle_oracles(oracles)
-
-    moved = sum(
-        1 for r in fleet.migrator.trail if r.outcome == "moved"
-    )
-    failed = sum(
-        1 for r in fleet.migrator.trail if r.outcome == "failed"
-    )
-    return ClusterReport(
-        seed=seed,
-        hosts=hosts,
-        guests=guests,
-        steps=steps,
-        plan_name=injector.plan.name,
-        state_digests=state_digests,
-        response_digests={
-            name: h.hexdigest() for name, h in response_hash.items()
-        },
-        fault_counts=dict(injector.fault_counts),
-        total_faults=len(injector.events),
-        event_signature=injector.event_signature(),
-        placement_signature=fleet.scheduler.trail_signature(),
-        migration_signature=fleet.migrator.trail_signature(),
-        submitted=submitted,
-        answered=answered,
-        malformed=malformed,
-        placement_failures=placement_failures,
-        final_placements=fleet.router.placements(),
-        host_states={
-            host_id: host.state.value
-            for host_id, host in sorted(fleet.hosts.items())
-        },
-        host_crashes=crash_count,
-        migrations_moved=moved,
-        migrations_failed=failed,
-        routed=fleet.router.routed,
-        degraded=fleet.router.degraded,
-        elapsed_virtual_us=get_context().clock.now_us - start_us,
-        conformance_checks=conformance_checks,
-    )
-
-
-def run_cluster_demo(
-    seed: int = 2027,
-    hosts: int = DEFAULT_HOSTS,
-    guests: int = DEFAULT_GUESTS,
-    steps: int = DEFAULT_STEPS,
-    plan: Optional[FaultPlan] = None,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
-) -> Dict[str, object]:
-    """The acceptance demo: single-host control vs chaotic fleet vs replay.
-
-    Raises :class:`AssertionError` on any violated oracle.  ``tracer`` /
-    ``counters`` observe the chaotic run only, so the replay comparison
-    doubles as the observer non-interference check.
-    """
-    chaos_plan = plan if plan is not None else default_cluster_plan(
-        seed, hosts, crash_step=max(1, (2 * steps) // 3)
-    )
-    control = run_cluster_workload(
-        seed=seed, hosts=1, guests=guests, steps=steps, plan=None,
-        storm=False,
-    )
-    chaotic = run_cluster_workload(
-        seed=seed, hosts=hosts, guests=guests, steps=steps, plan=chaos_plan,
-        storm=True, tracer=tracer, counters=counters,
-    )
-    replay = run_cluster_workload(
-        seed=seed, hosts=hosts, guests=guests, steps=steps, plan=chaos_plan,
-        storm=True,
-    )
-
-    assert control.total_faults == 0, "control run must be fault-free"
-    assert chaotic.fault_counts.get("partition", 0) > 0, (
-        "the plan never partitioned the cluster link"
-    )
-    assert chaotic.host_crashes >= 1, "the plan never crashed a host"
-    assert chaotic.migrations_moved >= 1, "the storm never moved a guest"
-    # Zero silent drops, in every run.
-    for report in (control, chaotic, replay):
-        assert report.answered == report.submitted, (
-            f"{report.plan_name}: "
-            f"{report.submitted - report.answered} frames silently dropped"
+    def report(self, **shared) -> ClusterReport:
+        fleet = self.fleet
+        outcomes = [record.outcome for record in fleet.migrator.trail]
+        return ClusterReport(
+            hosts=self.hosts,
+            guests=self.guests,
+            steps=self.steps,
+            response_digests={
+                name: h.hexdigest() for name, h in self.response_hash.items()
+            },
+            placement_signature=fleet.scheduler.trail_signature(),
+            migration_signature=fleet.migrator.trail_signature(),
+            placement_failures=self.placement_failures,
+            final_placements=fleet.router.placements(),
+            host_states={
+                host_id: host.state.value
+                for host_id, host in sorted(fleet.hosts.items())
+            },
+            host_crashes=self.crash_count,
+            migrations_moved=outcomes.count("moved"),
+            migrations_failed=outcomes.count("failed"),
+            degraded=fleet.router.degraded,
+            **shared,
         )
-        assert report.malformed == 0, (
-            f"{report.plan_name}: {report.malformed} malformed responses"
+
+    def check(self, result: ScenarioResult) -> None:
+        control, chaotic, replay = result
+        assert chaotic.fault_counts.get("partition", 0) > 0, (
+            "the plan never partitioned the cluster link"
         )
-    # Placed-or-failed: every guest ends on an UP host or failed loudly.
-    for report in (chaotic, replay):
-        for guest, host_id in report.final_placements.items():
-            assert report.host_states[host_id] == HostState.UP.value, (
-                f"guest {guest} stranded on {host_id} "
-                f"({report.host_states[host_id]})"
+        assert chaotic.host_crashes >= 1, "the plan never crashed a host"
+        assert chaotic.migrations_moved >= 1, "the storm never moved a guest"
+        # Placed-or-failed: every guest ends on an UP host or failed loudly.
+        for report in (chaotic, replay):
+            for guest, host_id in report.final_placements.items():
+                assert report.host_states[host_id] == HostState.UP.value, (
+                    f"guest {guest} stranded on {host_id} "
+                    f"({report.host_states[host_id]})"
+                )
+            assert (
+                len(report.final_placements) + len(report.placement_failures)
+                == report.guests
             )
-        assert (
-            len(report.final_placements) + len(report.placement_failures)
-            == report.guests
+        # No placement sensitivity: responses match the single-host
+        # fault-free control byte for byte.
+        assert chaotic.response_digests == control.response_digests, (
+            "response divergence vs the single-host fault-free control"
         )
-    # No state loss, no placement sensitivity: digests match the
-    # single-host fault-free control byte for byte.
-    assert chaotic.state_digests == control.state_digests, (
-        "state divergence vs the single-host fault-free control"
-    )
-    assert chaotic.response_digests == control.response_digests, (
-        "response divergence vs the single-host fault-free control"
-    )
-    # Replay identity: schedules and fault sequence reproduce exactly.
-    assert chaotic.event_signature == replay.event_signature
-    assert chaotic.placement_signature == replay.placement_signature
-    assert chaotic.migration_signature == replay.migration_signature
-    assert chaotic.state_digests == replay.state_digests
-    assert chaotic.response_digests == replay.response_digests
-    return {
-        "control": control,
-        "chaotic": chaotic,
-        "replay": replay,
-        "zero_dropped": True,
-        "state_preserved": True,
-        "deterministic": True,
-    }
+        # Replay identity: schedules reproduce exactly.
+        assert chaotic.placement_signature == replay.placement_signature
+        assert chaotic.migration_signature == replay.migration_signature
+        assert chaotic.response_digests == replay.response_digests
+
+    def verdict_lines(self, result: ScenarioResult) -> List[str]:
+        chaotic = result.chaotic
+        return [
+            f"zero silent drops     : {result.zero_dropped} "
+            f"({chaotic.answered}/{chaotic.submitted} frames answered)",
+            f"placed or failed      : True "
+            f"({len(chaotic.final_placements)} guests on UP hosts, "
+            f"{len(chaotic.placement_failures)} failed explicitly)",
+            f"state preserved       : {result.state_preserved} "
+            "(all digests match the single-host fault-free control)",
+            f"deterministic         : {result.deterministic} "
+            "(same seed → identical placement, migration and fault "
+            "sequences)",
+        ]

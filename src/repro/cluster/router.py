@@ -44,7 +44,6 @@ class FleetRouter:
     def __init__(self, hosts: Dict[str, Host]) -> None:
         self.hosts = hosts
         self._locations: Dict[str, GuestLocation] = {}
-        self.routed = 0
         self.degraded = 0
 
     # -- the name map ------------------------------------------------------------
@@ -130,7 +129,6 @@ class FleetRouter:
                     outcome="degraded")
                 return manager.fault_response(location.instance_id, exc)
             host.observe_service_us(get_context().clock.now_us - started_us)
-            self.routed += 1
             inc("cluster.routed", host=location.host_id, outcome="ok")
             return response
 

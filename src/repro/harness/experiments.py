@@ -23,6 +23,7 @@ from repro.metrics.stats import Summary, overhead_pct, summarize
 from repro.metrics.tables import format_table
 from repro.obs import trace as obs_trace
 from repro.sim.timing import CostLedger, get_context, ledger_scope
+from repro.tpm import marshal
 from repro.workloads.mixes import (
     MIX_MIXED,
     OPERATIONS,
@@ -759,10 +760,8 @@ def run_batching_sweep(
     per-command (the monitor's decision cache keeps that cheap), so the
     curve flattens toward the irreducible per-command work.
     """
-    from repro.harness.profiling import _pcr_read_wire
-
     points: List[tuple] = []
-    wire = _pcr_read_wire()
+    wire = marshal.pcr_read_wire(10)
     for vms in vm_counts:
         for batch in batch_sizes:
             fresh_timing_context()

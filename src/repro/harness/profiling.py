@@ -14,7 +14,6 @@ are both thin wrappers around :func:`profile_pipeline`.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import time
 from dataclasses import dataclass, field
@@ -22,17 +21,12 @@ from typing import Dict, List, Optional
 
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform, fresh_timing_context
+from repro.harness.scenario import observed
 from repro.obs import trace as obs_trace
 from repro.sim.timing import get_context
 from repro.tpm import marshal
-from repro.tpm.constants import TPM_ORD_PcrRead, TPM_SUCCESS
-from repro.util.bytesio import ByteWriter
+from repro.tpm.constants import TPM_SUCCESS
 from repro.util.errors import ReproError
-
-
-def _pcr_read_wire(index: int = 10) -> bytes:
-    """A well-formed TPM_PCRRead frame (unauthenticated, read-only)."""
-    return marshal.build_command(TPM_ORD_PcrRead, ByteWriter().u32(index).getvalue())
 
 
 @dataclass
@@ -121,7 +115,7 @@ def profile_pipeline(
     guest = platform.add_guest("bench-guest")
     if supervised:
         platform.enable_supervision()
-    wire = _pcr_read_wire()
+    wire = marshal.pcr_read_wire(10)
     # Sanity: the frame must round-trip successfully before we time anything.
     first = marshal.parse_response(guest.frontend.transport(wire))
     if first.return_code != TPM_SUCCESS:
@@ -131,11 +125,7 @@ def profile_pipeline(
 
     clock = get_context().clock
     virtual_start = clock.now_us
-    scope = (
-        obs_trace.tracer_scope(tracer)
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
+    scope = observed(tracer)
     # A cycle collection landing inside one variant's timed loop but not
     # another's would skew the traced/supervised overhead ratios, so the
     # collector is paused (never triggered, still re-enabled) while the

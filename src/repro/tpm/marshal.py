@@ -15,6 +15,9 @@ from repro.tpm.constants import (
     NONCE_SIZE,
     AUTHDATA_SIZE,
     TPM_BADTAG,
+    TPM_ORD_Extend,
+    TPM_ORD_GetRandom,
+    TPM_ORD_PcrRead,
     TPM_TAG_RQU_AUTH1_COMMAND,
     TPM_TAG_RQU_COMMAND,
     TPM_TAG_RSP_AUTH1_COMMAND,
@@ -87,6 +90,21 @@ def build_command(
     w.raw(params)
     w.raw(trailer)
     return w.getvalue()
+
+
+def pcr_read_wire(index: int) -> bytes:
+    """A TPM_PCRRead frame: unauthenticated, read-only."""
+    return build_command(TPM_ORD_PcrRead, index.to_bytes(4, "big"))
+
+
+def extend_wire(index: int, measurement: bytes) -> bytes:
+    """A TPM_Extend frame folding a 20-byte measurement into PCR ``index``."""
+    return build_command(TPM_ORD_Extend, index.to_bytes(4, "big") + measurement)
+
+
+def get_random_wire(count: int = 16) -> bytes:
+    """A TPM_GetRandom frame asking for ``count`` bytes."""
+    return build_command(TPM_ORD_GetRandom, count.to_bytes(4, "big"))
 
 
 #: memoized parse results keyed by wire bytes.  ``parse_command`` is a pure,

@@ -27,7 +27,6 @@ re-validates counterexamples on a fresh platform before minimizing.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -43,12 +42,7 @@ from repro.harness.builder import (
 from repro.sim.engine import Simulator
 from repro.sim.timing import get_context
 from repro.tpm import marshal
-from repro.tpm.constants import (
-    TPM_ORD_Extend,
-    TPM_ORD_GetRandom,
-    TPM_ORD_PcrRead,
-    TPM_SUCCESS,
-)
+from repro.tpm.constants import TPM_SUCCESS
 from repro.util.errors import ReproError
 from repro.verify.model import Prediction, ReferenceModel
 
@@ -175,21 +169,6 @@ def _measurement_for(step: Step) -> bytes:
     """Deterministic 20-byte measurement, a pure function of the step
     fields so shrunk/reordered traces extend identical values."""
     return hashlib.sha1(f"verify-m-{step.guest}-{step.arg}".encode()).digest()
-
-
-def _extend_wire(step: Step) -> bytes:
-    return marshal.build_command(
-        TPM_ORD_Extend,
-        struct.pack(">I", step.arg % PCR_RANGE) + _measurement_for(step),
-    )
-
-
-def _pcr_read_wire(index: int) -> bytes:
-    return marshal.build_command(TPM_ORD_PcrRead, struct.pack(">I", index))
-
-
-def _get_random_wire() -> bytes:
-    return marshal.build_command(TPM_ORD_GetRandom, struct.pack(">I", 16))
 
 
 # -- the runner --------------------------------------------------------------------
@@ -351,19 +330,21 @@ class ScheduleRunner:
 
         # -- command ops: predict, execute, check ------------------------------
         if op == "extend":
-            wire = _extend_wire(step)
+            wire = marshal.extend_wire(
+                step.arg % PCR_RANGE, _measurement_for(step)
+            )
             target, command_class = guest, CommandClass.MEASURE
         elif op == "pcr_read":
-            wire = _pcr_read_wire(step.arg % PCR_RANGE)
+            wire = marshal.pcr_read_wire(step.arg % PCR_RANGE)
             target, command_class = guest, CommandClass.READ
         elif op == "get_random":
-            wire = _get_random_wire()
+            wire = marshal.get_random_wire(16)
             target, command_class = guest, CommandClass.READ
         elif op == "cross_read":
             target = (guest + 1 + step.arg % max(1, len(handles) - 1)) % len(handles)
             if target == guest:  # single-guest runs have no cross target
                 return None
-            wire = _pcr_read_wire(step.arg % PCR_RANGE)
+            wire = marshal.pcr_read_wire(step.arg % PCR_RANGE)
             command_class = CommandClass.READ
         else:
             raise ReproError(f"unknown verify op {op!r}")

@@ -28,7 +28,8 @@ from repro.analysis.rules.counter_registry import (
     collect_metric_literals,
 )
 from repro.cli import main
-from repro.harness.chaos import run_chaos_workload
+from repro.harness.chaos import ChaosScenario
+from repro.harness.scenario import run_once
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 
@@ -95,8 +96,9 @@ class TestCounterNameAudit:
     def runtime_report(self):
         registry = obs_counters.CounterRegistry()
         tracer = obs_trace.Tracer()
-        report = run_chaos_workload(
-            seed=2026, commands=200, tracer=tracer, counters=registry
+        report = run_once(
+            ChaosScenario(seed=2026, commands=200),
+            tracer=tracer, counters=registry,
         )
         return registry, tracer, report
 

@@ -2,19 +2,16 @@
 plan, zero state loss, deterministic replay, observable faults."""
 
 from repro.faults import FaultKind
-from repro.harness.chaos import (
-    default_chaos_plan,
-    run_chaos_demo,
-    run_chaos_workload,
-)
+from repro.harness.chaos import ChaosScenario
+from repro.harness.scenario import run_demo, run_once
 
 
 class TestChaosDemo:
     def test_demo_end_to_end(self):
-        # run_chaos_demo asserts the claims internally; a clean return IS
-        # the acceptance criterion.
-        result = run_chaos_demo(seed=2026, commands=1000)
-        chaotic = result["chaotic"]
+        # run_demo asserts the claims internally; a clean return IS the
+        # acceptance criterion.
+        result = run_demo(ChaosScenario(seed=2026, commands=1000))
+        chaotic = result.chaotic
         # ≥4 distinct kinds, including the four named in the acceptance
         # criteria: ring stall, torn write, transient device error and an
         # interrupted migration.
@@ -40,13 +37,13 @@ class TestChaosDemo:
         cluster plan owns the fleet-scoped ones.  Together: everything."""
         from repro.cluster import default_cluster_plan
 
-        plan = default_chaos_plan(1)
+        plan = ChaosScenario(seed=1).default_plan()
         cluster_plan = default_cluster_plan(1, num_hosts=4, crash_step=8)
         assert set(plan.kinds()) | set(cluster_plan.kinds()) == set(FaultKind)
         assert set(plan.kinds()) & set(cluster_plan.kinds()) == set()
 
     def test_workload_without_plan_is_fault_free(self):
-        report = run_chaos_workload(seed=5, commands=120, plan=None)
+        report = run_once(ChaosScenario(seed=5, commands=120), plan=None)
         assert report.total_faults == 0
         assert report.retries == 0
         assert report.digests["anchor"] != report.digests["mover"]

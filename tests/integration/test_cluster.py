@@ -13,10 +13,10 @@ import struct
 
 import pytest
 
-from repro.cluster import build_fleet, run_cluster_demo
+from repro.cluster import ClusterScenario, build_fleet
 from repro.crypto.random_source import RandomSource
 from repro.harness.builder import fresh_timing_context
-from repro.harness.chaos import _state_digest
+from repro.harness.scenario import run_demo, state_digest
 from repro.tpm import marshal
 from repro.tpm.constants import NUM_PCRS, TPM_ORD_Extend, TPM_ORD_PcrRead
 
@@ -75,7 +75,7 @@ class TestCrossHostDifferentialOracle:
             _audit_decisions(fleet.hosts[source].platform, identity.hex)
             + _audit_decisions(fleet.hosts[target].platform, identity.hex)
         )
-        return responses, _state_digest(fleet.instance_for("subject")), \
+        return responses, state_digest(fleet.instance_for("subject")), \
             decisions, identity.hex
 
     def _run_sedentary(self, wires):
@@ -86,7 +86,7 @@ class TestCrossHostDifferentialOracle:
         identity = fleet.hosts["h0"].platform.identities.lookup(domid)
         responses = [fleet.router.send("subject", wire) for wire in wires]
         decisions = _audit_decisions(fleet.hosts["h0"].platform, identity.hex)
-        return responses, _state_digest(fleet.instance_for("subject")), \
+        return responses, state_digest(fleet.instance_for("subject")), \
             decisions, identity.hex
 
     def test_migrated_history_is_byte_identical_to_sedentary(self):
@@ -126,11 +126,11 @@ class TestCrossHostDifferentialOracle:
 
 class TestClusterDemoOracles:
     def test_demo_holds_all_oracles_at_small_scale(self):
-        result = run_cluster_demo(seed=9, hosts=3, guests=9, steps=24)
-        assert result["zero_dropped"]
-        assert result["state_preserved"]
-        assert result["deterministic"]
-        chaotic = result["chaotic"]
+        result = run_demo(ClusterScenario(seed=9, hosts=3, guests=9, steps=24))
+        assert result.zero_dropped
+        assert result.state_preserved
+        assert result.deterministic
+        chaotic = result.chaotic
         assert chaotic.host_crashes == 1
         assert chaotic.migrations_moved >= 1
         assert chaotic.fault_counts.get("partition", 0) > 0

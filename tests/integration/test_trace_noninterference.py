@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform, fresh_timing_context
-from repro.harness.chaos import default_chaos_plan, run_chaos_workload
+from repro.harness.chaos import ChaosScenario
+from repro.harness.scenario import run_once
 from repro.obs import (
     CounterRegistry,
     InMemorySink,
@@ -25,17 +26,11 @@ from repro.obs import (
     validate_tree_dict,
 )
 from repro.tpm import marshal
-from repro.tpm.constants import TPM_ORD_PcrRead, TPM_SUCCESS
-from repro.util.bytesio import ByteWriter
+from repro.tpm.constants import TPM_SUCCESS
 
 SEED = 424242
 COMMANDS = 120
-
-
-def _pcr_read_wire(index: int) -> bytes:
-    return marshal.build_command(
-        TPM_ORD_PcrRead, ByteWriter().u32(index).getvalue()
-    )
+SCENARIO = ChaosScenario(seed=SEED, commands=COMMANDS)
 
 
 class TestChaosNonInterference:
@@ -43,14 +38,12 @@ class TestChaosNonInterference:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        plan = default_chaos_plan(SEED)
-        untraced = run_chaos_workload(
-            seed=SEED, commands=COMMANDS, plan=plan
-        )
+        plan = SCENARIO.default_plan()
+        untraced = run_once(SCENARIO, plan)
         tracer = Tracer(InMemorySink())
         registry = CounterRegistry()
-        traced = run_chaos_workload(
-            seed=SEED, commands=COMMANDS, plan=plan,
+        traced = run_once(
+            SCENARIO, plan,
             tracer=tracer, counters=registry,
         )
         return untraced, traced, tracer, registry
@@ -107,7 +100,7 @@ class TestBatchedNonInterference:
             guest = platform.add_guest("batcher")
             responses = []
             for round_no in range(6):
-                wires = [_pcr_read_wire(i % 8) for i in range(round_no + 2)]
+                wires = [marshal.pcr_read_wire(i % 8) for i in range(round_no + 2)]
                 responses.extend(guest.frontend.transport_batch(wires))
             digest = platform.manager.instance(
                 guest.instance_id
@@ -148,16 +141,16 @@ class TestSampledNonInterference:
 
     @pytest.fixture(scope="class")
     def untraced(self):
-        plan = default_chaos_plan(SEED)
-        return run_chaos_workload(seed=SEED, commands=COMMANDS, plan=plan)
+        plan = SCENARIO.default_plan()
+        return run_once(SCENARIO, plan)
 
     @pytest.mark.parametrize("rate", RATES)
     def test_sampled_chaos_is_byte_identical(self, untraced, rate):
-        plan = default_chaos_plan(SEED)
+        plan = SCENARIO.default_plan()
         tracer = Tracer(InMemorySink(), sample_rate=rate)
         registry = CounterRegistry()
-        sampled = run_chaos_workload(
-            seed=SEED, commands=COMMANDS, plan=plan,
+        sampled = run_once(
+            SCENARIO, plan,
             tracer=tracer, counters=registry,
         )
         assert sampled.digests == untraced.digests
@@ -177,18 +170,15 @@ class TestSampledNonInterference:
 
     @pytest.mark.parametrize("rate", RATES)
     def test_sampled_cluster_is_byte_identical(self, rate):
-        from repro.cluster import default_cluster_plan, run_cluster_workload
+        from repro.cluster import ClusterScenario, default_cluster_plan
 
-        kwargs = dict(seed=SEED, hosts=3, guests=6, steps=10,
-                      plan=default_cluster_plan(SEED, 3, crash_step=7),
-                      storm=True)
-        untraced = run_cluster_workload(**kwargs)
+        scenario = ClusterScenario(seed=SEED, hosts=3, guests=6, steps=10)
+        plan = default_cluster_plan(SEED, 3, crash_step=7)
+        untraced = run_once(scenario, plan)
         tracer = Tracer(InMemorySink(), sample_rate=rate)
         registry = CounterRegistry()
-        sampled = run_cluster_workload(
-            tracer=tracer, counters=registry, **kwargs
-        )
-        assert sampled.state_digests == untraced.state_digests
+        sampled = run_once(scenario, plan, tracer=tracer, counters=registry)
+        assert sampled.digests == untraced.digests
         assert sampled.response_digests == untraced.response_digests
         assert sampled.event_signature == untraced.event_signature
         assert sampled.placement_signature == untraced.placement_signature
@@ -201,10 +191,11 @@ class TestSampledNonInterference:
         """Two same-seed runs keep the very same trees: the schedule is a
         pure function of the root index, untouched by either timebase."""
         def schedule():
-            plan = default_chaos_plan(SEED)
+            plan = SCENARIO.default_plan()
             tracer = Tracer(InMemorySink(), sample_rate=rate)
-            run_chaos_workload(
-                seed=SEED, commands=COMMANDS, plan=plan, tracer=tracer,
+            run_once(
+                SCENARIO, plan,
+                tracer=tracer,
             )
             return (
                 tracer.roots_seen,
@@ -230,7 +221,7 @@ class TestJsonlRoundTrip:
                 )
                 guest = platform.add_guest("writer")
                 for i in range(5):
-                    guest.frontend.transport(_pcr_read_wire(i))
+                    guest.frontend.transport(marshal.pcr_read_wire(i))
             sink.flush()
         trees = load_jsonl(out.read_text())
         assert len(trees) == tracer.roots_emitted

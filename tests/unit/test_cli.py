@@ -127,6 +127,56 @@ class TestCommands:
         assert "malformed=0" in out
         assert "settled=True" in out
 
+    def test_commands_default_is_the_scenarios_own(self):
+        from repro.harness.chaos import ChaosScenario, SupervisedChaosScenario
+
+        assert build_parser().parse_args(["chaos"]).commands is None
+        assert ChaosScenario().commands == 1000
+        assert SupervisedChaosScenario().commands == 600
+
+    def test_supervised_explicit_1000_commands_is_honoured(self, capsys):
+        assert main(
+            ["chaos", "--supervised", "--single", "--commands", "1000"]
+        ) == 0
+        assert "commands=1000" in capsys.readouterr().out
+
+    def test_supervised_demo_writes_its_trace(self, capsys, tmp_path):
+        from repro.obs import load_jsonl, validate_tree_dict
+
+        argv = ["chaos", "--supervised", "--commands", "100"]
+        assert main(argv) == 0
+        untraced = capsys.readouterr().out
+        out = tmp_path / "supervised.jsonl"
+        assert main(argv + ["--trace", str(out)]) == 0
+        traced = capsys.readouterr().out
+        trees = load_jsonl(out.read_text())
+        assert trees, "the chaotic run left no root span"
+        for tree in trees:
+            validate_tree_dict(tree)
+        assert "trace:" in traced and "counters:" in traced
+
+        def states(text):
+            return [l for l in text.splitlines() if l.startswith("state[")]
+
+        # The demo itself asserts the traced run's digests equal the
+        # untraced replay's; the printed ones match an untraced demo too.
+        assert states(untraced) and states(traced) == states(untraced)
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--commands", "200"],
+        ["chaos", "--supervised", "--commands", "100"],
+        ["cluster", "--seed", "9", "--hosts", "3", "--guests", "9",
+         "--steps", "24"],
+    ])
+    def test_conformance_checks_every_demo_run(self, capsys, argv):
+        assert main(argv + ["--conformance"]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("conformance:")
+        ]
+        assert len(lines) == 1
+        assert int(lines[0].split()[1]) > 0
+
     def test_health_subcommand(self, capsys):
         assert main(["health", "--commands", "120"]) == 0
         out = capsys.readouterr().out

@@ -23,7 +23,7 @@ from repro.faults import (
     spec,
 )
 from repro.harness.builder import build_platform
-from repro.harness.chaos import _state_digest
+from repro.harness.scenario import state_digest
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_ORD_Extend, TPM_ORD_PcrRead
 from repro.util.errors import ClusterError, RetryExhausted
@@ -184,10 +184,10 @@ class TestMigrator:
         fleet = build_fleet(num_hosts=2, seed=320, capacity=8, name="mg")
         source = fleet.add_guest("payload")
         fleet.router.send("payload", _extend(7, b"\x07" * 20))
-        digest = _state_digest(fleet.instance_for("payload"))
+        digest = state_digest(fleet.instance_for("payload"))
         target = "h1" if source == "h0" else "h0"
         fleet.migrate("payload", target)
-        assert _state_digest(fleet.instance_for("payload")) == digest
+        assert state_digest(fleet.instance_for("payload")) == digest
         # the source host no longer owns a copy
         assert fleet.hosts[source].resident_count == 0
 
@@ -228,7 +228,7 @@ class TestMigrator:
         fleet = build_fleet(num_hosts=2, seed=324, capacity=8, name="mp")
         source = fleet.add_guest("mover")
         fleet.router.send("mover", _extend(3, b"\x33" * 20))
-        digest = _state_digest(fleet.instance_for("mover"))
+        digest = state_digest(fleet.instance_for("mover"))
         target = "h1" if source == "h0" else "h0"
         plan = FaultPlan(
             name="cut-transfer", seed=7,
@@ -240,7 +240,7 @@ class TestMigrator:
         record = fleet.migrator.trail[-1]
         assert record.outcome == "moved" and record.attempts == 2
         assert fleet.router.locate("mover").host_id == target
-        assert _state_digest(fleet.instance_for("mover")) == digest
+        assert state_digest(fleet.instance_for("mover")) == digest
 
     def test_persistent_partition_exhausts_and_guest_stays(self):
         fleet = build_fleet(num_hosts=2, seed=325, capacity=8, name="mx")
@@ -266,7 +266,7 @@ class TestFleetLifecycle:
         fleet.add_guest("a")
         fleet.add_guest("b")
         digests = {
-            n: _state_digest(fleet.instance_for(n)) for n in ("a", "b")
+            n: state_digest(fleet.instance_for(n)) for n in ("a", "b")
         }
         plan = FaultPlan(
             name="kill-h0", seed=7,
@@ -278,7 +278,7 @@ class TestFleetLifecycle:
         assert crashes == 1
         assert fleet.hosts["h0"].state is HostState.UP
         for name in ("a", "b"):
-            assert _state_digest(fleet.instance_for(name)) == digests[name]
+            assert state_digest(fleet.instance_for(name)) == digests[name]
             response = fleet.router.send(name, _pcr_read())
             assert marshal.parse_response(response).return_code == 0
 
@@ -289,10 +289,10 @@ class TestFleetLifecycle:
         fleet.router.send("immigrant", _extend(9, b"\x99" * 20))
         target = "h1" if source == "h0" else "h0"
         fleet.migrate("immigrant", target)
-        digest = _state_digest(fleet.instance_for("immigrant"))
+        digest = state_digest(fleet.instance_for("immigrant"))
         fleet.crash_host(target)
         fleet.recover_host(target)
-        assert _state_digest(fleet.instance_for("immigrant")) == digest
+        assert state_digest(fleet.instance_for("immigrant")) == digest
 
     def test_rebalance_moves_guests_off_a_loaded_host(self):
         fleet = build_fleet(num_hosts=2, seed=332, capacity=8, name="fb2")
