@@ -18,10 +18,26 @@ from repro.attacks.memdump import secrets_found
 from repro.tpm.client import TpmClient
 from repro.tpm.constants import TPM_KH_SRK
 from repro.util.errors import MigrationError
+from repro.vtpm.migration import Migration
 
 OWNER_AUTH = b"migrating-owner-au!!"
 SRK_AUTH = b"migrating-srk-auth!!"
 DATA_AUTH = b"migrating-data-aut!!"
+
+
+class Eavesdropped(Migration):
+    """The one migration transaction, with an eavesdropper on its wire."""
+
+    def __init__(self, secrets, *endpoints_and_vm) -> None:
+        super().__init__(*endpoints_and_vm)
+        self.secrets = secrets
+
+    def wire(self, package) -> None:
+        self.package = package
+        print(f"migration package: {len(package)} bytes on the wire")
+        leaked = secrets_found(package.payload, self.secrets)
+        print(f"eavesdropper analysis: {len(leaked)} secrets visible in the stream")
+        assert not leaked
 
 
 def main() -> None:
@@ -41,20 +57,13 @@ def main() -> None:
 
     # The VM lands on host B with identical kernel/name/config, so its
     # measured identity carries over.
-    target_vm = host_b.xen.create_domain(
-        guest.domain.name,
-        kernel_image=guest.domain.kernel_image,
-        config=dict(guest.domain.config),
+    target_vm = host_b.migration.landing_domain(guest.domain)
+    move = Eavesdropped(
+        secrets_before, host_a.migration, host_b.migration,
+        guest.domain.uuid, target_vm,
     )
-    offer = host_b.migration.prepare_target()
-    package = host_a.migration.export_sealed(guest.domain.uuid, offer)
-    print(f"migration package: {len(package)} bytes on the wire")
-
-    leaked = secrets_found(package.payload, secrets_before)
-    print(f"eavesdropper analysis: {len(leaked)} secrets visible in the stream")
-    assert not leaked
-
-    instance = host_b.migration.import_sealed(package, target_vm)
+    instance = move.run()
+    package = move.package
     print(f"host B instantiated vTPM instance {instance.instance_id}")
 
     # Continuity: the sealed blob made on host A opens on host B.

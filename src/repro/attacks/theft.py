@@ -20,6 +20,7 @@ from repro.core.sealing import StateSealer
 from repro.harness.builder import GuestHandle, Platform, SRK_AUTH
 from repro.tpm.state import TpmState
 from repro.util.errors import MarshalError, SealingError
+from repro.vtpm.migration import Migration, MigrationPackage
 from repro.vtpm.storage import latest_raw_payload
 
 
@@ -49,6 +50,13 @@ class StateFileTheftAttack:
         )
 
 
+class _WireTap(Migration):
+    """A migration whose wire an eavesdropper records."""
+
+    def wire(self, package: MigrationPackage) -> None:
+        self.captured = package
+
+
 @dataclass
 class MigrationInterceptAttack:
     """Capture the vTPM migration stream between two platforms."""
@@ -64,18 +72,12 @@ class MigrationInterceptAttack:
         victim_secrets = source.manager.instance(
             victim.instance_id
         ).device.state.secret_material()
-        target_vm = destination.xen.create_domain(
-            victim.domain.name,
-            kernel_image=victim.domain.kernel_image,
-            config=dict(victim.domain.config),
+        tap = _WireTap(
+            source.migration, destination.migration, victim.domain.uuid,
+            destination.migration.landing_domain(victim.domain),
         )
-        if source.mode is AccessMode.IMPROVED:
-            offer = destination.migration.prepare_target()
-            package = source.migration.export_sealed(victim.domain.uuid, offer)
-            destination.migration.import_sealed(package, target_vm)
-        else:
-            package = source.migration.export_plaintext(victim.domain.uuid)
-            destination.migration.import_plaintext(package, target_vm)
+        tap.run()
+        package = tap.captured
         hits = secrets_found(package.payload, victim_secrets)
         if hits:
             return True, (

@@ -50,16 +50,16 @@ DEFAULT_STEPS = 96
 CHECKPOINT_EVERY = 24
 #: every STORM_STRIDE-th guest (sorted) is rebalanced in the storm
 STORM_STRIDE = 3
+#: the host the default plan crashes mid-run
+CRASH_HOST = "h1"
 
 
-def default_cluster_plan(
-    seed: int, num_hosts: int, crash_step: int, crash_host: str = "h1"
-) -> FaultPlan:
+def default_cluster_plan(seed: int, num_hosts: int, crash_step: int) -> FaultPlan:
     """Link partitions throughout, one whole-host crash mid-run.
 
     The ``cluster.host`` site is polled once per UP host per step (sorted
     order), so the crash spec arms at the first poll of ``crash_step``
-    and the ``match`` filter lets it fire on the named host only.
+    and the ``match`` filter lets it fire on :data:`CRASH_HOST` only.
     """
     crash_offset = max(0, (crash_step - 1) * num_hosts)
     return FaultPlan(
@@ -75,7 +75,7 @@ def default_cluster_plan(
                 every=1,
                 offset=crash_offset,
                 max_fires=1,
-                match={"host": crash_host},
+                match={"host": CRASH_HOST},
             ),
         ),
     )

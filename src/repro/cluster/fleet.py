@@ -25,7 +25,7 @@ Those enrolment records are what migration handshakes verify against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.host import Host, HostState
 from repro.cluster.hashring import ConsistentHashRing
@@ -45,16 +45,13 @@ class Fleet:
 
     def __init__(
         self,
-        mode: AccessMode,
         num_hosts: int,
         seed: int = 2027,
         capacity: int = 16,
         name: str = "fleet",
-        supervise: bool = True,
     ) -> None:
         if num_hosts < 1:
             raise ClusterError("a fleet needs at least one host")
-        self.mode = mode
         self.seed = seed
         self.name = name
         self.rng = RandomSource(f"{name}-{seed}".encode())
@@ -64,10 +61,9 @@ class Fleet:
         for index in range(num_hosts):
             host_id = f"h{index}"
             platform = build_platform(
-                mode, seed=seed + index, name=f"{name}-{host_id}"
+                AccessMode.IMPROVED, seed=seed + index, name=f"{name}-{host_id}"
             )
-            if supervise:
-                platform.enable_supervision()
+            platform.enable_supervision()
             host = Host(host_id, platform, capacity=capacity)
             host.policy_epoch = self.policy_epoch
             self.hosts[host_id] = host
@@ -125,13 +121,9 @@ class Fleet:
     def migrate(self, name: str, target_host_id: str):
         return self.migrator.migrate(name, target_host_id)
 
-    def rebalance(
-        self, max_moves: Optional[int] = None
-    ) -> List[MigrationRecord]:
+    def rebalance(self) -> List[MigrationRecord]:
         """Plan and execute a rebalance storm under the current signals."""
-        plan = self.scheduler.rebalance_plan(
-            self.router.placements(), max_moves=max_moves
-        )
+        plan = self.scheduler.rebalance_plan(self.router.placements())
         if not plan:
             return []
         return self.migrator.storm(plan)
@@ -161,16 +153,14 @@ class Fleet:
                 self.recover_host(host_id)
         return crashes
 
-    def crash_host(self, host_id: str, flush: bool = True) -> None:
+    def crash_host(self, host_id: str) -> None:
         """Kill one host's manager daemon hard.
 
-        ``flush=True`` models the periodic checkpointer having run just
-        before the crash (the chaos demo's convention); ``flush=False``
-        leaves whatever the last workload checkpoint committed.
+        The periodic checkpointer is modelled as having run just before
+        the crash (the chaos demo's convention).
         """
         host = self.hosts[host_id]
-        if flush:
-            host.platform.manager.save_all()
+        host.platform.manager.save_all()
         host.crash()
 
     def recover_host(self, host_id: str) -> Dict[str, int]:
@@ -195,19 +185,10 @@ class Fleet:
 
 
 def build_fleet(
-    mode: AccessMode = AccessMode.IMPROVED,
     num_hosts: int = 4,
     seed: int = 2027,
     capacity: int = 16,
     name: str = "fleet",
-    supervise: bool = True,
 ) -> Fleet:
     """The one-liner the demo, benchmarks and tests build fleets through."""
-    return Fleet(
-        mode=mode,
-        num_hosts=num_hosts,
-        seed=seed,
-        capacity=capacity,
-        name=name,
-        supervise=supervise,
-    )
+    return Fleet(num_hosts=num_hosts, seed=seed, capacity=capacity, name=name)

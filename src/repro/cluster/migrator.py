@@ -19,10 +19,10 @@ One migration is a five-leg protocol, every cross-host leg passing the
 5. **commit** — only now does the source destroy its copy, tear down the
    old domain, and re-point the router.
 
-Transient faults in any leg roll the whole attempt back (abort the
-transaction, cancel the offer, destroy the half-made target domain) and
-renegotiate from scratch with a fresh nonce and offer — the single-use
-offer semantics make replaying an interrupted attempt impossible.
+Legs 3–5, their rollback (plus scrubbing the half-made target domain)
+and the bounded retry loop are the shared
+:class:`~repro.vtpm.migration.Migration`; a transient fault in any leg
+renegotiates from scratch with a fresh nonce and offer.
 
 ``storm`` executes a batch of moves back-to-back, which is the chaos
 demo's rebalance-under-fire mode.
@@ -31,14 +31,13 @@ demo's rebalance-under-fire mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.cluster.attestation import verify_report
-from repro.faults import FaultKind, fire, note_recovery, note_retry
+from repro.faults import FaultKind, fire
 from repro.obs import inc, span
-from repro.sim.timing import charge, get_context
-from repro.util.errors import ClusterError, FaultInjected, RetryExhausted
-from repro.vtpm.migration import MIGRATION_ATTEMPTS
+from repro.util.errors import ClusterError, RetryExhausted
+from repro.vtpm.migration import MIGRATION_ATTEMPTS, Migration
 
 HANDSHAKE_NONCE_SIZE = 20
 
@@ -54,6 +53,56 @@ class MigrationRecord:
     attempts: int
 
 
+class _AttestedMove(Migration):
+    """The shared migration transaction with the fleet's own legs."""
+
+    site = "cluster.migrate"
+
+    def __init__(self, migrator: "ClusterMigrator", name: str, source, target,
+                 source_domain) -> None:
+        super().__init__(source.platform.migration, target.platform.migration,
+                         source_domain.uuid)
+        self.migrator = migrator
+        self.name = name
+        self.source_host = source
+        self.target_host = target
+        self.source_domain = source_domain
+
+    def _link(self, host_id: str, phase: str) -> None:
+        """One message crossing the inter-host link (partitionable)."""
+        event = fire("cluster.link", host=host_id, guest=self.name, phase=phase)
+        if event is not None and event.kind is FaultKind.PARTITION:
+            event.raise_fault()
+
+    def before_offer(self) -> None:
+        # Leg 1+2: attestation handshake, then fail-closed verification.
+        # ClusterError from verify_report propagates — a target that fails
+        # attestation is not a transient condition retries can fix.
+        migrator, target = self.migrator, self.target_host
+        nonce = migrator._rng.bytes(HANDSHAKE_NONCE_SIZE)
+        self._link(target.host_id, phase="challenge")
+        report = target.attestation_report(nonce)
+        self._link(self.source_host.host_id, phase="report")
+        verify_report(
+            report,
+            expected_identity=migrator.fleet.enrolled_identity(target.host_id),
+            expected_epoch=migrator.fleet.policy_epoch,
+            nonce=nonce,
+        )
+
+    def wire(self, package) -> None:
+        # Leg 4: the package crosses the link; the target builds the domain
+        # it lands in.
+        self._link(self.target_host.host_id, phase="transfer")
+        self.target_vm = self.destination.landing_domain(self.source_domain)
+
+    def rolled_back(self) -> None:
+        # The half-made domain is scrubbed with the rest of the attempt.
+        if self.target_vm is not None:
+            self.target_host.platform.xen.destroy_domain(self.target_vm.domid)
+            self.target_vm = None
+
+
 class ClusterMigrator:
     """Drives guests between hosts through the attested sealed path."""
 
@@ -63,22 +112,9 @@ class ClusterMigrator:
         #: append-only, time-free migration trail
         self.trail: List[MigrationRecord] = []
 
-    # -- the cross-host wire -----------------------------------------------------
-
-    def _link(self, target_host: str, guest: str, phase: str) -> None:
-        """One message crossing the inter-host link (partitionable)."""
-        event = fire(
-            "cluster.link", host=target_host, guest=guest, phase=phase
-        )
-        if event is not None and event.kind is FaultKind.PARTITION:
-            event.raise_fault()
-
     # -- one migration ------------------------------------------------------------
 
-    def migrate(
-        self, name: str, target_host_id: str,
-        attempts: int = MIGRATION_ATTEMPTS,
-    ):
+    def migrate(self, name: str, target_host_id: str):
         """Move guest ``name`` to ``target_host_id``; returns the new instance."""
         fleet = self.fleet
         location = fleet.router.locate(name)
@@ -92,103 +128,39 @@ class ClusterMigrator:
                 f"host {target_host_id} is not admissible "
                 f"({target.state.value}, {target.spare_capacity} slots free)"
             )
-        source_domain = source.platform.xen.domain(location.domid)
+        move = _AttestedMove(
+            self, name, source, target,
+            source.platform.xen.domain(location.domid),
+        )
         with span(
             "cluster.migrate", guest=name, source=source.host_id,
             target=target.host_id,
         ):
-            start_us = get_context().clock.now_us
-            interrupted = 0
-            last: Optional[Exception] = None
-            for attempt in range(1, attempts + 1):
-                try:
-                    instance, target_vm = self._attempt(
-                        name, source, target, source_domain
-                    )
-                except FaultInjected as exc:
-                    if not exc.transient:
-                        raise
-                    last = exc
-                    interrupted += 1
-                    note_retry("cluster.migrate")
-                    charge("vtpm.migration.retry")
-                    continue
-                # Success: the source copy is gone (commit_export), so
-                # finish the domain teardown and re-point the router.
-                source.platform.guests.pop(name, None)
-                if source.platform.identities is not None:
-                    source.platform.identities.forget(source_domain.domid)
-                source.platform.xen.destroy_domain(source_domain.domid)
-                fleet.router.relocate(
-                    name, target.host_id, target_vm.domid,
-                    instance.instance_id, target_vm.uuid,
-                )
-                if interrupted:
-                    note_recovery(
-                        "cluster.migrate",
-                        get_context().clock.now_us - start_us,
-                    )
-                inc("cluster.migrations", outcome="moved",
-                    target=target.host_id)
+            try:
+                instance = move.run()
+            except RetryExhausted:
+                inc("cluster.migrations", outcome="failed")
                 self.trail.append(MigrationRecord(
-                    guest=name, source=source.host_id,
-                    target=target.host_id, outcome="moved", attempts=attempt,
+                    guest=name, source=source.host_id, target=target.host_id,
+                    outcome="failed", attempts=MIGRATION_ATTEMPTS,
                 ))
-                return instance
-            inc("cluster.migrations", outcome="failed")
+                raise
+            # Leg 5 tail: the source copy is gone (commit_export), so
+            # finish the domain teardown and re-point the router.
+            source.platform.guests.pop(name, None)
+            if source.platform.identities is not None:
+                source.platform.identities.forget(location.domid)
+            source.platform.xen.destroy_domain(location.domid)
+            fleet.router.relocate(
+                name, target.host_id, move.target_vm.domid,
+                instance.instance_id, move.target_vm.uuid,
+            )
+            inc("cluster.migrations", outcome="moved", target=target.host_id)
             self.trail.append(MigrationRecord(
                 guest=name, source=source.host_id, target=target.host_id,
-                outcome="failed", attempts=attempts,
+                outcome="moved", attempts=move.attempt,
             ))
-            raise RetryExhausted(
-                "cluster.migrate", attempts,
-                last or ClusterError(f"migration of {name!r} kept failing"),
-            )
-
-    def _attempt(self, name: str, source, target, source_domain):
-        """One full attested attempt; raises FaultInjected on a cut link."""
-        fleet = self.fleet
-        # Leg 1+2: attestation handshake, then fail-closed verification.
-        # ClusterError from verify_report propagates — a target that fails
-        # attestation is not a transient condition retries can fix.
-        nonce = self._rng.bytes(HANDSHAKE_NONCE_SIZE)
-        self._link(target.host_id, name, phase="challenge")
-        report = target.attestation_report(nonce)
-        self._link(source.host_id, name, phase="report")
-        verify_report(
-            report,
-            expected_identity=fleet.enrolled_identity(target.host_id),
-            expected_epoch=fleet.policy_epoch,
-            nonce=nonce,
-        )
-        # Leg 3: single-use offer + sealed export transaction.
-        offer = target.platform.migration.prepare_target()
-        txn = source.platform.migration.begin_export_sealed(
-            source_domain.uuid, offer
-        )
-        target_vm = None
-        try:
-            # Leg 4: the package crosses the link; the target instantiates.
-            self._link(target.host_id, name, phase="transfer")
-            target_vm = target.platform.xen.create_domain(
-                source_domain.name,
-                kernel_image=source_domain.kernel_image,
-                config=dict(source_domain.config),
-            )
-            instance = target.platform.migration.import_sealed(
-                txn.package, target_vm
-            )
-        except FaultInjected:
-            # Roll the attempt back: the source instance keeps serving,
-            # the offer dies unconsumed, the half-made domain is scrubbed.
-            source.platform.migration.abort_export(txn)
-            target.platform.migration.cancel_offer(offer.offer_id)
-            if target_vm is not None:
-                target.platform.xen.destroy_domain(target_vm.domid)
-            raise
-        # Leg 5: destination holds good state — destroy the source copy.
-        source.platform.migration.commit_export(txn)
-        return instance, target_vm
+            return instance
 
     # -- storm mode ----------------------------------------------------------------
 

@@ -15,13 +15,13 @@ function of fleet state and the decision trail replays identically under
 a fixed seed — the demo's determinism oracle compares trails across
 runs.  Rebalancing is the same decision inverted: a guest whose current
 host is no longer its best admissible candidate is proposed for
-migration, worst displacement first, capped by ``max_moves``.
+migration, worst displacement first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.host import Host
@@ -89,9 +89,7 @@ class PlacementScheduler:
         return decision.chosen
 
     def rebalance_plan(
-        self,
-        placements: Dict[str, str],
-        max_moves: Optional[int] = None,
+        self, placements: Dict[str, str]
     ) -> List[Tuple[str, str, str]]:
         """Moves that bring ``{guest: current_host}`` toward ideal.
 
@@ -116,8 +114,6 @@ class PlacementScheduler:
             self.trail.append(decision)
             proposals.append((gain, guest, current, decision.chosen))
         proposals.sort(key=lambda p: (-p[0], p[1]))
-        if max_moves is not None:
-            proposals = proposals[:max_moves]
         return [(guest, src, dst) for _gain, guest, src, dst in proposals]
 
     # -- oracle view -------------------------------------------------------------

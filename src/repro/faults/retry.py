@@ -1,9 +1,13 @@
 """Bounded retry-with-backoff, paid for in virtual time.
 
-The recovery layers (back-end command forwarding, storage persistence,
-instance restore, the migration driver) all share this loop: attempt the
-operation, catch *transient* injected faults, charge an exponentially
-growing backoff against the virtual clock, and try again.  Non-transient
+Back-end command forwarding (``vtpm.backend.forward``), instance restore,
+the supervisor's health probe and the fleet router's link forwarding
+(``cluster.link``) share this loop: attempt the operation, catch
+*transient* injected faults, charge an exponentially growing backoff
+against the virtual clock, and try again.  Storage persistence keeps its
+own save/load loops (500/400 us doubling backoff, no jitter), and the
+migration transaction (:class:`~repro.vtpm.migration.Migration`) retries
+whole attempts at the flat ``vtpm.migration.retry`` cost.  Non-transient
 faults — the injector's model of a hard crash — propagate untouched, and
 a fault that survives every attempt surfaces as
 :class:`~repro.util.errors.RetryExhausted`.

@@ -183,15 +183,9 @@ class ChaosScenario(Scenario):
         wire or crash the destination — migrate_with_recovery recovers."""
         source, target = self.platform_a, self.platform_b
         handle = source.guests.pop("mover")
-        target_vm = target.xen.create_domain(
-            handle.domain.name,
-            kernel_image=handle.domain.kernel_image,
-            config=dict(handle.domain.config),
-        )
+        target_vm = target.migration.landing_domain(handle.domain)
         instance = migrate_with_recovery(
-            source.migration, target.migration,
-            handle.domain.uuid, target_vm,
-            sealed=True,
+            source.migration, target.migration, handle.domain.uuid, target_vm
         )
         handle.frontend.close()
         source.identities.forget(handle.domain.domid)

@@ -24,6 +24,7 @@ from repro.metrics.tables import format_table
 from repro.obs import trace as obs_trace
 from repro.sim.timing import CostLedger, get_context, ledger_scope
 from repro.tpm import marshal
+from repro.vtpm.migration import migrate_with_recovery
 from repro.workloads.mixes import (
     MIX_MIXED,
     OPERATIONS,
@@ -338,20 +339,13 @@ def run_migration_sweep(
                 guest.client.nv_write(chunk_auth, 0x3000, 0, data)
             instance = source.manager.instance(guest.instance_id)
             state_kib = len(instance.device.save_state_blob()) / 1024.0
-            target_vm = destination.xen.create_domain(
-                guest.domain.name,
-                kernel_image=guest.domain.kernel_image,
-                config=dict(guest.domain.config),
-            )
+            target_vm = destination.migration.landing_domain(guest.domain)
             clock = get_context().clock
             start = clock.now_us
-            if mode is AccessMode.IMPROVED:
-                offer = destination.migration.prepare_target()
-                package = source.migration.export_sealed(guest.domain.uuid, offer)
-                destination.migration.import_sealed(package, target_vm)
-            else:
-                package = source.migration.export_plaintext(guest.domain.uuid)
-                destination.migration.import_plaintext(package, target_vm)
+            migrate_with_recovery(
+                source.migration, destination.migration,
+                guest.domain.uuid, target_vm,
+            )
             points.append((state_kib, mode.value, (clock.now_us - start) / 1000.0))
     return MigrationResult(points=points)
 

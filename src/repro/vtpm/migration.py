@@ -14,13 +14,19 @@ improved protocol:
 
 Both paths charge network time per byte so Figure 3 compares like with
 like.
+
+Every mover drives the protocol through one :class:`Migration`, whose
+protocol follows the source platform's regime: improved means sealed,
+baseline means plaintext.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.config import AccessMode
 from repro.crypto.random_source import RandomSource
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
@@ -42,6 +48,10 @@ MAGIC_SEALED = b"VTPMMIG1"
 
 #: how long (virtual us) a minted offer stays redeemable
 DEFAULT_OFFER_TTL_US = 5_000_000.0
+#: modulus size of the destination's single-use hardware bind key
+BIND_KEY_BITS = 512
+#: transfer attempts before an interrupted migration is declared dead
+MIGRATION_ATTEMPTS = 4
 
 
 @dataclass
@@ -59,7 +69,6 @@ class MigrationOffer:
     nonce: bytes
     bind_key_handle: int
     bind_key_auth: bytes
-    created_us: float = 0.0
     expires_us: float = float("inf")
     consumed: bool = False
 
@@ -88,7 +97,6 @@ class ExportTransaction:
     """
 
     txn_id: int
-    vm_uuid: str
     instance_id: int
     package: MigrationPackage
 
@@ -108,36 +116,39 @@ class MigrationEndpoint:
         self._hw = hw_client
         self._srk_auth = srk_auth
         self._offers: Dict[int, MigrationOffer] = {}
-        self._next_offer = 1
+        self._offer_ids = itertools.count(1)
         self._seen_nonces: set[bytes] = set()
         self._pending: Dict[int, ExportTransaction] = {}
-        self._next_txn = 1
+        self._txn_ids = itertools.count(1)
 
     # -- destination side -----------------------------------------------------------
 
-    def prepare_target(
-        self, key_bits: int = 512, ttl_us: float = DEFAULT_OFFER_TTL_US
-    ) -> MigrationOffer:
+    def landing_domain(self, domain: Domain) -> Domain:
+        """Create the domain a migrating guest lands in on this platform:
+        same name, kernel and config, so its measured identity carries over."""
+        return self.manager.xen.create_domain(
+            domain.name, kernel_image=domain.kernel_image, config=dict(domain.config)
+        )
+
+    def prepare_target(self, ttl_us: float = DEFAULT_OFFER_TTL_US) -> MigrationOffer:
         """Mint a hardware-TPM bind key + nonce for one incoming migration."""
         if self._hw is None or self._srk_auth is None:
             raise MigrationError("improved migration needs a hardware TPM client")
         bind_auth = self._rng.bytes(20)
         blob = self._hw.create_wrap_key(
-            TPM_KH_SRK, self._srk_auth, bind_auth, TPM_KEY_BIND, key_bits
+            TPM_KH_SRK, self._srk_auth, bind_auth, TPM_KEY_BIND, BIND_KEY_BITS
         )
         handle = self._hw.load_key2(TPM_KH_SRK, self._srk_auth, blob)
         public = self._hw.get_pub_key(handle, bind_auth)
         now_us = get_context().clock.now_us
         offer = MigrationOffer(
-            offer_id=self._next_offer,
+            offer_id=next(self._offer_ids),
             bind_public=public,
             nonce=self._rng.bytes(NONCE_SIZE),
             bind_key_handle=handle,
             bind_key_auth=bind_auth,
-            created_us=now_us,
             expires_us=now_us + ttl_us,
         )
-        self._next_offer += 1
         self._offers[offer.offer_id] = offer
         return offer
 
@@ -163,16 +174,19 @@ class MigrationEndpoint:
         if offer.consumed:
             self._reject_offer(offer_id, "already consumed: replay")
         if offer.expired(get_context().clock.now_us):
-            del self._offers[offer_id]
-            if self._hw is not None:
-                self._hw.evict_key(offer.bind_key_handle)
+            self.cancel_offer(offer_id)
             self._reject_offer(offer_id, "expired")
         return offer
 
     def cancel_offer(self, offer_id: int) -> None:
-        """Withdraw an unconsumed offer and release its bind key."""
-        offer = self._offers.pop(offer_id, None)
-        if offer is not None and not offer.consumed and self._hw is not None:
+        """Withdraw an unconsumed offer and release its bind key.
+
+        A consumed offer stays on the books (its key is already gone), so
+        a replay of its package is still recognised and audited.
+        """
+        offer = self._offers.get(offer_id)
+        if offer is not None and not offer.consumed:
+            del self._offers[offer_id]
             self._hw.evict_key(offer.bind_key_handle)
 
     def crash(self) -> None:
@@ -183,25 +197,19 @@ class MigrationEndpoint:
         """
         for offer_id in list(self._offers):
             self.cancel_offer(offer_id)
+        self._offers.clear()  # consumed offers die with the host too
 
     # -- source side -------------------------------------------------------------------
 
     def begin_export_plaintext(self, vm_uuid: str) -> ExportTransaction:
         """Stock protocol: raw state on the wire; instance retained until
         :meth:`commit_export`."""
-        with span("vtpm.migrate", op="export", protocol="plaintext", vm=vm_uuid) as sp:
-            instance = self.manager.instance_for_vm(vm_uuid)
-            state = instance.device.save_state_blob()
-            w = ByteWriter()
-            w.raw(MAGIC_PLAIN)
-            w.sized(vm_uuid.encode("utf-8"))
-            w.sized(state)
-            payload = w.getvalue()
-            sp.set("bytes", len(payload))
-            inc("vtpm.migration.export_begun", protocol="plaintext")
-            inc("vtpm.migration.bytes_moved", len(payload))
-            charge("vtpm.migration.net", len(payload))
-            return self._open_txn(vm_uuid, instance.instance_id, payload)
+
+        def encode(instance, state: bytes) -> bytes:
+            w = ByteWriter().raw(MAGIC_PLAIN).sized(vm_uuid.encode("utf-8"))
+            return w.sized(state).getvalue()
+
+        return self._begin_export(vm_uuid, "plaintext", encode)
 
     def begin_export_sealed(
         self, vm_uuid: str, offer: MigrationOffer
@@ -216,39 +224,32 @@ class MigrationEndpoint:
             )
         if offer.expired(get_context().clock.now_us):
             raise MigrationError(f"migration offer {offer.offer_id} expired")
-        with span("vtpm.migrate", op="export", protocol="sealed", vm=vm_uuid) as sp:
-            instance = self.manager.instance_for_vm(vm_uuid)
-            state = instance.device.save_state_blob()
+
+        def encode(instance, state: bytes) -> bytes:
             session_key = self._rng.bytes(SESSION_KEY_SIZE)
             enc_session = offer.bind_public.encrypt(session_key, self._rng)
             enc_state = SymmetricKey(session_key).encrypt(state, self._rng)
-            w = ByteWriter()
-            w.raw(MAGIC_SEALED)
-            w.u32(offer.offer_id)
-            w.raw(offer.nonce)
+            w = ByteWriter().raw(MAGIC_SEALED).u32(offer.offer_id).raw(offer.nonce)
             w.sized(vm_uuid.encode("utf-8"))
             w.sized((instance.bound_identity_hex or "").encode("ascii"))
-            w.sized(enc_session)
-            w.sized(enc_state.serialize())
-            payload = w.getvalue()
+            return w.sized(enc_session).sized(enc_state.serialize()).getvalue()
+
+        return self._begin_export(vm_uuid, "sealed", encode)
+
+    def _begin_export(self, vm_uuid: str, protocol: str, encode) -> ExportTransaction:
+        """Common body: snapshot, encode, charge the wire, open the txn."""
+        with span("vtpm.migrate", op="export", protocol=protocol, vm=vm_uuid) as sp:
+            instance = self.manager.instance_for_vm(vm_uuid)
+            payload = encode(instance, instance.device.save_state_blob())
             sp.set("bytes", len(payload))
-            inc("vtpm.migration.export_begun", protocol="sealed")
+            inc("vtpm.migration.export_begun", protocol=protocol)
             inc("vtpm.migration.bytes_moved", len(payload))
             charge("vtpm.migration.net", len(payload))
-            return self._open_txn(vm_uuid, instance.instance_id, payload)
-
-    def _open_txn(
-        self, vm_uuid: str, instance_id: int, payload: bytes
-    ) -> ExportTransaction:
-        txn = ExportTransaction(
-            txn_id=self._next_txn,
-            vm_uuid=vm_uuid,
-            instance_id=instance_id,
-            package=MigrationPackage(payload=payload),
-        )
-        self._next_txn += 1
-        self._pending[txn.txn_id] = txn
-        return txn
+            txn = ExportTransaction(
+                next(self._txn_ids), instance.instance_id, MigrationPackage(payload)
+            )
+            self._pending[txn.txn_id] = txn
+            return txn
 
     def commit_export(self, txn: ExportTransaction) -> None:
         """Destination acked: the source copy may now be destroyed."""
@@ -266,59 +267,23 @@ class MigrationEndpoint:
     def pending_exports(self) -> int:
         return len(self._pending)
 
-    # -- one-shot wrappers (non-transactional legacy surface) ----------------------
-
-    def export_plaintext(self, vm_uuid: str) -> MigrationPackage:
-        """Stock protocol, fire-and-forget: export and destroy in one step."""
-        txn = self.begin_export_plaintext(vm_uuid)
-        self.commit_export(txn)
-        return txn.package
-
-    def export_sealed(self, vm_uuid: str, offer: MigrationOffer) -> MigrationPackage:
-        """Improved protocol, fire-and-forget: export and destroy in one step."""
-        txn = self.begin_export_sealed(vm_uuid, offer)
-        self.commit_export(txn)
-        return txn.package
-
     # -- destination import ----------------------------------------------------------------
-
-    def _maybe_crash_on_import(self, target_vm: Domain) -> None:
-        """Fault hook: the destination host dies after receiving the
-        package but before instantiating — its in-memory offers are lost
-        and the source must roll back and renegotiate."""
-        event = fire("vtpm.migration.dest", vm=target_vm.uuid)
-        if event is not None and event.kind is FaultKind.MIGRATION_DEST_CRASH:
-            self.crash()
-            event.raise_fault()
 
     def import_plaintext(self, package: MigrationPackage, target_vm: Domain):
         """Accept a stock-protocol package."""
-        with span(
-            "vtpm.migrate", op="import", protocol="plaintext",
-            vm=target_vm.uuid, bytes=len(package),
-        ):
-            self._maybe_crash_on_import(target_vm)
-            r = ByteReader(package.payload)
-            if r.raw(8) != MAGIC_PLAIN:
-                raise MigrationError("not a plaintext migration package")
+
+        def decode(r: ByteReader) -> bytes:
             r.sized(max_size=64)  # vm uuid (informational)
             state = r.sized(max_size=1 << 22)
             r.expect_end()
-            inc("vtpm.migration.imported", protocol="plaintext")
-            return self._instantiate(state, target_vm)
+            return state
+
+        return self._import(package, target_vm, "plaintext", MAGIC_PLAIN, decode)
 
     def import_sealed(self, package: MigrationPackage, target_vm: Domain):
         """Accept an improved-protocol package (nonce single-use, TPM-gated)."""
-        if self._hw is None:
-            raise MigrationError("improved migration needs a hardware TPM client")
-        with span(
-            "vtpm.migrate", op="import", protocol="sealed",
-            vm=target_vm.uuid, bytes=len(package),
-        ):
-            self._maybe_crash_on_import(target_vm)
-            r = ByteReader(package.payload)
-            if r.raw(8) != MAGIC_SEALED:
-                raise MigrationError("not a sealed migration package")
+
+        def decode(r: ByteReader) -> bytes:
             offer_id = r.u32()
             nonce = r.raw(NONCE_SIZE)
             r.sized(max_size=64)  # vm uuid
@@ -334,100 +299,142 @@ class MigrationEndpoint:
             # as a replay and audited, not mistaken for an unknown offer.
             offer.consumed = True
             self._seen_nonces.add(nonce)
-            session_key = self._hw.unbind(
-                offer.bind_key_handle, offer.bind_key_auth, enc_session
-            )
-            if len(session_key) != SESSION_KEY_SIZE:
-                raise MigrationError("recovered session key has wrong size")
+            # A spent offer's bind key is released on every exit, refused
+            # imports included — else refusals exhaust the hardware TPM's
+            # key slots.
             try:
-                state = SymmetricKey(session_key).decrypt(enc_state)
-            except Exception as exc:
-                raise MigrationError(f"state decrypt failed: {exc}") from exc
-            # Identity continuity: the VM landing here must measure identically.
-            if self.manager.identities is not None and identity_hex:
-                identity = self.manager.identities.lookup(target_vm.domid)
-                if identity is None:
-                    identity = self.manager.identities.register(target_vm)
-                if identity.hex != identity_hex:
-                    raise MigrationError(
-                        "target VM identity does not match the migrated instance"
-                    )
-            self._hw.evict_key(offer.bind_key_handle)
-            inc("vtpm.migration.imported", protocol="sealed")
-            return self._instantiate(state, target_vm)
+                session_key = self._hw.unbind(
+                    offer.bind_key_handle, offer.bind_key_auth, enc_session
+                )
+                if len(session_key) != SESSION_KEY_SIZE:
+                    raise MigrationError("recovered session key has wrong size")
+                try:
+                    state = SymmetricKey(session_key).decrypt(enc_state)
+                except Exception as exc:
+                    raise MigrationError(f"state decrypt failed: {exc}") from exc
+                # Identity continuity: the VM landing here must measure identically.
+                if self.manager.identities is not None and identity_hex:
+                    identity = self.manager.identities.lookup(target_vm.domid)
+                    if identity is None:
+                        identity = self.manager.identities.register(target_vm)
+                    if identity.hex != identity_hex:
+                        raise MigrationError(
+                            "target VM identity does not match the migrated instance"
+                        )
+            finally:
+                self._hw.evict_key(offer.bind_key_handle)
+            return state
 
-    def _instantiate(self, state: bytes, target_vm: Domain):
-        """Common tail: rebuild the instance on this platform."""
-        manager = self.manager
-        charge("vtpm.instance.create")
-        return manager.instance_from_blob(
-            target_vm, state, manager.identity_for(target_vm),
-            f"vtpm-mig-{target_vm.uuid}",
-        )
+        return self._import(package, target_vm, "sealed", MAGIC_SEALED, decode)
 
-
-#: transfer attempts before an interrupted migration is declared dead
-MIGRATION_ATTEMPTS = 4
-
-
-def migrate_with_recovery(
-    source: MigrationEndpoint,
-    destination: MigrationEndpoint,
-    vm_uuid: str,
-    target_vm: Domain,
-    sealed: bool = True,
-    attempts: int = MIGRATION_ATTEMPTS,
-):
-    """Drive one migration end-to-end, surviving injected interruptions.
-
-    Each attempt is a full transaction: (fresh offer if sealed) → export →
-    transfer → import → source commit.  The fault injector can drop the
-    package on the wire (``vtpm.migration.net``) or crash the destination
-    after it received it (``vtpm.migration.dest``); either way the source
-    *aborts* the transaction — the guest's vTPM keeps serving — pays the
-    retry cost in virtual time, and renegotiates from scratch (new offer,
-    new nonce, new session key; the single-use nonce rules out replaying
-    the interrupted attempt).  Returns the destination's new instance.
-    """
-    start_us = get_context().clock.now_us
-    interrupted = 0
-    last: Exception | None = None
-    for _attempt in range(attempts):
-        offer = destination.prepare_target() if sealed else None
-        txn = (
-            source.begin_export_sealed(vm_uuid, offer)
-            if sealed
-            else source.begin_export_plaintext(vm_uuid)
-        )
-        try:
-            event = fire("vtpm.migration.net", vm=vm_uuid, size=len(txn.package))
-            if event is not None and event.kind is FaultKind.MIGRATION_NET_DROP:
+    def _import(self, package: MigrationPackage, target_vm: Domain,
+                protocol: str, magic: bytes, decode):
+        """Common body: crash hook, magic check, decode, instantiate."""
+        with span(
+            "vtpm.migrate", op="import", protocol=protocol,
+            vm=target_vm.uuid, bytes=len(package),
+        ):
+            # Fault hook: the destination host dies after receiving the
+            # package but before instantiating — its in-memory offers are
+            # lost and the source must roll back and renegotiate.
+            event = fire("vtpm.migration.dest", vm=target_vm.uuid)
+            if event is not None and event.kind is FaultKind.MIGRATION_DEST_CRASH:
+                self.crash()
                 event.raise_fault()
-            instance = (
-                destination.import_sealed(txn.package, target_vm)
-                if sealed
-                else destination.import_plaintext(txn.package, target_vm)
+            r = ByteReader(package.payload)
+            if r.raw(8) != magic:
+                raise MigrationError(f"not a {protocol} migration package")
+            state = decode(r)
+            inc("vtpm.migration.imported", protocol=protocol)
+            manager = self.manager
+            charge("vtpm.instance.create")
+            return manager.instance_from_blob(
+                target_vm, state, manager.identity_for(target_vm),
+                f"vtpm-mig-{target_vm.uuid}",
             )
-        except FaultInjected as exc:
-            if not exc.transient:
+
+
+class Migration:
+    """One vTPM move: offer → export → wire → import → commit.
+
+    *Any* exception between export and import rolls the attempt back: the
+    export is aborted (the guest's vTPM keeps serving on the source) and
+    an unconsumed offer is cancelled, releasing its bind key.  A transient
+    injected fault then pays the retry cost in virtual time and
+    renegotiates from scratch (new offer, nonce and session key); anything
+    else propagates.  Movers differ only in the hooks, chiefly
+    :meth:`wire`: the ``vtpm.migration.net`` fault site here, a
+    partitionable link in a fleet, a tap for an eavesdropper.
+    """
+
+    #: site the retry and recovery accounting is recorded under
+    site = "vtpm.migration"
+
+    def __init__(self, source: MigrationEndpoint, destination: MigrationEndpoint,
+                 vm_uuid: str, target_vm: Optional[Domain] = None) -> None:
+        self.source = source
+        self.destination = destination
+        self.vm_uuid = vm_uuid
+        self.target_vm = target_vm
+        #: 1-based number of the attempt that ran last
+        self.attempt = 0
+
+    def before_offer(self) -> None:
+        """Legs that precede the offer in every attempt."""
+
+    def wire(self, package: MigrationPackage) -> None:
+        """Carry the package to the destination; may drop it."""
+        event = fire("vtpm.migration.net", vm=self.vm_uuid, size=len(package))
+        if event is not None and event.kind is FaultKind.MIGRATION_NET_DROP:
+            event.raise_fault()
+
+    def rolled_back(self) -> None:
+        """An attempt was rolled back; undo what :meth:`wire` set up."""
+
+    def run(self):
+        """Migrate with bounded retries; returns the destination's instance."""
+        start_us = get_context().clock.now_us
+        last: Optional[FaultInjected] = None
+        for self.attempt in range(1, MIGRATION_ATTEMPTS + 1):
+            try:
+                instance = self._once()
+            except FaultInjected as exc:
+                if not exc.transient:
+                    raise
+                last = exc
+                note_retry(self.site)
+                charge("vtpm.migration.retry")
+                continue
+            if self.attempt > 1:
+                note_recovery(self.site, get_context().clock.now_us - start_us)
+            return instance
+        raise RetryExhausted(self.site, MIGRATION_ATTEMPTS, last)
+
+    def _once(self):
+        source, destination, vm_uuid = self.source, self.destination, self.vm_uuid
+        self.before_offer()
+        sealed = source.manager.mode is AccessMode.IMPROVED
+        offer = destination.prepare_target() if sealed else None
+        txn: Optional[ExportTransaction] = None
+        try:
+            txn = (source.begin_export_sealed(vm_uuid, offer) if sealed
+                   else source.begin_export_plaintext(vm_uuid))
+            self.wire(txn.package)
+            land = destination.import_sealed if sealed else destination.import_plaintext
+            instance = land(txn.package, self.target_vm)
+        except BaseException:
+            if txn is not None:
                 source.abort_export(txn)
-                raise
-            last = exc
-            interrupted += 1
-            source.abort_export(txn)
             if offer is not None:
                 destination.cancel_offer(offer.offer_id)
-            note_retry("vtpm.migration")
-            charge("vtpm.migration.retry")
-            continue
+            self.rolled_back()
+            raise
         source.commit_export(txn)
-        if interrupted:
-            note_recovery(
-                "vtpm.migration", get_context().clock.now_us - start_us
-            )
         return instance
-    raise RetryExhausted(
-        "vtpm.migration",
-        attempts,
-        last or MigrationError(f"migration of {vm_uuid} kept failing"),
-    )
+
+
+def migrate_with_recovery(source: MigrationEndpoint, destination: MigrationEndpoint,
+                          vm_uuid: str, target_vm: Domain):
+    """Move ``vm_uuid``'s vTPM onto ``target_vm`` over the fault-injectable
+    wire; returns the destination's new instance."""
+    return Migration(source, destination, vm_uuid, target_vm).run()

@@ -126,9 +126,17 @@ class TestAttackMechanics:
             kernel_image=guest.domain.kernel_image,
             config=dict(guest.domain.config),
         )
-        offer = destination.migration.prepare_target()
-        captured = source.migration.export_sealed(guest.domain.uuid, offer)
-        destination.migration.import_sealed(captured, target_vm)
+        from repro.vtpm.migration import Migration
+
+        class Interceptor(Migration):
+            def wire(self, package):
+                self.captured = package
+
+        move = Interceptor(
+            source.migration, destination.migration, guest.domain.uuid, target_vm
+        )
+        move.run()
+        captured = move.captured
         instances_before = len(destination.manager.instances())
         clone_vm = destination.xen.create_domain(
             "victim-clone",

@@ -100,14 +100,15 @@ class ConformanceMachine(RuleBasedStateMachine):
         platform = runner.platform
         old = runner.handles[guest]
         name = f"g{guest}"
-        package = platform.migration.export_plaintext(old.domain.uuid)
+        txn = platform.migration.begin_export_plaintext(old.domain.uuid)
         self.migrations += 1
         target_vm = platform.xen.create_domain(
             f"{name}-m{self.migrations}",
             kernel_image=old.domain.kernel_image,
             config=dict(old.domain.config),
         )
-        instance = platform.migration.import_plaintext(package, target_vm)
+        instance = platform.migration.import_plaintext(txn.package, target_vm)
+        platform.migration.commit_export(txn)
         frontend = VtpmFrontend(platform.xen, target_vm, backend_domid=0)
         backend = VtpmBackend(
             platform.xen, platform.manager, frontend, instance.instance_id

@@ -114,8 +114,13 @@ def test_sealed_migration_total_over_state(nv_payload, extends, seed):
         guest.domain.name, kernel_image=guest.domain.kernel_image,
         config=dict(guest.domain.config),
     )
-    offer = destination.migration.prepare_target()
-    package = source.migration.export_sealed(guest.domain.uuid, offer)
-    assert not secrets_found(package.payload, secrets)
-    moved = destination.migration.import_sealed(package, target_vm)
+    from repro.vtpm.migration import Migration
+
+    class Tapped(Migration):
+        def wire(self, package):
+            assert not secrets_found(package.payload, secrets)
+
+    moved = Tapped(
+        source.migration, destination.migration, guest.domain.uuid, target_vm
+    ).run()
     assert moved.device.save_state_blob() == state_before
