@@ -71,10 +71,10 @@ def _ac_commands(cls: str) -> obs_counters.CounterHandle:
 class AuthorizationResult:
     """What the monitor concluded for one command.
 
-    ``parsed`` carries the wire frame the monitor already parsed so the
-    dispatch layer below never re-parses it (parse-once fast path); it is
-    ``None`` when the monitor did not need to parse (baseline) or the
-    frame was malformed.
+    ``parsed`` carries the frame the monitor parsed to classify its
+    ordinal, so the dispatch layer below does not parse the same wire a
+    second time; it is ``None`` when the monitor did not need to parse
+    (baseline) or the frame was malformed.
     """
 
     allowed: bool

@@ -185,7 +185,7 @@ def tpm_dir_read(ctx: CommandContext) -> bytes:
     ctx.reader.expect_end()
     if index != 0:
         raise TpmError(TPM_BAD_PARAMETER, "only DIR 0 exists on 1.2 parts")
-    return ByteWriter().raw(ctx.state.dir_register).getvalue()
+    return ctx.state.dir_register
 
 
 @handler(TPM_ORD_GetTestResult)

@@ -10,7 +10,6 @@ from repro.tpm.constants import (
 )
 from repro.tpm.dispatch import CommandContext, handler
 from repro.tpm.pcr import PcrSelection
-from repro.util.bytesio import ByteWriter
 
 
 @handler(TPM_ORD_Extend)
@@ -20,7 +19,7 @@ def tpm_extend(ctx: CommandContext) -> bytes:
     digest = ctx.reader.raw(DIGEST_SIZE)
     ctx.reader.expect_end()
     new_value = ctx.state.pcrs.extend(index, digest)
-    return ByteWriter().raw(new_value).getvalue()
+    return new_value
 
 
 @handler(TPM_ORD_PcrRead)
@@ -28,7 +27,7 @@ def tpm_pcr_read(ctx: CommandContext) -> bytes:
     """TPM_PCRRead: current value of one register."""
     index = ctx.reader.u32()
     ctx.reader.expect_end()
-    return ByteWriter().raw(ctx.state.pcrs.read(index)).getvalue()
+    return ctx.state.pcrs.read(index)
 
 
 @handler(TPM_ORD_PCR_Reset)

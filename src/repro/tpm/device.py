@@ -55,8 +55,8 @@ class TpmDevice:
         The fault injector can abort the command *before* it reaches the
         executor — a transient bus/LPC error.  The command has no effect
         on TPM state, so the retry layers above can safely resend the same
-        wire bytes.  ``parsed`` optionally carries an already-parsed frame
-        down to the executor (parse-once fast path).
+        wire bytes.  ``parsed`` optionally carries the frame a layer above
+        already parsed, so the executor does not parse it again.
         """
         event = fire("tpm.device.execute", device=self.name)
         if event is not None and event.kind is FaultKind.DEVICE_TRANSIENT:

@@ -3,13 +3,20 @@
 Both the device (:mod:`repro.tpm.dispatch`) and the guest-side client stack
 (:mod:`repro.tpm.client`) build on these helpers, so the two sides cannot
 drift apart on digest formulas.
+
+The codec is three precompiled big-endian structs — the 10-byte header
+shared by commands and responses, the AUTH1 command trailer and the AUTH1
+response trailer — plus immutable records for what they decode to.  It
+keeps no state between calls.  Every malformed frame or out-of-range field
+surfaces as :class:`MarshalError` (or :class:`TpmError` for an unknown
+tag), never as ``struct.error``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Optional
+import struct
+from typing import NamedTuple, Optional
 
 from repro.tpm.constants import (
     NONCE_SIZE,
@@ -23,14 +30,28 @@ from repro.tpm.constants import (
     TPM_TAG_RSP_AUTH1_COMMAND,
     TPM_TAG_RSP_COMMAND,
 )
-from repro.util.bytesio import ByteReader, ByteWriter
 from repro.util.errors import MarshalError, TpmError
 
-HEADER_SIZE = 10  # tag(2) + paramSize(4) + ordinal/returnCode(4)
+#: tag(2) + paramSize(4) + ordinal/returnCode(4)
+_HEADER = struct.Struct(">HII")
+#: authHandle(4) + nonceOdd(20) + continueAuthSession(1) + authValue(20)
+_CMD_TRAILER = struct.Struct(f">I{NONCE_SIZE}s?{AUTHDATA_SIZE}s")
+#: nonceEven(20) + continueAuthSession(1) + resAuth(20)
+_RSP_TRAILER = struct.Struct(f">{NONCE_SIZE}s?{AUTHDATA_SIZE}s")
+HEADER_SIZE = _HEADER.size
+_ZERO_AUTH = b"\x00" * AUTHDATA_SIZE
 
 
-@dataclass(frozen=True, slots=True)
-class AuthTrailer:
+def _header(tag: int, size: int, code: int) -> bytes:
+    try:
+        return _HEADER.pack(tag, size, code)
+    except struct.error:
+        raise MarshalError(
+            f"frame header out of u32 range: size {size!r}, code {code!r}"
+        ) from None
+
+
+class AuthTrailer(NamedTuple):
     """The AUTH1 trailer appended to an authorized command."""
 
     handle: int
@@ -38,32 +59,20 @@ class AuthTrailer:
     continue_session: bool
     auth_value: bytes
 
-    SIZE = 4 + NONCE_SIZE + 1 + AUTHDATA_SIZE
+    SIZE = _CMD_TRAILER.size
 
     def serialize(self) -> bytes:
-        w = ByteWriter()
-        w.u32(self.handle)
-        w.raw(self.nonce_odd)
-        w.u8(1 if self.continue_session else 0)
-        w.raw(self.auth_value)
-        return w.getvalue()
-
-    @staticmethod
-    def deserialize(reader: ByteReader) -> "AuthTrailer":
-        handle = reader.u32()
-        nonce_odd = reader.raw(NONCE_SIZE)
-        continue_session = bool(reader.u8())
-        auth_value = reader.raw(AUTHDATA_SIZE)
-        return AuthTrailer(
-            handle=handle,
-            nonce_odd=nonce_odd,
-            continue_session=continue_session,
-            auth_value=auth_value,
-        )
+        if len(self.nonce_odd) != NONCE_SIZE or len(self.auth_value) != AUTHDATA_SIZE:
+            raise MarshalError("AUTH1 nonce and auth value must be 20 bytes each")
+        try:
+            return _CMD_TRAILER.pack(*self)
+        except struct.error:
+            raise MarshalError(
+                f"AUTH1 handle {self.handle!r} out of u32 range, or a field not bytes"
+            ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedCommand:
+class ParsedCommand(NamedTuple):
     """A TPM command pulled off the wire."""
 
     tag: int
@@ -71,25 +80,27 @@ class ParsedCommand:
     params: bytes
     auth: Optional[AuthTrailer]
 
-    @property
-    def is_authorized(self) -> bool:
-        return self.auth is not None
+
+class ParsedResponse(NamedTuple):
+    """A TPM response pulled off the wire."""
+
+    tag: int
+    return_code: int
+    params: bytes
+    nonce_even: Optional[bytes]
+    continue_session: bool
+    response_auth: Optional[bytes]
 
 
 def build_command(
     ordinal: int, params: bytes, auth: Optional[AuthTrailer] = None
 ) -> bytes:
     """Frame a command: header + params + optional AUTH1 trailer."""
-    tag = TPM_TAG_RQU_AUTH1_COMMAND if auth else TPM_TAG_RQU_COMMAND
-    trailer = auth.serialize() if auth else b""
-    size = HEADER_SIZE + len(params) + len(trailer)
-    w = ByteWriter()
-    w.u16(tag)
-    w.u32(size)
-    w.u32(ordinal)
-    w.raw(params)
-    w.raw(trailer)
-    return w.getvalue()
+    if auth is None:
+        return _header(TPM_TAG_RQU_COMMAND, HEADER_SIZE + len(params), ordinal) + params
+    trailer = auth.serialize()
+    size = HEADER_SIZE + len(params) + AuthTrailer.SIZE
+    return _header(TPM_TAG_RQU_AUTH1_COMMAND, size, ordinal) + params + trailer
 
 
 def pcr_read_wire(index: int) -> bytes:
@@ -107,46 +118,27 @@ def get_random_wire(count: int = 16) -> bytes:
     return build_command(TPM_ORD_GetRandom, count.to_bytes(4, "big"))
 
 
-#: memoized parse results keyed by wire bytes.  ``parse_command`` is a pure,
-#: charge-free function of the frame and ``ParsedCommand`` is deeply
-#: immutable, so replaying a cached result is byte-identical and
-#: virtual-time-neutral.  Real workloads re-issue identical frames heavily
-#: (PCR reads, status polls), making this the single cheapest parse there
-#: is: one dict probe.
-_PARSE_CACHE: dict = {}
-_PARSE_CACHE_CAP = 4096
+def _unpack_header(wire: bytes) -> tuple:
+    """(tag, size, code) of a frame whose paramSize matches its length."""
+    if len(wire) < HEADER_SIZE:
+        raise MarshalError(f"{len(wire)}-byte frame is shorter than its header")
+    header = _HEADER.unpack_from(wire)
+    if header[1] != len(wire):
+        raise MarshalError(f"paramSize {header[1]} != frame length {len(wire)}")
+    return header
 
 
 def parse_command(wire: bytes) -> ParsedCommand:
-    """Parse a framed command, validating tag and length (memoized)."""
-    cached = _PARSE_CACHE.get(wire)
-    if cached is not None:
-        return cached
-    parsed = _parse_command_uncached(wire)
-    if len(_PARSE_CACHE) >= _PARSE_CACHE_CAP:
-        _PARSE_CACHE.clear()
-    _PARSE_CACHE[wire] = parsed
-    return parsed
-
-
-def _parse_command_uncached(wire: bytes) -> ParsedCommand:
-    r = ByteReader(wire)
-    tag = r.u16()
-    size = r.u32()
-    if size != len(wire):
-        raise MarshalError(f"paramSize {size} != frame length {len(wire)}")
-    ordinal = r.u32()
+    """Parse a framed command, validating tag and length."""
+    tag, size, ordinal = _unpack_header(wire)
     if tag == TPM_TAG_RQU_COMMAND:
-        return ParsedCommand(tag=tag, ordinal=ordinal, params=r.rest(), auth=None)
+        return ParsedCommand(tag, ordinal, wire[HEADER_SIZE:], None)
     if tag == TPM_TAG_RQU_AUTH1_COMMAND:
-        body = r.rest()
-        if len(body) < AuthTrailer.SIZE:
+        split = size - AuthTrailer.SIZE
+        if split < HEADER_SIZE:
             raise MarshalError("AUTH1 command too short for auth trailer")
-        params, trailer_bytes = body[: -AuthTrailer.SIZE], body[-AuthTrailer.SIZE :]
-        trailer_reader = ByteReader(trailer_bytes)
-        auth = AuthTrailer.deserialize(trailer_reader)
-        trailer_reader.expect_end()
-        return ParsedCommand(tag=tag, ordinal=ordinal, params=params, auth=auth)
+        auth = AuthTrailer._make(_CMD_TRAILER.unpack_from(wire, split))
+        return ParsedCommand(tag, ordinal, wire[HEADER_SIZE:split], auth)
     raise TpmError(TPM_BADTAG, f"unsupported command tag {tag:#06x}")
 
 
@@ -158,71 +150,31 @@ def build_response(
     response_auth: Optional[bytes] = None,
 ) -> bytes:
     """Frame a response; auth fields present iff the command was AUTH1."""
-    authed = nonce_even is not None
-    tag = TPM_TAG_RSP_AUTH1_COMMAND if authed else TPM_TAG_RSP_COMMAND
-    w = ByteWriter()
-    trailer = b""
-    if authed:
-        t = ByteWriter()
-        t.raw(nonce_even)
-        t.u8(1 if continue_session else 0)
-        t.raw(response_auth or b"\x00" * AUTHDATA_SIZE)
-        trailer = t.getvalue()
-    size = HEADER_SIZE + len(out_params) + len(trailer)
-    w.u16(tag)
-    w.u32(size)
-    w.u32(return_code)
-    w.raw(out_params)
-    w.raw(trailer)
-    return w.getvalue()
-
-
-@dataclass(frozen=True, slots=True)
-class ParsedResponse:
-    """A TPM response pulled off the wire."""
-
-    tag: int
-    return_code: int
-    params: bytes
-    nonce_even: Optional[bytes]
-    continue_session: bool
-    response_auth: Optional[bytes]
+    if nonce_even is None:
+        size = HEADER_SIZE + len(out_params)
+        return _header(TPM_TAG_RSP_COMMAND, size, return_code) + out_params
+    response_auth = response_auth or _ZERO_AUTH
+    if len(nonce_even) != NONCE_SIZE or len(response_auth) != AUTHDATA_SIZE:
+        raise MarshalError("AUTH1 nonce and response auth must be 20 bytes each")
+    try:
+        trailer = _RSP_TRAILER.pack(nonce_even, continue_session, response_auth)
+    except struct.error:
+        raise MarshalError("AUTH1 response trailer fields must be bytes") from None
+    size = HEADER_SIZE + len(out_params) + _RSP_TRAILER.size
+    return _header(TPM_TAG_RSP_AUTH1_COMMAND, size, return_code) + out_params + trailer
 
 
 def parse_response(wire: bytes) -> ParsedResponse:
-    r = ByteReader(wire)
-    tag = r.u16()
-    size = r.u32()
-    if size != len(wire):
-        raise MarshalError(f"paramSize {size} != frame length {len(wire)}")
-    return_code = r.u32()
+    tag, size, return_code = _unpack_header(wire)
     if tag == TPM_TAG_RSP_COMMAND:
-        return ParsedResponse(
-            tag=tag,
-            return_code=return_code,
-            params=r.rest(),
-            nonce_even=None,
-            continue_session=False,
-            response_auth=None,
-        )
+        return ParsedResponse(tag, return_code, wire[HEADER_SIZE:], None, False, None)
     if tag == TPM_TAG_RSP_AUTH1_COMMAND:
-        body = r.rest()
-        trailer_size = NONCE_SIZE + 1 + AUTHDATA_SIZE
-        if len(body) < trailer_size:
+        split = size - _RSP_TRAILER.size
+        if split < HEADER_SIZE:
             raise MarshalError("AUTH1 response too short for auth trailer")
-        params, trailer = body[:-trailer_size], body[-trailer_size:]
-        tr = ByteReader(trailer)
-        nonce_even = tr.raw(NONCE_SIZE)
-        continue_session = bool(tr.u8())
-        response_auth = tr.raw(AUTHDATA_SIZE)
-        tr.expect_end()
         return ParsedResponse(
-            tag=tag,
-            return_code=return_code,
-            params=params,
-            nonce_even=nonce_even,
-            continue_session=continue_session,
-            response_auth=response_auth,
+            tag, return_code, wire[HEADER_SIZE:split],
+            *_RSP_TRAILER.unpack_from(wire, split),
         )
     raise TpmError(TPM_BADTAG, f"unsupported response tag {tag:#06x}")
 

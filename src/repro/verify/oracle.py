@@ -60,7 +60,7 @@ class MonitorConformanceOracle:
         monitor = self.monitor
         config = monitor.config
         try:
-            parsed = parse_command(wire)  # memoized, charge-free
+            parsed = parse_command(wire)  # charge-free
         except MarshalError:
             return False  # malformed frames must be denied
         command_class = classify_ordinal(parsed.ordinal)

@@ -61,6 +61,49 @@ class TestCommandFraming:
             marshal.parse_command(hacked)
 
 
+class TestTrailerFieldSizes:
+    """A nonce or auth field of the wrong size must be refused, not framed
+    into a frame that parses back with shifted params and handle."""
+
+    def test_short_command_nonce_rejected(self):
+        trailer = AuthTrailer(1, b"N" * 19, True, b"A" * 20)
+        with pytest.raises(MarshalError):
+            marshal.build_command(0x17, b"PARAMS", auth=trailer)
+
+    def test_long_command_auth_value_rejected(self):
+        trailer = AuthTrailer(1, b"N" * 20, True, b"A" * 21)
+        with pytest.raises(MarshalError):
+            trailer.serialize()
+
+    def test_long_response_nonce_rejected(self):
+        with pytest.raises(MarshalError):
+            marshal.build_response(
+                0, b"OUT", nonce_even=b"n" * 21, continue_session=True,
+                response_auth=b"r" * 20,
+            )
+
+    def test_short_response_auth_rejected(self):
+        with pytest.raises(MarshalError):
+            marshal.build_response(
+                0, b"OUT", nonce_even=b"n" * 20, response_auth=b"r" * 19
+            )
+
+
+class TestRecords:
+    def test_parsed_records_are_immutable(self):
+        trailer = AuthTrailer(1, b"\x00" * 20, False, b"\x00" * 20)
+        parsed = marshal.parse_command(
+            marshal.build_command(0x17, b"p", auth=trailer)
+        )
+        with pytest.raises(AttributeError):
+            parsed.ordinal = 0x18
+        with pytest.raises(AttributeError):
+            parsed.auth.handle = 2
+        response = marshal.parse_response(marshal.build_response(TPM_SUCCESS))
+        with pytest.raises(AttributeError):
+            response.return_code = 1
+
+
 class TestResponseFraming:
     def test_plain_response_roundtrip(self):
         wire = marshal.build_response(TPM_SUCCESS, b"output")
