@@ -11,8 +11,9 @@ the three files that can say "no":
 * ``resilience/breaker.py`` — breaker state transitions.
 
 A **deny site** is a syntactic construct that produces a negative
-outcome: ``AuthorizationResult(allowed=False, …)``, a pre-built shed
-response (``build_response(…)``), or a breaker transition appended to
+outcome: an ``AuthorizationResult`` whose reason code is not one of the
+two allowing codes (``Reason.GRANTED`` / ``Reason.UNCHECKED``), a
+pre-built shed response (``build_response(…)``), or a breaker transition appended to
 ``self.events``.  Any function containing a deny site must *also*
 contain an **emission** on the same function body: an append to an
 ``audit`` log (``…audit.append*``), a counter write (``inc`` / ``add``
@@ -37,6 +38,17 @@ SCOPE_FILES = (
 
 EMISSION_ATTRS = frozenset({"inc", "add", "set_gauge"})
 
+#: the ``Reason`` members that let a command through
+ALLOWING_CODES = frozenset({"GRANTED", "UNCHECKED"})
+
+
+def _is_allowing(expr: ast.AST | None) -> bool:
+    """``Reason.GRANTED``, ``Reason.UNCHECKED`` or a conditional choosing
+    between them; anything else (a variable, a missing reason) may deny."""
+    if isinstance(expr, ast.IfExp):
+        return _is_allowing(expr.body) and _is_allowing(expr.orelse)
+    return isinstance(expr, ast.Attribute) and expr.attr in ALLOWING_CODES
+
 
 def _is_deny_site(node: ast.AST) -> str | None:
     if not isinstance(node, ast.Call):
@@ -48,13 +60,11 @@ def _is_deny_site(node: ast.AST) -> str | None:
     if name == "build_response":
         return "pre-built shed/degrade response"
     if name == "AuthorizationResult":
-        for kw in node.keywords:
-            if (
-                kw.arg == "allowed"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-            ):
-                return "AuthorizationResult(allowed=False)"
+        reason = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords if kw.arg == "reason"), None
+        )
+        if not _is_allowing(reason):
+            return "AuthorizationResult(<deny reason>)"
     if (
         name == "append"
         and isinstance(func, ast.Attribute)
@@ -89,7 +99,7 @@ class AuditOnDenyRule(Rule):
     description = (
         "In core/monitor.py, resilience/admission.py and "
         "resilience/breaker.py, any function that constructs a denial "
-        "(AuthorizationResult(allowed=False), build_response shed frame, "
+        "(AuthorizationResult with a deny code, build_response shed frame, "
         "breaker events.append) must also emit evidence in the same "
         "function: an audit append, a counter inc/add, or a gauge."
     )

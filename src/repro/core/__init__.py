@@ -8,7 +8,8 @@ abstract describes, while leaving the stock vTPM function intact:
 * :mod:`~repro.core.policy` — deny-by-default per-command authorization
   with O(1) amortized decisions.
 * :mod:`~repro.core.monitor` — the reference monitor interposed on the
-  vTPM manager's command path, combining identity, policy and audit.
+  vTPM manager's command path, combining identity, policy and audit;
+  every outcome is one :class:`~repro.core.reason.Reason` code.
 * :mod:`~repro.core.protection` — hypervisor page protection that removes
   vTPM secret memory from the foreign-map/dump interface.
 * :mod:`~repro.core.sealing` — persistent vTPM state encrypted under a
@@ -31,6 +32,7 @@ from repro.core.policy import (
     classify_ordinal,
 )
 from repro.core.monitor import AccessControlMonitor, BaselineMonitor, Monitor
+from repro.core.reason import Reason
 from repro.core.protection import MemoryProtector
 from repro.core.sealing import StateSealer
 from repro.core.audit import AuditLog, AuditRecord
@@ -56,6 +58,7 @@ __all__ = [
     "AccessControlMonitor",
     "BaselineMonitor",
     "Monitor",
+    "Reason",
     "MemoryProtector",
     "StateSealer",
     "AuditLog",

@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.reason import Reason
 from repro.crypto.hashes import sha256
 from repro.sim.timing import charge
 from repro.util.errors import IdentityError
@@ -102,25 +103,28 @@ class IdentityRegistry:
 
         The full hash only reruns when the cached copy is missing; the hot
         path is a 32-byte compare, which is what ``ac.identity.check``
-        charges.
+        charges.  A failure raises :class:`IdentityError` carrying
+        ``unregistered-identity`` or ``measurement-mismatch``.
         """
         charge("ac.identity.check")
         cached = self._by_domid.get(domain.domid)
         if cached is None:
             raise IdentityError(
-                f"dom{domain.domid} ({domain.name}) was never measured"
+                f"dom{domain.domid} ({domain.name}) was never measured",
+                Reason.UNREGISTERED_IDENTITY,
             )
         live = domain.measurement
         if live is None:
-            raise IdentityError(f"dom{domain.domid} carries no live measurement")
+            raise IdentityError(
+                f"dom{domain.domid} carries no live measurement",
+                Reason.MEASUREMENT_MISMATCH,
+            )
         if not hashlib.sha256(live).digest() == hashlib.sha256(cached.measurement).digest():
             # Compare via hashes so the check is constant-time in the
             # measurement contents (paranoia mirroring the auth paths).
             raise IdentityError(
                 f"dom{domain.domid} measurement mismatch: expected "
-                f"{cached.short()}, live differs"
+                f"{cached.short()}, live differs",
+                Reason.MEASUREMENT_MISMATCH,
             )
         return cached
-
-    def count(self) -> int:
-        return len(self._by_domid)

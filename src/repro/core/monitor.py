@@ -13,6 +13,10 @@ access-control monitor performs the paper's checks:
    owner-admin ordinals at another instance);
 3. **audit** — the decision is appended to the hash-chained log.
 
+Every outcome is one :class:`~repro.core.reason.Reason` code: the audit
+record stores its value (an allow also names its rule, ``granted:7``)
+and ``ac.decisions{outcome, reason}`` counts it.
+
 The monitor also owns the **authorization decision cache**: the paper's
 argument is that these checks are a small per-command constant, and for
 the common case — the same bound guest re-issuing the same command class
@@ -34,13 +38,13 @@ command, hit or miss, so the hash chain is complete either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.audit import AuditLog
 from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
 from repro.core.policy import PolicyEngine, classify_ordinal
+from repro.core.reason import Reason
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
@@ -50,8 +54,12 @@ from repro.tpm.marshal import ParsedCommand, parse_command
 from repro.util.errors import IdentityError, MarshalError
 from repro.xen.domain import Domain
 
-_AC_DECISIONS_ALLOW = obs_counters.counter("ac.decisions", outcome="allow")
-_AC_DECISIONS_DENY = obs_counters.counter("ac.decisions", outcome="deny")
+#: ``ac.decisions{outcome, reason}`` handles, one per code
+_AC_DECISIONS = {
+    reason: obs_counters.counter("ac.decisions", reason=reason.value,
+                                 outcome="allow" if reason.allowed else "deny")
+    for reason in Reason
+}
 _AC_CACHE_HIT = obs_counters.counter("ac.cache", result="hit")
 _AC_CACHE_MISS = obs_counters.counter("ac.cache", result="miss")
 #: per-class ``ac.commands`` handles, filled on first sight of each class
@@ -67,8 +75,7 @@ def _ac_commands(cls: str) -> obs_counters.CounterHandle:
     return handle
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorizationResult:
+class AuthorizationResult(NamedTuple):
     """What the monitor concluded for one command.
 
     ``parsed`` carries the frame the monitor parsed to classify its
@@ -77,20 +84,25 @@ class AuthorizationResult:
     (baseline) or the frame was malformed.
     """
 
-    allowed: bool
-    subject: str
-    operation: str
-    reason: str
+    reason: Reason
     parsed: Optional[ParsedCommand] = None
+
+    @property
+    def allowed(self) -> bool:
+        return self.reason.allowed
+
+
+_UNCHECKED = AuthorizationResult(Reason.UNCHECKED)
 
 
 class Monitor:
     """Interface both monitors implement."""
 
-    #: optional resilience gate: ``(instance_id, CommandClass) -> deny
-    #: reason or None``.  Installed by the supervisor; consulted by the
-    #: access-control monitor so degraded-mode ordinal gating is enforced
-    #: at the reference monitor, not only at the ring's admission layer.
+    #: optional resilience gate: ``(instance_id, CommandClass) ->
+    #: Reason.HEALTH_GATE or None``.  Installed by the supervisor;
+    #: consulted by the access-control monitor so degraded-mode ordinal
+    #: gating is enforced at the reference monitor, not only at the
+    #: ring's admission layer.
     health_gate = None
     #: optional companion index (``Supervisor.unhealthy_instances``):
     #: instance ids with a non-healthy record.  When present, the gate
@@ -116,9 +128,7 @@ class Monitor:
     def on_fault(self, instance_id: int, exc: Exception) -> None:
         """Hook: a subsystem fault surfaced as a degraded response."""
 
-    def on_rebind_denied(
-        self, subject: str, instance_id: int, reason: str
-    ) -> None:
+    def on_rebind_denied(self, subject: str, instance_id: int) -> None:
         """Hook: a backend re-bind failed the identity-binding check."""
 
 
@@ -129,12 +139,7 @@ class BaselineMonitor(Monitor):
         self, caller: Domain, instance_id: int, bound_identity_hex: Optional[str],
         wire: bytes,
     ) -> AuthorizationResult:
-        return AuthorizationResult(
-            allowed=True,
-            subject=f"dom{caller.domid}",
-            operation="*",
-            reason="baseline: backend-claimed binding trusted",
-        )
+        return _UNCHECKED
 
 
 #: TEST-ONLY fault-injection hook for the verification subsystem.  When
@@ -162,8 +167,11 @@ class AccessControlMonitor(Monitor):
         self.checks = 0
         self.denials = 0
         # -- decision cache ------------------------------------------------
-        #: (domid, live measurement, instance, class) -> (subject, reason)
-        self._cache: Dict[Tuple, Tuple[str, str]] = {}
+        #: (domid, live measurement, instance, class) -> (subject, rule id)
+        self._cache: Dict[Tuple, Tuple[str, Optional[int]]] = {}
+        #: rule id -> its allow record's reason text, so every record of
+        #: one rule shares one string (emptied with the cache)
+        self._allow_texts: Dict[Optional[int], str] = {None: "unchecked"}
         #: monitor-local epoch component (instance lifecycle events)
         self._epoch = 0
         #: the composite epoch the current cache contents were built under
@@ -176,9 +184,6 @@ class AccessControlMonitor(Monitor):
     def invalidate_cache(self) -> None:
         """Force every cached decision to be re-derived (new epoch)."""
         self._epoch += 1
-
-    def _current_epoch(self) -> Tuple[int, int, int]:
-        return (self._epoch, self.policy.version, self.identities.version)
 
     # -- lifecycle hooks ---------------------------------------------------------
 
@@ -220,15 +225,12 @@ class AccessControlMonitor(Monitor):
                     tracer,
                 )
         if obs_counters._current_registry is not None:
-            cls = (
-                classify_ordinal(result.parsed.ordinal).value
-                if result.parsed is not None else "malformed"
-            )
-            _ac_commands(cls).inc()
-            if result.allowed:
-                _AC_DECISIONS_ALLOW.inc()
-            else:
-                _AC_DECISIONS_DENY.inc()
+            parsed = result.parsed
+            _ac_commands(
+                classify_ordinal(parsed.ordinal).value
+                if parsed is not None else "malformed"
+            ).inc()
+            _AC_DECISIONS[result.reason].inc()
         return result
 
     def _authorize(
@@ -239,19 +241,19 @@ class AccessControlMonitor(Monitor):
         if tracer is None:
             try:
                 parsed = parse_command(wire)
-            except MarshalError as exc:  # malformed frames: deny early
+            except MarshalError:  # malformed frames: deny early
                 return self._deny(
-                    f"dom{caller.domid}", instance_id, "malformed",
-                    f"unparseable command frame: {exc}",
+                    Reason.MALFORMED_FRAME, f"dom{caller.domid}",
+                    instance_id, "malformed", None,
                 )
         else:
             with tracer.start_span("parse"):
                 try:
                     parsed = parse_command(wire)
-                except MarshalError as exc:
+                except MarshalError:
                     return self._deny(
-                        f"dom{caller.domid}", instance_id, "malformed",
-                        f"unparseable command frame: {exc}",
+                        Reason.MALFORMED_FRAME, f"dom{caller.domid}",
+                        instance_id, "malformed", None,
                     )
         ordinal = parsed.ordinal
         config = self.config
@@ -270,8 +272,8 @@ class AccessControlMonitor(Monitor):
                 veto = gate(instance_id, command_class)
                 if veto is not None:
                     return self._deny(
-                        f"dom{caller.domid}", instance_id,
-                        ordinal_name(ordinal), veto,
+                        veto, f"dom{caller.domid}", instance_id,
+                        ordinal_name(ordinal), parsed,
                     )
 
         cache_key: Optional[Tuple] = None
@@ -281,6 +283,7 @@ class AccessControlMonitor(Monitor):
                 epoch = (epoch[0], self._cache_epoch[1], epoch[2])
             if epoch != self._cache_epoch:
                 self._cache.clear()
+                self._allow_texts = {None: "unchecked"}
                 self._cache_epoch = epoch
             cache_key = (
                 caller.domid, caller.measurement, instance_id, command_class,
@@ -290,24 +293,12 @@ class AccessControlMonitor(Monitor):
                 self.cache_hits += 1
                 _AC_CACHE_HIT.inc()
                 charge("ac.policy.cache_hit")
-                subject, reason = hit
-                operation = ordinal_name(ordinal)
-                if config.audit:
-                    if tracer is None:
-                        self.audit.append_buffered(
-                            subject, instance_id, operation, True, reason
-                        )
-                    else:
-                        span.set("cache", "hit")
-                        with tracer.start_span("audit"):
-                            self.audit.append_buffered(
-                                subject, instance_id, operation, True, reason
-                            )
-                elif tracer is not None:
+                if tracer is not None:
                     span.set("cache", "hit")
-                return AuthorizationResult(
-                    allowed=True, subject=subject, operation=operation,
-                    reason=reason, parsed=parsed,
+                subject, rule_id = hit
+                return self._allow(
+                    subject, instance_id, ordinal_name(ordinal), rule_id,
+                    parsed, tracer,
                 )
             self.cache_misses += 1
             span.set("cache", "miss")
@@ -328,45 +319,33 @@ class AccessControlMonitor(Monitor):
             try:
                 identity = self.identities.verify_current(caller)
             except IdentityError as exc:
-                return self._deny(subject, instance_id, operation, str(exc))
+                return self._deny(
+                    exc.reason, subject, instance_id, operation, parsed
+                )
             subject = identity.hex
             if bound_identity_hex is not None and subject != bound_identity_hex:
                 return self._deny(
-                    subject,
-                    instance_id,
-                    operation,
-                    f"instance {instance_id} is bound to identity "
-                    f"{bound_identity_hex[:12]}…, caller is {subject[:12]}…",
+                    Reason.BINDING_MISMATCH, subject, instance_id, operation,
+                    parsed,
                 )
 
         # 2. policy
+        rule_id = None
         if config.policy_check:
-            decision = self.policy.decide(subject, instance_id, ordinal)
-            if not decision.allowed:
-                return self._deny(subject, instance_id, operation, decision.reason)
-            reason = decision.reason
-        else:
-            reason = "policy check disabled"
+            reason, rule_id = self.policy.decide(subject, instance_id, ordinal)
+            if not reason.allowed:
+                return self._deny(
+                    reason, subject, instance_id, operation, parsed
+                )
 
         # Only allows are cached; denials always re-derive so a fixed
         # policy or repaired identity takes effect immediately.
         if cache_key is not None:
-            self._cache[cache_key] = (subject, reason)
+            self._cache[cache_key] = (subject, rule_id)
 
         # 3. audit the allow
-        if config.audit:
-            if tracer is None:
-                self.audit.append_buffered(
-                    subject, instance_id, operation, True, reason
-                )
-            else:
-                with tracer.start_span("audit"):
-                    self.audit.append_buffered(
-                        subject, instance_id, operation, True, reason
-                    )
-        return AuthorizationResult(
-            allowed=True, subject=subject, operation=operation, reason=reason,
-            parsed=parsed,
+        return self._allow(
+            subject, instance_id, operation, rule_id, parsed, tracer
         )
 
     def on_fault(self, instance_id: int, exc: Exception) -> None:
@@ -382,35 +361,56 @@ class AccessControlMonitor(Monitor):
                 reason=str(exc),
             )
 
-    def on_rebind_denied(
-        self, subject: str, instance_id: int, reason: str
-    ) -> None:
+    def on_rebind_denied(self, subject: str, instance_id: int) -> None:
         """A backend re-bind failed the fail-closed identity check: count
-        it as a denial and chain it into the audit log — this is the rogue
-        re-binding attack being stopped at the configuration layer."""
+        it as a ``binding-mismatch`` denial and chain it into the audit log
+        — this is the rogue re-binding attack being stopped at the
+        configuration layer."""
         self.denials += 1
-        if obs_counters._current_registry is not None:
-            _AC_DECISIONS_DENY.inc()
+        reason = Reason.BINDING_MISMATCH
+        _AC_DECISIONS[reason].inc()
         if self.config.audit:
             self.audit.append_buffered(
-                subject, instance_id, "VTPM_Rebind", False, reason
+                subject, instance_id, "VTPM_Rebind", False, reason.value
             )
 
+    def _allow(
+        self, subject: str, instance_id: int, operation: str,
+        rule_id: Optional[int], parsed: ParsedCommand, tracer,
+    ) -> AuthorizationResult:
+        """Audit an allow as ``granted:<rule id>`` (or ``unchecked`` when
+        no policy rule was consulted)."""
+        if self.config.audit:
+            text = self._allow_texts.get(rule_id)
+            if text is None:
+                text = self._allow_texts[rule_id] = f"granted:{rule_id}"
+            if tracer is None:
+                self.audit.append_buffered(
+                    subject, instance_id, operation, True, text
+                )
+            else:
+                with tracer.start_span("audit"):
+                    self.audit.append_buffered(
+                        subject, instance_id, operation, True, text
+                    )
+        return AuthorizationResult(
+            Reason.UNCHECKED if rule_id is None else Reason.GRANTED, parsed
+        )
+
     def _deny(
-        self, subject: str, instance_id: int, operation: str, reason: str
+        self, reason: Reason, subject: str, instance_id: int, operation: str,
+        parsed: Optional[ParsedCommand],
     ) -> AuthorizationResult:
         self.denials += 1
         if self.config.audit:
             tracer = obs_trace._current_tracer
             if tracer is None:
                 self.audit.append_buffered(
-                    subject, instance_id, operation, False, reason
+                    subject, instance_id, operation, False, reason.value
                 )
             else:
                 with tracer.start_span("audit"):
                     self.audit.append_buffered(
-                        subject, instance_id, operation, False, reason
+                        subject, instance_id, operation, False, reason.value
                     )
-        return AuthorizationResult(
-            allowed=False, subject=subject, operation=operation, reason=reason
-        )
+        return AuthorizationResult(reason, parsed)

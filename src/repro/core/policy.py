@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
+from repro.core.reason import Reason
 from repro.sim.timing import charge
 from repro.tpm import constants as tc
 from repro.util.errors import AccessControlError
@@ -111,13 +112,15 @@ class PolicyRule:
         return (self.subject, self.instance, self.command_class)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a policy lookup."""
+class Decision(NamedTuple):
+    """Outcome of a policy lookup: the code and the matching rule, if any."""
 
-    allowed: bool
-    reason: str
+    reason: Reason
     rule_id: Optional[int] = None
+
+    @property
+    def allowed(self) -> bool:
+        return self.reason.allowed
 
 
 class PolicyEngine:
@@ -131,7 +134,6 @@ class PolicyEngine:
         self._by_subject: Dict[str, set] = {}
         self._by_instance: Dict[object, set] = {}
         self._ids = itertools.count(1)
-        self.decisions = 0
         #: bumped on every rule add/revoke; the monitor's decision cache
         #: treats any change as a new epoch, so revocation is immediate
         self.version = 0
@@ -198,13 +200,6 @@ class PolicyEngine:
             self.revoke_rule(rule_id)
         return len(doomed)
 
-    def revoke_instance(self, instance: object) -> int:
-        """Remove every rule naming ``instance`` exactly (not wildcards)."""
-        doomed = sorted(self._by_instance.get(instance, ()))
-        for rule_id in doomed:
-            self.revoke_rule(rule_id)
-        return len(doomed)
-
     def rules_for_instance(self, instance: object) -> list[PolicyRule]:
         """Rules whose instance position names ``instance`` exactly."""
         ids = self._by_instance.get(instance, ())
@@ -263,33 +258,41 @@ class PolicyEngine:
 
     # -- the hot path ---------------------------------------------------------
 
+    def _rule_for(
+        self, subject: str, instance: object, cls: CommandClass
+    ) -> Optional[int]:
+        """The most specific rule granting the triple, checking the four
+        key shapes (wildcards are materialized as their own keys)."""
+        index = self._index
+        for key in ((subject, instance, cls), (subject, ANY, cls),
+                    (ANY, instance, cls), (ANY, ANY, cls)):
+            rule_id = index.get(key)
+            if rule_id is not None:
+                return rule_id
+        return None
+
     def decide(self, subject: str, instance: object, ordinal: int) -> Decision:
-        """Authorize one command: checks the four specificity shapes.
+        """Authorize one command: ``granted`` with the matching rule id,
+        ``unknown-ordinal`` or ``no-grant``.
 
         Lookup cost is constant in the number of installed rules — the
         index is a hash table keyed by exact (subject, instance, class)
-        triples with wildcards materialized as their own keys.
+        triples.
         """
         charge("ac.policy.lookup")
-        self.decisions += 1
         cls = classify_ordinal(ordinal)
         if cls is CommandClass.UNKNOWN:
-            return Decision(allowed=False, reason=f"unknown ordinal {ordinal:#x}")
-        for key in (
-            (subject, instance, cls),
-            (subject, ANY, cls),
-            (ANY, instance, cls),
-            (ANY, ANY, cls),
-        ):
-            rule_id = self._index.get(key)
-            if rule_id is not None:
-                return Decision(
-                    allowed=True,
-                    reason=f"rule {rule_id} grants {cls.value}",
-                    rule_id=rule_id,
-                )
+            return Decision(Reason.UNKNOWN_ORDINAL)
+        rule_id = self._rule_for(subject, instance, cls)
         return Decision(
-            allowed=False,
-            reason=f"no rule grants {cls.value} on instance {instance} "
-            f"to subject {subject[:12]}",
+            Reason.NO_GRANT if rule_id is None else Reason.GRANTED, rule_id
         )
+
+    def granted_classes(self, subject: str, instance: object) -> Set[CommandClass]:
+        """Every class some rule grants ``subject`` on ``instance``,
+        wildcards included.  Charge-free: for oracles, not the command
+        path."""
+        return {
+            cls for cls in CommandClass
+            if self._rule_for(subject, instance, cls) is not None
+        }

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.policy import CommandClass
+from repro.core.reason import Reason
 from repro.crypto.random_source import RandomSource
 from repro.faults import FaultKind, fire, with_retry
 from repro.obs import counters as obs_counters
@@ -182,29 +183,21 @@ class Supervisor:
     # -- monitor-side: the authoritative ordinal gate ------------------------------
 
     def gate(self, instance_id: int, command_class: CommandClass
-             ) -> Optional[str]:
-        """Deny reason for (instance, class) under its health state, or None."""
+             ) -> Optional[Reason]:
+        """``health-gate`` when the instance's health state refuses the
+        class, else None: failed and quarantined refuse everything,
+        degraded and restarting admit only read-only ordinals."""
         record = self._by_instance.get(instance_id)
         if record is None:
             return None
         state = record.state
         if state is HealthState.HEALTHY:
             return None
-        if state is HealthState.FAILED:
-            return f"instance {instance_id} is failed: all ordinals refused"
-        if state is HealthState.QUARANTINED:
-            return (
-                f"instance {instance_id} is quarantined pending supervised "
-                f"restart"
-            )
-        if (
+        if state in (HealthState.FAILED, HealthState.QUARANTINED) or (
             state in (HealthState.DEGRADED, HealthState.RESTARTING)
             and command_class is not CommandClass.READ
         ):
-            return (
-                f"instance {instance_id} is {state.value}: only read-only "
-                f"ordinals admitted"
-            )
+            return Reason.HEALTH_GATE
         return None
 
     # -- backend-side: outcome observations ----------------------------------------

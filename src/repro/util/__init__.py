@@ -1,4 +1,4 @@
-"""Shared utilities: error hierarchy, logging, byte I/O, validation helpers."""
+"""Shared utilities: the error hierarchy and byte I/O."""
 
 from repro.util.errors import (
     ReproError,

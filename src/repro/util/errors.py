@@ -145,7 +145,12 @@ class AccessDenied(AccessControlError):
 
 
 class IdentityError(AccessControlError):
-    """Domain identity could not be established or verified."""
+    """Domain identity could not be established or verified; ``reason`` is
+    the monitor's :class:`repro.core.reason.Reason` code for it, if any."""
+
+    def __init__(self, message: str, reason=None) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class SealingError(AccessControlError):

@@ -3,15 +3,15 @@
 Three cooperating pieces (see ARCHITECTURE.md, "Verification"):
 
 * :mod:`repro.verify.model` — an executable reference model of the
-  authz-relevant state that predicts allow/deny/degrade per command;
+  authz-relevant state that predicts each command's reason code;
 * :mod:`repro.verify.explorer` — a deterministic schedule explorer that
   drives guest command streams under many distinct interleavings and
   checks the model oracle, audit-chain integrity and zero-silent-drop;
 * :mod:`repro.verify.shrink` — a ddmin counterexample minimizer that
   turns a failing schedule into a minimal replayable JSON repro.
 
-Plus :mod:`repro.verify.oracle`, a charge-free conformance oracle that
-piggybacks on chaos/cluster harness runs behind a flag.
+Plus :mod:`repro.verify.oracle`, a charge-free adapter over the model
+that piggybacks on chaos/cluster harness runs behind a flag.
 """
 
 from repro.verify.explorer import (

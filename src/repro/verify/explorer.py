@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AccessControlConfig, AccessMode
 from repro.core.policy import CommandClass
+from repro.core.reason import Reason
 from repro.crypto.random_source import RandomSource
 from repro.harness.builder import (
     GuestHandle,
@@ -44,7 +45,7 @@ from repro.sim.timing import get_context
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_SUCCESS
 from repro.util.errors import ReproError
-from repro.verify.model import Prediction, ReferenceModel
+from repro.verify.model import Prediction, ReferenceModel, observed_identity
 
 #: PCR indices the explorer touches (kept clear of the boot-measurement
 #: range so hardware-anchored features stay inert)
@@ -94,7 +95,7 @@ class Step:
 class Violation:
     """One conformance failure: what the model said vs what happened."""
 
-    kind: str  # oracle-mismatch | denial-count | silent-drop | pcr-divergence | audit-chain
+    kind: str  # oracle-mismatch | reason-code | denial-count | silent-drop | pcr-divergence | audit-chain
     step_index: int
     step: Optional[Step]
     predicted: str
@@ -219,35 +220,26 @@ class ScheduleRunner:
 
     # -- model seeding ---------------------------------------------------------
 
-    def _identity_hex(self, handle: GuestHandle) -> str:
-        return handle.domain.measurement.hex()
-
     def sync_model(self) -> None:
         """Seed the model from live platform state (schedule boundary)."""
         platform = self.platform
         for index, handle in enumerate(self.handles):
-            name = f"g{index}"
-            registered = (
-                platform.identities.lookup(handle.domain.domid) is not None
-            )
-            subject = self._identity_hex(handle)
-            grants = {
-                rule.command_class
-                for rule in platform.policy.rules_for_subject(subject)
-                if rule.instance == handle.instance_id
-            }
             instance = platform.manager.instance(handle.instance_id)
             pcrs = {
                 i: instance.device.state.pcrs.read(i)
                 for i in range(PCR_RANGE)
             }
-            turbulent = False
-            if platform.supervisor is not None:
-                record = platform.supervisor.record_for(handle.domain.uuid)
-                turbulent = record.state.value != "healthy"
+            supervisor = platform.supervisor
+            turbulent = supervisor is not None and supervisor.record_for(
+                handle.domain.uuid
+            ).state.value != "healthy"
             self.model.sync_guest(
-                name, registered=registered, grants=grants,
-                pcr_values=pcrs, turbulent=turbulent,
+                f"g{index}",
+                identity=observed_identity(platform.identities, handle.domain),
+                grants=platform.policy.granted_classes(
+                    handle.domain.measurement.hex(), handle.instance_id
+                ),
+                pcr_values=pcrs, health="turbulent" if turbulent else "healthy",
             )
 
     # -- execution -------------------------------------------------------------
@@ -309,7 +301,7 @@ class ScheduleRunner:
             return None
         if op in ("grant", "revoke"):
             command_class = MUTABLE_CLASSES[step.arg % len(MUTABLE_CLASSES)]
-            subject = self._identity_hex(handle)
+            subject = handle.domain.measurement.hex()
             if op == "grant":
                 platform.policy.add_rule(
                     subject, handle.instance_id, command_class
@@ -396,6 +388,14 @@ class ScheduleRunner:
                     detail=f"expected exactly {expected} for a "
                            f"{prediction.verdict}",
                 )
+            # The monitor's decision is the newest audit record.
+            [record] = platform.audit.tail(1)
+            if Reason.from_record(record.reason) is not prediction.reason:
+                return self._violation(
+                    "reason-code", index, step, prediction,
+                    observed=f"audited {record.reason!r}",
+                    detail="the monitor decided with a different code",
+                )
         if op == "extend" and code == TPM_SUCCESS:
             self.model.apply_extend(
                 name, step.arg % PCR_RANGE, _measurement_for(step)
@@ -442,7 +442,7 @@ class ScheduleRunner:
             kind=kind,
             step_index=index,
             step=step,
-            predicted=f"{prediction.verdict} ({prediction.reason})",
+            predicted=f"{prediction.verdict} ({prediction.reason.value})",
             observed=observed,
             detail=detail,
         )

@@ -1,22 +1,25 @@
 """Piggyback conformance oracle for existing harness runs.
 
 Wraps an :class:`~repro.core.monitor.AccessControlMonitor`'s
-``authorize`` and, for every command the pipeline processes,
-independently re-derives what the decision *should* be — straight from
-the identity registry, the policy index and the health gate, with no
-decision cache, no charges and no rng — then compares it against the
-pipeline's verdict.  Any disagreement is a conformance mismatch.
+``authorize`` and, for every command the pipeline processes, asks the
+reference model (:mod:`repro.verify.model`) what the decision *should*
+be, then compares the model's reason code against the pipeline's.  Any
+disagreement — in verdict or in reason — is a conformance mismatch.
 
-This is deliberately charge-free (it never calls ``charge()``-bearing
-code paths) so attaching it perturbs neither virtual time nor digests
-nor audit chains: the chaos and cluster demos can run with the oracle on
-(``--conformance``) and still satisfy their own determinism and
-non-interference rails.
+The oracle holds no decision logic of its own: it is an adapter that
+seeds the model from live state with
+:meth:`~repro.verify.model.ReferenceModel.sync_guest` before each
+command — the caller's identity fact, the policy's grants for it on the
+target instance, and whether the health gate refuses the command's
+class — and then calls
+:meth:`~repro.verify.model.ReferenceModel.predict`.
 
-The re-derivation reads ``IdentityRegistry._by_domid`` and
-``PolicyEngine._index`` directly: an oracle's job is to double-check the
-production path from outside it, and the public entry points charge
-virtual time the observed run must not feel twice.
+Every read it makes is charge-free (identity lookup, the policy's
+:meth:`~repro.core.policy.PolicyEngine.granted_classes`, the health
+gate, the command parser), so attaching it perturbs neither virtual
+time nor digests nor audit chains: the chaos and cluster demos can run
+with the oracle on (``--conformance``) and still satisfy their own
+determinism and non-interference rails.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.monitor import AccessControlMonitor
-from repro.core.policy import ANY, CommandClass, classify_ordinal
+from repro.core.policy import classify_ordinal
 from repro.tpm.marshal import parse_command
 from repro.util.errors import MarshalError
+from repro.verify.model import Prediction, ReferenceModel, observed_identity
 
 #: mismatch messages kept per oracle (the count is exact; the text is a
 #: bounded sample so a hot loop cannot balloon memory)
@@ -34,7 +38,7 @@ _MISMATCH_SAMPLE_CAP = 20
 
 
 class MonitorConformanceOracle:
-    """Shadow-decides every authorize() call and records disagreements."""
+    """Predicts every authorize() call and records disagreements."""
 
     def __init__(self, monitor: AccessControlMonitor) -> None:
         if not isinstance(monitor, AccessControlMonitor):
@@ -43,65 +47,57 @@ class MonitorConformanceOracle:
                 f"(got {type(monitor).__name__}); the baseline monitor "
                 "has no authz claim to check"
             )
+        config = monitor.config
+        if not (config.identity_check and config.policy_check):
+            raise ValueError(
+                "conformance oracle needs the identity and policy checks "
+                "on; the reference model has no ablated configurations"
+            )
         self.monitor = monitor
+        self.model = ReferenceModel()
         self.checks = 0
         self.mismatch_count = 0
         self.mismatches: List[str] = []
         self._installed = False
-        self._inner = None
 
-    # -- the independent decision ------------------------------------------------
+    # -- seeding the model ---------------------------------------------------------
 
-    def expected_allow(
-        self, caller, instance_id: int, bound_identity_hex: Optional[str],
-        wire: bytes,
-    ) -> Optional[bool]:
-        """Re-derive the decision; ``None`` when the oracle abstains."""
+    def predict(
+        self, caller, instance_id: int, bound_identity_hex, wire: bytes
+    ) -> Prediction:
+        """Seed the model with this command's live facts and ask it."""
         monitor = self.monitor
-        config = monitor.config
         try:
-            parsed = parse_command(wire)  # charge-free
+            command_class = classify_ordinal(parse_command(wire).ordinal)
         except MarshalError:
-            return False  # malformed frames must be denied
-        command_class = classify_ordinal(parsed.ordinal)
-
+            command_class = None
         gate = monitor.health_gate
-        if gate is not None:
-            index = monitor.health_index
-            if index is None or instance_id in index:
-                if gate(instance_id, command_class) is not None:
-                    return False
-
-        subject = f"dom{caller.domid}"
-        identity = monitor.identities._by_domid.get(caller.domid)
-        if config.identity_check:
-            if identity is None:
-                return False
-            if caller.measurement != identity.measurement:
-                return False
-            subject = identity.hex
-            if (
-                bound_identity_hex is not None
-                and subject != bound_identity_hex
-            ):
-                return False
-        elif identity is not None:
-            subject = identity.hex
-
-        if not config.policy_check:
-            return True
-        if command_class is CommandClass.UNKNOWN:
-            return False
-        policy_index = monitor.policy._index
-        for key in (
-            (subject, instance_id, command_class),
-            (subject, ANY, command_class),
-            (ANY, instance_id, command_class),
-            (ANY, ANY, command_class),
-        ):
-            if key in policy_index:
-                return True
-        return False
+        index = monitor.health_index
+        gated = (
+            command_class is not None
+            and gate is not None
+            and (index is None or instance_id in index)
+            and gate(instance_id, command_class) is not None
+        )
+        health = "gated" if gated else "healthy"
+        known = monitor.identities.lookup(caller.domid)
+        grants = (
+            set() if known is None
+            else monitor.policy.granted_classes(known.hex, instance_id)
+        )
+        model = self.model
+        model.sync_guest(
+            "caller", identity=observed_identity(monitor.identities, caller),
+            grants=grants, pcr_values={}, health=health,
+        )
+        target = "caller"
+        if known is not None and bound_identity_hex not in (None, known.hex):
+            target = "bound"  # another identity's instance
+            model.sync_guest(
+                target, identity="registered", grants=set(), pcr_values={},
+                health=health,
+            )
+        return model.predict("caller", target, command_class)
 
     # -- installation ------------------------------------------------------------
 
@@ -109,24 +105,21 @@ class MonitorConformanceOracle:
         if self._installed:
             return self
         inner = self.monitor.authorize
-        self._inner = inner
         oracle = self
 
         def authorize(caller, instance_id, bound_identity_hex, wire):
-            expected = oracle.expected_allow(
+            expected = oracle.predict(
                 caller, instance_id, bound_identity_hex, wire
-            )
+            ).reason
             result = inner(caller, instance_id, bound_identity_hex, wire)
             oracle.checks += 1
-            if expected is not None and result.allowed != expected:
+            if result.reason is not expected:
                 oracle.mismatch_count += 1
                 if len(oracle.mismatches) < _MISMATCH_SAMPLE_CAP:
                     oracle.mismatches.append(
-                        f"dom{caller.domid} -> instance {instance_id} "
-                        f"{result.operation}: pipeline said "
-                        f"{'allow' if result.allowed else 'deny'} "
-                        f"({result.reason}), oracle expected "
-                        f"{'allow' if expected else 'deny'}"
+                        f"dom{caller.domid} -> instance {instance_id}: "
+                        f"pipeline said {result.reason.value}, model "
+                        f"predicted {expected.value}"
                     )
             return result
 
@@ -140,7 +133,6 @@ class MonitorConformanceOracle:
             # through again.
             del self.monitor.authorize
             self._installed = False
-            self._inner = None
 
     @property
     def ok(self) -> bool:

@@ -144,9 +144,7 @@ class VtpmBackend:
                     f"to identity {target.bound_identity_hex[:12]}… but the "
                     f"front-end identity is unverifiable: {exc}"
                 )
-                manager.monitor.on_rebind_denied(
-                    subject, new_instance_id, reason
-                )
+                manager.monitor.on_rebind_denied(subject, new_instance_id)
                 raise VtpmError(reason) from None
             if identity.hex != target.bound_identity_hex:
                 reason = (
@@ -155,9 +153,7 @@ class VtpmBackend:
                     f"front-end dom{self.front_domid} measures to "
                     f"{identity.hex[:12]}…"
                 )
-                manager.monitor.on_rebind_denied(
-                    subject, new_instance_id, reason
-                )
+                manager.monitor.on_rebind_denied(subject, new_instance_id)
                 raise VtpmError(reason)
         self.instance_id = new_instance_id
         self.xen.store.write(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.attacks.scenarios import AttackOutcome, run_attack_matrix
 from repro.core.config import AccessMode
+from repro.core.reason import Reason
 from repro.harness.builder import build_platform
 
 EXPECTED = {
@@ -70,7 +71,9 @@ class TestAttackMechanics:
         assert not succeeded
         denials = platform.audit.denials()
         assert denials, "denied rebinding must be audited"
-        assert any("bound to identity" in r.reason for r in denials)
+        assert any(
+            r.reason == Reason.BINDING_MISMATCH.value for r in denials
+        )
 
     def test_protection_does_not_break_grants(self):
         """Split-driver sharing keeps working while dumps are blocked."""

@@ -79,7 +79,9 @@ class TestChaosNonInterference:
         assert registry.total("ac.decisions") > 0
         assert registry.total("faults.injected") == untraced.total_faults
         exposition = registry.exposition()
-        assert "ac.decisions{outcome=\"allow\"}" in exposition
+        assert (
+            "ac.decisions{outcome=\"allow\",reason=\"granted\"}" in exposition
+        )
 
 
 class TestBatchedNonInterference:

@@ -277,6 +277,29 @@ class TestAuditOnDeny:
             "audit-on-deny", "repro/core/monitor.py", src
         ) == []
 
+    def test_positive_deny_code_without_emission(self):
+        findings = run_rule(
+            "audit-on-deny",
+            "repro/core/monitor.py",
+            "def _deny(self, reason, parsed):\n"
+            "    return AuthorizationResult(reason, parsed)\n",
+        )
+        assert len(findings) == 1
+        assert "deny reason" in findings[0].message
+
+    def test_negative_allowing_codes_need_no_emission(self):
+        src = (
+            "def allow(self, rule_id, parsed):\n"
+            "    if rule_id is None:\n"
+            "        return AuthorizationResult(Reason.UNCHECKED)\n"
+            "    return AuthorizationResult(\n"
+            "        Reason.GRANTED if rule_id else Reason.UNCHECKED, parsed\n"
+            "    )\n"
+        )
+        assert run_rule(
+            "audit-on-deny", "repro/core/monitor.py", src
+        ) == []
+
     def test_positive_breaker_transition(self):
         findings = run_rule(
             "audit-on-deny",

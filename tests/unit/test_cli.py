@@ -112,7 +112,7 @@ class TestCommands:
         assert "authz" in out
         assert "engine" in out
         assert "== counters ==" in out
-        assert 'ac.decisions{outcome="allow"}' in out
+        assert 'ac.decisions{outcome="allow",reason="granted"}' in out
 
     def test_trace_live_unknown_workload(self, capsys):
         assert main(["trace", "frobnicate"]) == 2

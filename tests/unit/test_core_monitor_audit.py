@@ -7,6 +7,7 @@ from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
 from repro.core.monitor import AccessControlMonitor, BaselineMonitor
 from repro.core.policy import PolicyEngine
+from repro.core.reason import Reason
 from repro.core.protection import MemoryProtector
 from repro.crypto.random_source import RandomSource
 from repro.tpm import marshal
@@ -99,8 +100,9 @@ class TestAccessControlMonitor:
         monitor.on_instance_created(1, identity.hex)
         verdict = monitor.authorize(guest, 1, identity.hex, _extend_wire())
         assert verdict.allowed
-        assert verdict.subject == identity.hex
+        assert verdict.reason is Reason.GRANTED
         assert len(audit) == 1 and audit.records()[0].allowed
+        assert audit.records()[0].subject == identity.hex
 
     def test_denies_wrong_binding(self, xen, plumbing):
         identities, policy, audit, monitor = plumbing
@@ -111,7 +113,7 @@ class TestAccessControlMonitor:
         monitor.on_instance_created(1, vic_id.hex)
         verdict = monitor.authorize(attacker, 1, vic_id.hex, _extend_wire())
         assert not verdict.allowed
-        assert "bound to identity" in verdict.reason
+        assert verdict.reason is Reason.BINDING_MISMATCH
         assert monitor.denials == 1
         assert len(audit.denials()) == 1
 
@@ -139,7 +141,7 @@ class TestAccessControlMonitor:
         identities.register(guest)
         verdict = monitor.authorize(guest, 1, None, b"\xff\xff")
         assert not verdict.allowed
-        assert "unparseable" in verdict.reason
+        assert verdict.reason is Reason.MALFORMED_FRAME
 
     def test_instance_destruction_revokes_rules(self, xen, plumbing):
         identities, policy, _audit, monitor = plumbing

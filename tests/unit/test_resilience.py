@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import AccessMode
 from repro.core.policy import CommandClass
+from repro.core.reason import Reason
 from repro.crypto.random_source import RandomSource
 from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
 from repro.harness.builder import build_platform
@@ -343,7 +344,7 @@ class TestHealthGateAndRing:
         record.transition(HealthState.DEGRADED, "test")
         assert supervisor.gate(guest.instance_id, CommandClass.READ) is None
         reason = supervisor.gate(guest.instance_id, CommandClass.MEASURE)
-        assert reason and "read-only" in reason
+        assert reason is Reason.HEALTH_GATE
 
     def test_gate_quarantined_and_failed_deny_all(self):
         _, guest, supervisor = self._supervised()

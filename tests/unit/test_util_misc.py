@@ -1,22 +1,11 @@
 """Unit tests for small utility modules and cross-cutting invariants."""
 
-import logging
-
-import pytest
-
 from repro.util.errors import (
     AccessDenied,
     PageFault,
     ReproError,
     TpmError,
     XenError,
-)
-from repro.util.log import enable_tracing, get_logger
-from repro.util.validate import (
-    check_length,
-    check_nonempty,
-    check_range,
-    check_type,
 )
 
 
@@ -39,46 +28,6 @@ class TestErrors:
         assert err.subject == "subj"
         assert err.operation == "TPM_Quote"
         assert "no rule" in err.reason
-
-
-class TestValidate:
-    def test_check_type(self):
-        check_type(5, int, "x")
-        with pytest.raises(TypeError):
-            check_type("5", int, "x")
-
-    def test_check_range(self):
-        assert check_range(5, 0, 10, "x") == 5
-        with pytest.raises(ValueError):
-            check_range(11, 0, 10, "x")
-        with pytest.raises(TypeError):
-            check_range(True, 0, 10, "x")  # bools are not acceptable ints
-        with pytest.raises(TypeError):
-            check_range(1.5, 0, 10, "x")
-
-    def test_check_length(self):
-        assert check_length(b"abc", 3, "x") == b"abc"
-        with pytest.raises(ValueError):
-            check_length(b"abc", 4, "x")
-
-    def test_check_nonempty(self):
-        check_nonempty([1], "x")
-        with pytest.raises(ValueError):
-            check_nonempty([], "x")
-        check_nonempty(iter([0]), "x")  # generators work too
-
-
-class TestLog:
-    def test_namespacing(self):
-        assert get_logger("vtpm").name == "repro.vtpm"
-        assert get_logger("repro.tpm").name == "repro.tpm"
-
-    def test_enable_tracing_idempotent(self):
-        enable_tracing(logging.INFO)
-        handlers_before = len(logging.getLogger("repro").handlers)
-        enable_tracing(logging.DEBUG)
-        assert len(logging.getLogger("repro").handlers) == handlers_before
-        assert logging.getLogger("repro").level == logging.DEBUG
 
 
 class TestCrossCuttingInvariants:

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.policy import OWNER_CLASSES, CommandClass
+from repro.core.reason import Reason
 from repro.tpm.constants import TPM_AUTHFAIL, TPM_SUCCESS
 from repro.util.errors import ReproError
 from repro.verify.explorer import (
@@ -73,7 +74,7 @@ class TestReferenceModel:
         model = _model("g0", "g1")
         prediction = model.predict("g0", "g1", CommandClass.READ)
         assert prediction.verdict == "deny"
-        assert "binding" in prediction.reason
+        assert prediction.reason is Reason.BINDING_MISMATCH
 
     def test_turbulence_beats_deny(self):
         # Prediction order: turbulence widens the accept set even for a
@@ -121,8 +122,8 @@ class TestReferenceModel:
         model = _model("g0")
         model.on_revoke("g0", CommandClass.MEASURE)
         model.sync_guest(
-            "g0", registered=True, grants=set(OWNER_CLASSES),
-            pcr_values={}, turbulent=False,
+            "g0", identity="registered", grants=set(OWNER_CLASSES),
+            pcr_values={}, health="healthy",
         )
         assert model.predict("g0", "g0", CommandClass.MEASURE).verdict == "allow"
 
@@ -379,6 +380,22 @@ class TestConformanceOracle:
 
         with pytest.raises(TypeError, match="AccessControlMonitor"):
             MonitorConformanceOracle(object())
+
+    @pytest.mark.parametrize("off", ["identity_check", "policy_check"])
+    def test_oracle_refuses_ablated_checks(self, off):
+        from repro.core.audit import AuditLog
+        from repro.core.config import AccessControlConfig
+        from repro.core.identity import IdentityRegistry
+        from repro.core.monitor import AccessControlMonitor
+        from repro.core.policy import PolicyEngine
+        from repro.verify.oracle import MonitorConformanceOracle
+
+        monitor = AccessControlMonitor(
+            IdentityRegistry(), PolicyEngine(), AuditLog(),
+            AccessControlConfig(**{off: False}),
+        )
+        with pytest.raises(ValueError, match="identity and policy checks"):
+            MonitorConformanceOracle(monitor)
 
     def test_attach_returns_none_for_baseline_platform(self):
         from repro.core.config import AccessMode
