@@ -75,14 +75,20 @@ class PcrSelection:
 
 
 class PcrBank:
-    """The 24-register SHA-1 PCR bank."""
+    """The 24-register SHA-1 PCR bank.
+
+    It records which registers changed since the last :meth:`take_dirty`,
+    so a resident state image can patch just those slots.
+    """
 
     def __init__(self) -> None:
         self._values = [b"\x00" * DIGEST_SIZE for _ in range(NUM_PCRS)]
+        self._dirty: set[int] = set()
 
     def startup_clear(self) -> None:
         """TPM_Startup(ST_CLEAR): all PCRs to zero."""
         self._values = [b"\x00" * DIGEST_SIZE for _ in range(NUM_PCRS)]
+        self._dirty.update(range(NUM_PCRS))
 
     def read(self, index: int) -> bytes:
         self._check_index(index)
@@ -97,6 +103,7 @@ class PcrBank:
             )
         charge("tpm.pcr.extend")
         self._values[index] = sha1(self._values[index] + measurement)
+        self._dirty.add(index)
         return self._values[index]
 
     def reset(self, index: int, locality: int) -> None:
@@ -107,6 +114,13 @@ class PcrBank:
         if locality < 2:
             raise TpmError(TPM_NOTLOCAL, f"locality {locality} may not reset PCR {index}")
         self._values[index] = b"\x00" * DIGEST_SIZE
+        self._dirty.add(index)
+
+    def take_dirty(self) -> set[int]:
+        """The indices changed since the last call; starts a new record."""
+        dirty = self._dirty
+        self._dirty = set()
+        return dirty
 
     def snapshot(self) -> list[bytes]:
         """All PCR values (copies) — used by state serialization."""
@@ -119,6 +133,7 @@ class PcrBank:
             if len(v) != DIGEST_SIZE:
                 raise TpmError(TPM_BADINDEX, "bad PCR value length")
         self._values = [bytes(v) for v in values]
+        self._dirty.update(range(NUM_PCRS))
 
     def composite_digest(self, selection: PcrSelection) -> bytes:
         """SHA-1 of TPM_PCR_COMPOSITE over the selected registers.

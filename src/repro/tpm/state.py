@@ -12,10 +12,12 @@ protected placement and sealed storage enforce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import Optional
 
 from repro.crypto.random_source import RandomSource
 from repro.crypto.rsa import RsaKeyPair, generate_keypair
+from repro.tpm import constants as tc
 from repro.tpm.constants import (
     AUTHDATA_SIZE,
     TPM_KEY_STORAGE,
@@ -36,6 +38,51 @@ STATE_MAGIC = b"VTPMST01"
 #: default modulus size for EK/SRK; tests shrink this for host speed while
 #: virtual-time charges stay at the declared class.
 DEFAULT_KEY_BITS = 1024
+
+
+class ImageEffect(IntEnum):
+    """What one command can change in the serialized blob; the stronger
+    of two effects covers both."""
+
+    #: no durable change: the resident image stays current
+    NONE = 0
+    #: only PCR values: the changed 20-byte slots of the PCR window
+    PCR_SLOTS = 1
+    #: anything: re-serialize the blob
+    WHOLE = 2
+
+
+#: The image effect of each ordinal; an ordinal not listed is WHOLE.  The
+#: NONE ordinals only read durable state — auth sessions and the RNG are
+#: volatile and deliberately not part of the blob (see ``serialize``).
+IMAGE_EFFECTS: dict[int, ImageEffect] = {
+    **dict.fromkeys(
+        (
+            tc.TPM_ORD_PcrRead,
+            tc.TPM_ORD_GetRandom,
+            tc.TPM_ORD_GetCapability,
+            tc.TPM_ORD_ReadPubek,
+            tc.TPM_ORD_DirRead,
+            tc.TPM_ORD_GetTestResult,
+            tc.TPM_ORD_ReadCounter,
+            tc.TPM_ORD_OIAP,
+            tc.TPM_ORD_OSAP,
+            tc.TPM_ORD_Seal,
+            tc.TPM_ORD_Unseal,
+            tc.TPM_ORD_NV_ReadValue,
+            tc.TPM_ORD_Sign,
+            tc.TPM_ORD_Quote,
+            tc.TPM_ORD_CertifyKey,
+            tc.TPM_ORD_GetPubKey,
+            tc.TPM_ORD_UnBind,
+            tc.TPM_ORD_SelfTestFull,
+            tc.TPM_ORD_ContinueSelfTest,
+        ),
+        ImageEffect.NONE,
+    ),
+    tc.TPM_ORD_Extend: ImageEffect.PCR_SLOTS,
+    tc.TPM_ORD_PCR_Reset: ImageEffect.PCR_SLOTS,
+}
 
 
 @dataclass
@@ -134,16 +181,16 @@ class TpmState:
 
     # -- serialization ------------------------------------------------------------
 
-    #: ``(inputs, bytes)`` of the last serialized prefix (see ``serialize``)
+    #: ``(inputs, bytes)`` of the last serialized prefix (see ``_prefix``)
     _prefix_memo = None
 
-    def serialize(self, include_volatile: bool = True) -> bytes:
-        """Full state blob (cleartext!) for persistence and migration.
+    def _prefix(self) -> bytes:
+        """The blob up to the PCR window: sizes, flags, owner secret,
+        tpmProof, DIR, EK and SRK.
 
-        The prefix — sizes, flags, owner secret, tpmProof, DIR, EK and SRK
-        — only changes on ownership, flag, DIR and key-hierarchy commands,
-        so it is memoized, keyed on exactly those inputs and rebuilt on any
-        difference; PCRs, NV, counters and loaded keys are written fresh.
+        These only change on ownership, flag, DIR and key-hierarchy
+        commands, so the bytes are memoized, keyed on exactly those inputs
+        and rebuilt on any difference.
         """
         flags = self.flags
         ek = self.keys.ek
@@ -175,8 +222,21 @@ class TpmState:
             else:
                 w.u8(0)
             memo = self._prefix_memo = (inputs, w.getvalue())
+        return memo[1]
+
+    def pcr_window_offset(self) -> int:
+        """Blob offset of PCR 0's slot; PCR ``i`` sits ``DIGEST_SIZE * i``
+        past it.  Only a WHOLE-effect command can move the window."""
+        return len(self._prefix())
+
+    def serialize(self, include_volatile: bool = True) -> bytes:
+        """Full state blob (cleartext!) for persistence and migration.
+
+        The memoized prefix (see ``_prefix``) is followed by the PCR window
+        and by NV, counters and loaded keys, which are written fresh.
+        """
         w = ByteWriter()
-        w.raw(memo[1])
+        w.raw(self._prefix())
         w.raw(b"".join(self.pcrs.snapshot()))
         # NV areas
         areas = self.nv.areas()

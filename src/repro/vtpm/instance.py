@@ -13,30 +13,18 @@ from typing import Optional
 from repro.obs import trace as obs_trace
 from repro.sim import timing as _timing
 from repro.sim.timing import get_context
-from repro.tpm import constants as tc
+from repro.tpm.constants import DIGEST_SIZE
 from repro.tpm.device import TpmDevice
+from repro.tpm.state import IMAGE_EFFECTS, ImageEffect
 from repro.xen.memory import PAGE_SIZE, MemoryRegion, PhysicalMemory
 
 #: pages reserved per instance for the in-memory state image
 STATE_PAGES = 8
 
-#: Ordinals that cannot change the *serialized* TPM state: pure reads, plus
-#: session setup (auth sessions and the RNG are volatile — deliberately not
-#: part of the state blob, see ``TpmState.serialize``).  One of these leaves
-#: the in-memory image current, so it does not mark the image stale.
-_SERIALIZATION_NEUTRAL = frozenset(
-    {
-        tc.TPM_ORD_PcrRead,
-        tc.TPM_ORD_GetRandom,
-        tc.TPM_ORD_GetCapability,
-        tc.TPM_ORD_ReadPubek,
-        tc.TPM_ORD_DirRead,
-        tc.TPM_ORD_GetTestResult,
-        tc.TPM_ORD_ReadCounter,
-        tc.TPM_ORD_OIAP,
-        tc.TPM_ORD_OSAP,
-    }
-)
+_IMAGE_EFFECT = IMAGE_EFFECTS.get
+_NONE = ImageEffect.NONE
+_PCR_SLOTS = ImageEffect.PCR_SLOTS
+_WHOLE = ImageEffect.WHOLE
 
 
 def image_pages(blob: bytes) -> int:
@@ -73,20 +61,48 @@ class VtpmInstance:
         frames = memory.allocate(manager_domid, pages)
         self.state_region = MemoryRegion(memory, manager_domid, frames)
         self._memory = memory
+        #: the strongest :class:`ImageEffect` of the commands run since the
+        #: last :meth:`sync_to_memory`
+        self.image_effect = _WHOLE
+        #: blob bytes resident after the length word
+        self._image_len = 0
+        #: region offset of PCR 0's slot in the resident image
+        self._pcr_window = 0
         self.sync_to_memory()
 
     def sync_to_memory(self) -> int:
-        """Mirror the serialized TPM state into the manager's frames.
+        """Bring the manager-frame state image up to date; returns the
+        blob length.
 
         Models the manager daemon's heap residency of instance state; no
         virtual time is charged because the real daemon holds this state
         in place rather than copying it per command.  The manager calls
         this once per ring notify, after the notify's last frame, when
-        :meth:`execute` has marked the image stale.
+        :meth:`execute` recorded an effect other than NONE.
+
+        The image is ``len(blob) || blob`` followed by zeros to the end of
+        the region.  A PCR_SLOTS effect rewrites only the PCR slots the
+        bank marks dirty, in place.  A WHOLE effect re-serializes the blob,
+        moves it to larger frames if it outgrew the region, and zeroes
+        whatever the previous, longer image left past the new end.
         """
+        effect = self.image_effect
+        if effect is _NONE:
+            return self._image_len
+        self.image_effect = _NONE
+        state = self.device.state
+        pcrs = state.pcrs
+        dirty = pcrs.take_dirty()
+        if effect is _PCR_SLOTS:
+            window = self._pcr_window
+            for index in dirty:
+                self.state_region.write(window + DIGEST_SIZE * index, pcrs.read(index))
+            return self._image_len
         blob = self.device.save_state_blob()
+        stale_end = 4 + self._image_len
         if len(blob) + 4 > self.state_region.size:
-            # Grow: allocate more frames (the daemon's heap growing).
+            # Grow: allocate more frames (the daemon's heap growing); the
+            # old frames are scrubbed on free.
             old_frames = self.state_region.frames
             was_protected = self._memory.page(old_frames[0]).protected
             frames = self._memory.allocate(self.state_region.domid, image_pages(blob))
@@ -94,8 +110,13 @@ class VtpmInstance:
             self.state_region = MemoryRegion(self._memory, self.state_region.domid, frames)
             if was_protected:
                 self.state_region.set_protected(True)
+            stale_end = 0
+        end = 4 + len(blob)
         self.state_region.write(0, len(blob).to_bytes(4, "big") + blob)
-        self.image_stale = False
+        if stale_end > end:
+            self.state_region.write(end, bytes(stale_end - end))
+        self._image_len = len(blob)
+        self._pcr_window = 4 + state.pcr_window_offset()
         return len(blob)
 
     def memory_image(self) -> bytes:
@@ -107,10 +128,21 @@ class VtpmInstance:
         """Run one TPM command on this instance.
 
         ``parsed`` optionally carries the already-parsed frame (the monitor
-        parses every command once).  A command that can alter the serialized
-        state marks the image stale; the manager refreshes it with
-        :meth:`sync_to_memory` once its notify's last frame has run.
+        parses every command once).  The command's image effect (see
+        :data:`~repro.tpm.state.IMAGE_EFFECTS`) is recorded before it runs,
+        so a command that raises still gets its image refreshed; the
+        manager applies the strongest effect with :meth:`sync_to_memory`
+        once its notify's last frame has run.
         """
+        if parsed is not None:
+            ordinal = parsed.ordinal
+        elif len(wire) >= 10:
+            ordinal = int.from_bytes(wire[6:10], "big")
+        else:
+            ordinal = -1
+        effect = _IMAGE_EFFECT(ordinal, _WHOLE)
+        if effect > self.image_effect:
+            self.image_effect = effect
         tracer = obs_trace._current_tracer
         if tracer is None:
             response = self.device.execute(wire, locality=locality, parsed=parsed)
@@ -121,14 +153,6 @@ class VtpmInstance:
                 )
         self.commands_handled += 1
         self.last_activity_us = _timing._current_context.clock.now_us
-        if parsed is not None:
-            ordinal = parsed.ordinal
-        elif len(wire) >= 10:
-            ordinal = int.from_bytes(wire[6:10], "big")
-        else:
-            ordinal = -1
-        if ordinal not in _SERIALIZATION_NEUTRAL:
-            self.image_stale = True
         return response
 
     def idle_us(self) -> float:

@@ -274,15 +274,25 @@ class VtpmManager:
         return responses
 
     def _flush_image(self, instance_id: int, tracer) -> None:
-        """Refresh the instance's state image once per notify, if a frame
-        changed the state, before any observer can read the frames."""
+        """Apply the notify's strongest image effect to the instance's
+        state image once, before any observer can read the frames.
+
+        A notify of NONE-effect commands writes nothing.  An image that
+        outgrew its frames moved to new ones, so the protector's record
+        for the instance is pointed at them.
+        """
         instance = self._instances.get(instance_id)
-        if instance is None or not instance.image_stale:
+        if instance is None or not instance.image_effect:
             return
+        region = instance.state_region
         with (NULL_SPAN if tracer is None else tracer.start_span(
             "serialize", {"instance": instance_id}
         )):
             instance.sync_to_memory()
+        if instance.state_region is not region and self.protector is not None:
+            self.protector.protect_region(
+                ("vtpm", instance_id), instance.state_region
+            )
 
     def _dispatch_one(
         self, caller_domid: int, instance_id: int, wire: bytes, locality: int = 0
