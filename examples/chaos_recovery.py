@@ -50,9 +50,7 @@ def main() -> None:
     print(f"  fault coverage  : {len(chaotic.fault_counts)} kinds "
           f"({', '.join(sorted(chaotic.fault_counts))})")
     print(f"  observable      : {chaotic.audit_fault_records} audit records, "
-          f"metrics samples for "
-          f"{sum(1 for n in chaotic.metrics_counts if n.startswith('fault.'))} "
-          "fault series")
+          f"{sum(chaotic.fault_counts.values())} faults counted by kind")
     print(f"  recovery cost   : mean {chaotic.mean_recovery_us / 1000.0:.2f} ms "
           f"of virtual time per recovery "
           f"({chaotic.recoveries} recoveries, {chaotic.retries} retries)")

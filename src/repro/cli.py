@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform, fresh_timing_context
@@ -382,30 +382,35 @@ def cmd_xm(args: argparse.Namespace) -> int:
 
 def cmd_replay_trace(args: argparse.Namespace) -> int:
     """Replay a trace file against a fresh platform, print a latency summary."""
-    import sys as _sys
+    from pathlib import Path
 
-    from repro.metrics.recorder import LatencyRecorder
+    from repro.metrics.stats import summarize
+    from repro.metrics.tables import format_table
+    from repro.util.errors import ReproError
     from repro.workloads.mixes import GuestSession
     from repro.workloads.traces import SyntheticTrace
 
-    text = open(args.file).read() if args.file != "-" else _sys.stdin.read()
-    trace = SyntheticTrace.loads(text)
-    fresh_timing_context()
+    text = Path(args.file).read_text() if args.file != "-" else sys.stdin.read()
+    try:
+        trace = SyntheticTrace.loads(text)
+    except ReproError as exc:
+        print(f"replay-trace: {args.file}: {exc}", file=sys.stderr)
+        return 2
+    clock = fresh_timing_context().clock
     platform = build_platform(AccessMode(args.mode), seed=args.seed)
     sessions = [
         GuestSession(platform.add_guest(f"g{i:02d}"), platform.rng.fork(f"s{i}"))
         for i in range(trace.guests)
     ]
-    recorder = LatencyRecorder()
+    samples: Dict[str, List[float]] = {}
     for entry in trace:
-        with recorder.measure(entry.operation):
-            sessions[entry.guest_index].run_operation(entry.operation)
-    from repro.metrics.tables import format_table
-
-    rows = [
-        (name, summary.count, summary.mean, summary.p95)
-        for name, summary in sorted(recorder.summaries().items())
-    ]
+        start = clock.now_us
+        sessions[entry.guest_index].run_operation(entry.operation)
+        samples.setdefault(entry.operation, []).append(clock.now_us - start)
+    rows = []
+    for name in sorted(samples):
+        summary = summarize(samples[name])
+        rows.append((name, summary.count, summary.mean, summary.p95))
     print(format_table(
         ["operation", "count", "mean (us)", "p95 (us)"], rows,
         title=f"trace replay: {len(trace)} ops, {trace.guests} guests, "
@@ -418,28 +423,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Wall-clock profile of the simulator's own command pipeline."""
     from repro.harness.profiling import profile_pipeline
 
-    sink = None
-    tracer = None
-    if args.top:
-        from repro.obs import SelfTimeSink, Tracer
-
-        sink = SelfTimeSink()
-        tracer = Tracer(sink)  # rate 1: every tree feeds the aggregate
     profile = profile_pipeline(
         commands=args.commands,
         batch_size=args.batch,
         mode=AccessMode(args.mode),
         seed=args.seed,
-        tracer=tracer,
         supervised=args.supervised,
     )
     for line in profile.summary_lines():
         print(line)
-    if sink is not None:
-        print()
-        print(f"hottest {args.top} span sites by wall-clock self time:")
-        for line in sink.format_top(args.top):
-            print(line)
     return 0
 
 
@@ -706,9 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--mode", choices=["baseline", "improved"],
                            default="improved")
     p_profile.add_argument("--seed", type=int, default=2010)
-    p_profile.add_argument("--top", metavar="N", type=int, default=0,
-                           help="also print the N hottest span sites by "
-                                "wall-clock self time (pooled span sink)")
     p_profile.add_argument("--supervised", action="store_true",
                            help="profile with the resilience supervisor "
                                 "attached")

@@ -13,11 +13,11 @@ clock, and a DRBG forked from the plan seed — so two runs of the same
 seeded workload observe byte-identical fault sequences, which is what the
 chaos demo asserts.
 
-Every fired event, retry and recovery is mirrored into the injector's
-counters, optionally into an audit log (as ``FAULT:*`` records on the
-hash chain) and a :class:`~repro.metrics.recorder.LatencyRecorder`
-(sample names ``fault.<kind>``, ``fault.retry``, ``fault.recovery``) so
-chaos is first-class observable, not a side channel.
+Every fired event, retry and recovery is counted on the injector itself
+(``fault_counts``, ``retries``, ``recoveries``, ``recovery_us``) and
+mirrored into the ambient ``faults.*`` obs counters and, optionally, an
+audit log (as ``FAULT:*`` records on the hash chain), so chaos is
+first-class observable, not a side channel.
 """
 
 from __future__ import annotations
@@ -67,15 +67,11 @@ class FaultInjector:
     audit:
         Optional audit log (anything with the :class:`AuditLog.append`
         signature); fired faults and recoveries land on the hash chain.
-    metrics:
-        Optional :class:`LatencyRecorder`; fault counts and recovery
-        latencies are recorded as samples.
     """
 
-    def __init__(self, plan: FaultPlan, audit=None, metrics=None) -> None:
+    def __init__(self, plan: FaultPlan, audit=None) -> None:
         self.plan = plan
         self.audit = audit
-        self.metrics = metrics
         self._rng = RandomSource(f"fault-plan-{plan.name}-{plan.seed}".encode())
         self._site_calls: Dict[str, int] = {}
         self._spec_fires: Dict[Tuple[str, int], int] = {}
@@ -83,6 +79,8 @@ class FaultInjector:
         self.fault_counts: Dict[str, int] = {}
         self.retries = 0
         self.recoveries = 0
+        #: virtual µs from fault to recovery, summed over ``recoveries``
+        self.recovery_us = 0.0
         self.enabled = True
 
     # -- the hook entry point -----------------------------------------------------
@@ -149,19 +147,16 @@ class FaultInjector:
                 allowed=True,
                 reason=f"{event.site}#{event.call_index}",
             )
-        if self.metrics is not None:
-            self.metrics.record(f"fault.{kind}", 0.0)
 
     # -- recovery bookkeeping ------------------------------------------------------
 
     def note_retry(self, site: str) -> None:
         self.retries += 1
         obs_counters.inc("faults.retries", site=site)
-        if self.metrics is not None:
-            self.metrics.record("fault.retry", 0.0)
 
     def note_recovery(self, site: str, elapsed_us: float = 0.0) -> None:
         self.recoveries += 1
+        self.recovery_us += max(0.0, elapsed_us)
         obs_counters.inc("faults.recoveries", site=site)
         if self.audit is not None:
             self.audit.append(
@@ -171,8 +166,6 @@ class FaultInjector:
                 allowed=True,
                 reason=f"recovered after injected fault ({elapsed_us:.1f} us)",
             )
-        if self.metrics is not None:
-            self.metrics.record("fault.recovery", max(0.0, elapsed_us))
 
     # -- reporting ------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config import AccessControlConfig, AccessMode
 from repro.core.policy import ANY, CommandClass, PolicyEngine
 from repro.harness.builder import Platform, build_platform, fresh_timing_context
-from repro.metrics.recorder import LatencyRecorder
 from repro.metrics.stats import Summary, overhead_pct, summarize
 from repro.metrics.tables import format_table
 from repro.obs import trace as obs_trace
@@ -71,20 +70,23 @@ def run_command_latency(reps: int = 50, seed: int = 7) -> CommandLatencyResult:
     """E1: drive every operation ``reps`` times in each regime."""
     results: Dict[str, Dict[str, Summary]] = {}
     for mode in (AccessMode.BASELINE, AccessMode.IMPROVED):
-        fresh_timing_context()
+        clock = fresh_timing_context().clock
         platform = build_platform(mode, seed=seed)
         session = _session_for(platform, "bench-guest")
-        recorder = LatencyRecorder()
+        summaries: Dict[str, Summary] = {}
         for op in OPERATIONS:
             # Warm once so first-use effects (session setup) don't skew.
             session.run_operation(op)
+            samples: List[float] = []
             for rep in range(reps):
-                with recorder.measure(op):
-                    with obs_trace.span(
-                        "experiment.op", op=op, mode=mode.value, rep=rep
-                    ):
-                        session.run_operation(op)
-        results[mode.value] = recorder.summaries()
+                start = clock.now_us
+                with obs_trace.span(
+                    "experiment.op", op=op, mode=mode.value, rep=rep
+                ):
+                    session.run_operation(op)
+                samples.append(clock.now_us - start)
+            summaries[op] = summarize(samples)
+        results[mode.value] = summaries
     return CommandLatencyResult(
         reps=reps, baseline=results["baseline"], improved=results["improved"]
     )
@@ -119,7 +121,6 @@ class ThroughputScalingResult:
     def rows(self) -> List[tuple]:
         rows = []
         for b, i in zip(self.series("baseline"), self.series("improved")):
-            slowdown = overhead_pct(i.ops_per_sec, b.ops_per_sec)
             rows.append(
                 (b.vms, b.ops_per_sec, i.ops_per_sec, -overhead_pct(b.ops_per_sec, i.ops_per_sec))
             )

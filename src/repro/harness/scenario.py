@@ -19,7 +19,6 @@ from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.faults import FaultInjector, FaultPlan, injector_scope
 from repro.harness.builder import fresh_timing_context
-from repro.metrics.recorder import LatencyRecorder
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.tpm import marshal
@@ -87,8 +86,6 @@ class RunReport:
     recoveries: int
     #: fault records on the injector's audit log
     audit_fault_records: int
-    #: samples per injector metric (``fault.<kind>``, retries, recoveries)
-    metrics_counts: Dict[str, int]
     mean_recovery_us: float
     #: the zero-silent-drop ledger (empty for workloads that only use
     #: raising client calls)
@@ -173,12 +170,10 @@ def run_once(
         platforms = scenario.build()
         oracles = [attach_oracle(p) for p in platforms] if conformance else []
         scenario.setup()
-        metrics = LatencyRecorder()
         injector = FaultInjector(
             plan if plan is not None
             else FaultPlan(name="fault-free", seed=scenario.seed),
             audit=scenario.audit,
-            metrics=metrics,
         )
         ledger = ResponseLedger()
         start_us = clock.now_us
@@ -188,7 +183,6 @@ def run_once(
             digests = scenario.finish()
 
         conformance_checks = settle_oracles(oracles)
-        recovery = metrics.samples("fault.recovery")
         return scenario.report(
             seed=scenario.seed,
             plan_name=injector.plan.name,
@@ -202,10 +196,8 @@ def run_once(
                 1 for r in scenario.audit.records()
                 if r.operation.startswith("FAULT")
             ),
-            metrics_counts={
-                name: len(metrics.samples(name)) for name in metrics.names()
-            },
-            mean_recovery_us=(sum(recovery) / len(recovery)) if recovery else 0.0,
+            mean_recovery_us=(injector.recovery_us / injector.recoveries
+                              if injector.recoveries else 0.0),
             **asdict(ledger),
             elapsed_virtual_us=clock.now_us - start_us,
             audit_chain_hex=scenario.audit.chain_head().hex(),

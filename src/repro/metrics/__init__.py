@@ -1,12 +1,9 @@
-"""Measurement plumbing: latency recording, summary stats, table output."""
+"""Measurement plumbing: summary stats and table output."""
 
-from repro.metrics.recorder import LatencyRecorder, VirtualTimer
 from repro.metrics.stats import Summary, overhead_pct, summarize
 from repro.metrics.tables import format_table
 
 __all__ = [
-    "LatencyRecorder",
-    "VirtualTimer",
     "Summary",
     "overhead_pct",
     "summarize",

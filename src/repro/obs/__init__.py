@@ -33,7 +33,6 @@ from repro.obs.sinks import (
     CountingSink,
     InMemorySink,
     JsonlSink,
-    SelfTimeSink,
     format_span_tree,
     load_jsonl,
     validate_tree_dict,
@@ -57,7 +56,6 @@ __all__ = [
     "InMemorySink",
     "JsonlSink",
     "NULL_SPAN",
-    "SelfTimeSink",
     "Span",
     "Tracer",
     "counter",

@@ -18,9 +18,8 @@ handle writes and named writes to the same series land in one place.
 
 A registry is **bound to the timing context it first records under**.
 ``fresh_timing_context()`` starts a new measurement epoch (clock back to
-zero), and silently mixing counts across that reset is the same bug the
-:class:`~repro.metrics.recorder.LatencyRecorder` fix guards against — so
-a cross-context write raises :class:`~repro.util.errors.ReproError`
+zero), and counts from two epochs must never mix into one total — so a
+cross-context write raises :class:`~repro.util.errors.ReproError`
 instead.  ``reset()`` clears the counts *and* the binding.
 
 The exposition format is the Prometheus text convention (one

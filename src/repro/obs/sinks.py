@@ -9,8 +9,6 @@
   underlying stream.
 * :class:`CountingSink` — discards trees, keeps totals; used when the
   benchmark wants tracing's *cost* without its memory footprint.
-* :class:`SelfTimeSink` — aggregates per-site wall self-time without
-  retaining trees; feeds ``python -m repro profile --top N``.
 
 Each sink declares whether it **retains** emitted trees via its
 ``retains`` class attribute.  A non-retaining sink (``retains = False``)
@@ -24,15 +22,14 @@ reads per span — on virtualized hosts those are the most expensive
 instructions in the span lifecycle.  The counting and JSONL sinks opt
 out: the offline JSONL artifact records virtual intervals only and is
 therefore a pure function of the seed (byte-reproducible), which is
-exactly what the replay/differential oracles want.  The in-memory and
-self-time sinks keep wall capture on (the CLI tree renderer and
-``profile --top`` report it).
+exactly what the replay/differential oracles want.  The in-memory sink
+keeps wall capture on (the CLI tree renderer reports it).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import List, Optional, TextIO
 
 from repro.obs.trace import Span, validate_span_tree
 from repro.util.errors import ReproError
@@ -125,76 +122,6 @@ class CountingSink:
             if span.children:
                 todo.extend(span.children)
         self.spans += count
-
-
-class SelfTimeSink:
-    """Aggregates wall-clock **self time** per span site, discarding trees.
-
-    Self time is a span's wall duration minus the wall durations of its
-    direct children — the harness cost attributable to that site alone.
-    This is what ``python -m repro profile --top N`` reports, so hot-site
-    hunts need no external profiler.
-    """
-
-    retains = False
-    #: self-time *is* wall time — keep the per-span clock reads on
-    wants_wall = True
-
-    def __init__(self) -> None:
-        #: name -> [count, self_wall_ns, total_wall_ns]
-        self.sites: Dict[str, List[float]] = {}
-        self.roots = 0
-
-    def emit(self, root: Span) -> None:
-        self.roots += 1
-        sites = self.sites
-        todo = [root]
-        while todo:
-            span = todo.pop()
-            total = span.end_wall_ns - span.start_wall_ns
-            own = total
-            children = span.children
-            if children:
-                todo.extend(children)
-                for child in children:
-                    own -= child.end_wall_ns - child.start_wall_ns
-            entry = sites.get(span.name)
-            if entry is None:
-                sites[span.name] = [1, own, total]
-            else:
-                entry[0] += 1
-                entry[1] += own
-                entry[2] += total
-
-    def top(self, n: int = 10) -> List[Tuple[str, int, int, int]]:
-        """The ``n`` hottest sites by cumulative self time.
-
-        Returns ``(name, count, self_wall_ns, total_wall_ns)`` tuples,
-        descending by self time with name as a deterministic tiebreak.
-        """
-        rows = [
-            (name, int(entry[0]), int(entry[1]), int(entry[2]))
-            for name, entry in self.sites.items()
-        ]
-        rows.sort(key=lambda row: (-row[2], row[0]))
-        return rows[: max(0, int(n))]
-
-    def format_top(self, n: int = 10) -> List[str]:
-        """Human-readable table lines for :meth:`top`."""
-        rows = self.top(n)
-        if not rows:
-            return ["(no spans recorded)"]
-        lines = [
-            f"{'site':<24} {'count':>8} {'self-us':>12} "
-            f"{'total-us':>12} {'self-us/call':>13}"
-        ]
-        for name, count, self_ns, total_ns in rows:
-            lines.append(
-                f"{name:<24} {count:>8} {self_ns / 1000.0:>12.1f} "
-                f"{total_ns / 1000.0:>12.1f} "
-                f"{self_ns / 1000.0 / count:>13.3f}"
-            )
-        return lines
 
 
 def load_jsonl(text: str) -> List[dict]:

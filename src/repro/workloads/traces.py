@@ -80,24 +80,51 @@ class SyntheticTrace:
 
     @staticmethod
     def loads(text: str) -> "SyntheticTrace":
-        lines = [l for l in text.splitlines() if l.strip()]
-        if not lines or not lines[0].startswith("#"):
+        """Parse :meth:`dumps` output; raise :class:`ReproError` if malformed."""
+        lines = [
+            (number, line)
+            for number, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
+        if not lines or not lines[0][1].startswith("#"):
             raise ReproError("trace text missing header line")
+        header_line = lines[0][1]
         header = dict(
-            part.split("=", 1) for part in lines[0].lstrip("# ").split()
+            part.partition("=")[::2] for part in header_line.lstrip("# ").split()
         )
+        missing = sorted({"guests", "duration_us"} - header.keys())
+        if missing:
+            raise ReproError(f"trace header lacks {', '.join(missing)}")
+        try:
+            guests = int(header["guests"])
+            duration_us = float(header["duration_us"])
+        except ValueError:
+            raise ReproError(f"trace header {header_line!r} is malformed") from None
+        if guests <= 0:
+            raise ReproError(f"trace header needs at least one guest, got {guests}")
         entries = []
-        for line in lines[1:]:
-            time_s, guest_s, op = line.split("\t")
+        for number, line in lines[1:]:
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ReproError(
+                    f"trace line {number}: expected 3 tab-separated fields, "
+                    f"got {len(fields)}"
+                )
+            time_s, guest_s, op = fields
             if op not in OPERATIONS:
                 raise ReproError(f"trace names unknown operation {op!r}")
-            entries.append(
-                TraceEntry(
+            try:
+                entry = TraceEntry(
                     time_us=float(time_s), guest_index=int(guest_s), operation=op
                 )
-            )
-        return SyntheticTrace(
-            entries=entries,
-            guests=int(header["guests"]),
-            duration_us=float(header["duration_us"]),
-        )
+            except ValueError:
+                raise ReproError(
+                    f"trace line {number}: non-numeric time or guest in {line!r}"
+                ) from None
+            if not 0 <= entry.guest_index < guests:
+                raise ReproError(
+                    f"trace line {number}: guest {entry.guest_index} outside "
+                    f"0..{guests - 1} (header guests={guests})"
+                )
+            entries.append(entry)
+        return SyntheticTrace(entries=entries, guests=guests, duration_us=duration_us)

@@ -4,13 +4,16 @@ plan, zero state loss, deterministic replay, observable faults."""
 from repro.faults import FaultKind
 from repro.harness.chaos import ChaosScenario
 from repro.harness.scenario import run_demo, run_once
+from repro.obs import CounterRegistry
 
 
 class TestChaosDemo:
     def test_demo_end_to_end(self):
         # run_demo asserts the claims internally; a clean return IS the
         # acceptance criterion.
-        result = run_demo(ChaosScenario(seed=2026, commands=1000))
+        counters = CounterRegistry()
+        result = run_demo(ChaosScenario(seed=2026, commands=1000),
+                          counters=counters)
         chaotic = result.chaotic
         # ≥4 distinct kinds, including the four named in the acceptance
         # criteria: ring stall, torn write, transient device error and an
@@ -22,13 +25,12 @@ class TestChaosDemo:
             FaultKind.MIGRATION_NET_DROP,
         ):
             assert chaotic.fault_counts.get(kind.value, 0) >= 1
-        # Observability: per-kind counts, retries and recoveries all land
-        # in the metrics recorder; every fault is on the audit chain.
-        assert chaotic.metrics_counts.get("fault.retry", 0) == chaotic.retries
-        assert (
-            chaotic.metrics_counts.get("fault.recovery", 0)
-            == chaotic.recoveries
-        )
+        # Observability: faults, retries and recoveries all land in the
+        # chaotic run's counter registry; every fault is on the audit chain.
+        assert counters.total("faults.injected") == chaotic.total_faults
+        assert counters.total("faults.retries") == chaotic.retries
+        assert counters.total("faults.recoveries") == chaotic.recoveries
+        assert chaotic.recoveries > 0
         assert chaotic.audit_fault_records >= chaotic.total_faults
         assert chaotic.mean_recovery_us > 0.0
 

@@ -498,9 +498,7 @@ class TestAuditResilience:
         platform = improved_platform
         guest = platform.add_guest("g")
         plan = _plan(spec(FaultKind.RING_DROP_NOTIFY, at=(0,)))
-        injector = FaultInjector(
-            plan, audit=platform.audit, metrics=None
-        )
+        injector = FaultInjector(plan, audit=platform.audit)
         with injector_scope(injector):
             guest.client.get_random(4)
         fault_records = [

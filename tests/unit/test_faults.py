@@ -17,7 +17,7 @@ from repro.faults import (
     spec,
     with_retry,
 )
-from repro.metrics.recorder import LatencyRecorder
+from repro.obs import CounterRegistry, registry_scope
 from repro.sim.timing import get_context
 from repro.util.errors import FaultInjected, RetryExhausted, SimulationError
 
@@ -112,19 +112,21 @@ class TestFaultInjector:
 
     def test_events_mirror_into_audit_and_metrics(self):
         audit = AuditLog()
-        metrics = LatencyRecorder()
         plan = _plan(spec(FaultKind.RING_STALL, at=(0,)))
-        injector = FaultInjector(plan, audit=audit, metrics=metrics)
-        injector.fire("xen.ring.notify", port=3)
-        injector.note_retry("xen.ring.notify")
-        injector.note_recovery("xen.ring.notify", 42.0)
+        injector = FaultInjector(plan, audit=audit)
+        with registry_scope(CounterRegistry()) as counters:
+            injector.fire("xen.ring.notify", port=3)
+            injector.note_retry("xen.ring.notify")
+            injector.note_recovery("xen.ring.notify", 42.0)
         operations = [record.operation for record in audit.records()]
         assert "FAULT:ring-stall" in operations
         assert "FAULT-RECOVERY" in operations
         assert audit.verify_chain()
-        assert len(metrics.samples("fault.ring-stall")) == 1
-        assert len(metrics.samples("fault.retry")) == 1
-        assert metrics.samples("fault.recovery") == [42.0]
+        assert counters.value("faults.injected", kind="ring-stall") == 1
+        assert counters.value("faults.retries", site="xen.ring.notify") == 1
+        assert counters.value("faults.recoveries", site="xen.ring.notify") == 1
+        assert (injector.retries, injector.recoveries) == (1, 1)
+        assert injector.recovery_us == 42.0
 
     def test_report_summarises_the_run(self):
         plan = _plan(spec(FaultKind.DEVICE_TRANSIENT, every=1, max_fires=2))

@@ -1,5 +1,5 @@
-"""Unit tests for the observability layer (spans, counters, sinks) and the
-timing-context binding rules it shares with the latency recorder."""
+"""Unit tests for the observability layer (spans, counters, sinks) and its
+timing-context binding rules."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.harness.builder import fresh_timing_context
-from repro.metrics.recorder import LatencyRecorder
 from repro.obs import (
     NULL_SPAN,
     CounterRegistry,
@@ -176,35 +175,6 @@ class TestContextBinding:
         reg.inc("x")
         assert reg.value("x") == 1
 
-    def test_recorder_rejects_cross_context_samples(self):
-        """Regression: samples recorded across a sim-context reset used to
-        silently mix epochs into one summary."""
-        recorder = LatencyRecorder()
-        recorder.record("op", 10.0)
-        fresh_timing_context()
-        with pytest.raises(ReproError, match="earlier timing context"):
-            recorder.record("op", 1.0)
-        # And via the measuring context manager too.
-        with pytest.raises(ReproError, match="earlier timing context"):
-            with recorder.measure("op"):
-                pass
-
-    def test_recorder_clear_rebinds(self):
-        recorder = LatencyRecorder()
-        recorder.record("op", 10.0)
-        fresh_timing_context()
-        recorder.clear()
-        recorder.record("op", 2.0)
-        assert recorder.samples("op") == [2.0]
-
-    def test_fresh_recorder_per_context_is_unaffected(self):
-        recorder = LatencyRecorder()
-        recorder.record("op", 1.0)
-        fresh_timing_context()
-        other = LatencyRecorder()
-        other.record("op", 2.0)  # binds lazily to the current context
-        assert other.samples("op") == [2.0]
-
 
 class TestSinks:
     def _tree(self):
@@ -286,29 +256,6 @@ class TestSinks:
         assert "root" in text and "child" in text
         assert "! fault" in text
         assert "domid=1" in text
-
-    def test_self_time_sink_attributes_own_cost(self):
-        from repro.obs import SelfTimeSink
-
-        sink = SelfTimeSink()
-        tracer = Tracer(sink)
-        with tracer_scope(tracer):
-            for _ in range(3):
-                with span("outer"):
-                    with span("inner"):
-                        pass
-        assert sink.roots == 3
-        rows = {name: (count, own, total)
-                for name, count, own, total in sink.top(10)}
-        assert rows["outer"][0] == rows["inner"][0] == 3
-        # A parent's self time excludes its children's wall time.
-        assert rows["outer"][1] <= rows["outer"][2]
-        assert rows["inner"][1] == rows["inner"][2]
-        table = sink.format_top(2)
-        assert "self-us" in table[0]
-        assert len(table) == 3  # header + two sites
-        # Spans were recycled, not retained: the pool holds the tree.
-        assert tracer._pool
 
 
 class TestSampling:

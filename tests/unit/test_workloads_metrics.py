@@ -3,7 +3,6 @@
 import pytest
 
 from repro.crypto.random_source import RandomSource
-from repro.metrics.recorder import LatencyRecorder, VirtualTimer
 from repro.metrics.stats import overhead_pct, percentile, summarize
 from repro.metrics.tables import format_table
 from repro.util.errors import ReproError
@@ -141,35 +140,6 @@ class TestStats:
     def test_empty_summary_rejected(self):
         with pytest.raises(ReproError):
             summarize([])
-
-
-class TestRecorder:
-    def test_measure_records_virtual_time(self, timing_context):
-        recorder = LatencyRecorder()
-        with recorder.measure("op"):
-            timing_context.clock.advance(250)
-        assert recorder.samples("op") == [250.0]
-
-    def test_summaries(self, timing_context):
-        recorder = LatencyRecorder()
-        for delta in (10, 20, 30):
-            with recorder.measure("op"):
-                timing_context.clock.advance(delta)
-        assert recorder.summary("op").mean == pytest.approx(20.0)
-        assert recorder.names() == ["op"]
-
-    def test_missing_name_rejected(self):
-        with pytest.raises(ReproError):
-            LatencyRecorder().summary("nothing")
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(ReproError):
-            LatencyRecorder().record("x", -1.0)
-
-    def test_timer(self, timing_context):
-        with VirtualTimer() as timer:
-            timing_context.clock.advance(42)
-        assert timer.elapsed_us == 42.0
 
 
 class TestTables:

@@ -88,3 +88,26 @@ class TestNewCliCommands:
         assert main(["replay-trace", str(path), "--mode", "baseline"]) == 0
         out = capsys.readouterr().out
         assert "trace replay" in out
+
+    @pytest.mark.parametrize("text, error", [
+        ("# guests=2 duration_us=1000.0\n10.0\t-1\tpcr_read\n",
+         "guest -1 outside 0..1"),
+        ("# guests=2 duration_us=1000.0\n10.0\t5\tpcr_read\n",
+         "guest 5 outside 0..1"),
+        ("# guests=2\n10.0\t0\tpcr_read\n", "lacks duration_us"),
+        ("# guests=2 duration_us=1000.0\n10.0\t0\n",
+         "expected 3 tab-separated fields, got 2"),
+        ("# guests=2 duration_us=1000.0\n10.0\tone\tpcr_read\n",
+         "non-numeric time or guest"),
+    ], ids=["negative-guest", "guest-out-of-range", "missing-duration",
+            "two-fields", "non-numeric-guest"])
+    def test_replay_trace_rejects_malformed_input(self, tmp_path, capsys,
+                                                   text, error):
+        from repro.cli import main
+
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        assert main(["replay-trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error in captured.err
