@@ -16,6 +16,11 @@ or as the CI perf-smoke gate, which fails if throughput drops more than
 
     PYTHONPATH=src python benchmarks/bench_wallclock_pipeline.py --check
 
+Each slice is timed here, outside the ``repro`` package, which never
+reads the host clock: build the platform, check a warm-up round trip,
+pause the cycle collector, run the ``perf_counter`` loop, verify the
+audit chain.
+
 As a pytest module it checks the pipeline's *relative* invariants only
 (cache hit rate, audit-chain integrity, batching's virtual-time saving),
 so test runs stay independent of machine speed.
@@ -24,9 +29,11 @@ so test runs stay independent of machine speed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +63,96 @@ MAX_SUPERVISED_OVERHEAD_PCT = 15.0
 TRACE_SAMPLE_RATE = 32
 
 
+#: decimals each per-slice figure keeps in the JSON ``runs`` list
+RUN_ROUNDING = {
+    "wall_seconds": 6,
+    "ops_per_sec": 1,
+    "wall_us_per_cmd": 3,
+    "virtual_us_per_cmd": 3,
+    "cache_hit_rate": 4,
+}
+
+
+def time_slice(commands: int, batch_size: int = 1, tracer=None,
+               supervised: bool = False) -> dict:
+    """Drive ``commands`` PCRRead frames through the full split-driver stack.
+
+    ``batch_size`` > 1 uses the batched ring submission path (one
+    event-channel kick per batch); 1 uses the classic one-frame protocol.
+    ``tracer`` (if given) is installed for the timed loop only, so the
+    measured rate includes span-collection overhead.  ``supervised``
+    puts the back-end under the resilience supervisor, so the rate
+    includes the health/breaker/admission hooks.
+    """
+    from repro.core.config import AccessMode
+    from repro.harness.builder import build_platform, fresh_timing_context
+    from repro.harness.scenario import observed
+    from repro.sim.timing import get_context
+    from repro.tpm import marshal
+    from repro.tpm.constants import TPM_SUCCESS
+
+    fresh_timing_context()
+    platform = build_platform(AccessMode.IMPROVED, seed=2010, name="profile")
+    guest = platform.add_guest("bench-guest")
+    if supervised:
+        platform.enable_supervision()
+    wire = marshal.pcr_read_wire(10)
+    # The frame must round-trip successfully before anything is timed.
+    first = marshal.parse_response(guest.frontend.transport(wire))
+    if first.return_code != TPM_SUCCESS:
+        raise AssertionError(
+            f"pipeline warm-up failed with TPM code {first.return_code:#x}"
+        )
+
+    clock = get_context().clock
+    virtual_start = clock.now_us
+    # A cycle collection landing inside one variant's timed loop but not
+    # another's would skew the traced/supervised overhead ratios, so the
+    # collector is paused (never triggered, still re-enabled) while the
+    # clock runs.
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with observed(tracer):
+            if batch_size <= 1:
+                transport = guest.frontend.transport
+                start = time.perf_counter()
+                for _ in range(commands):
+                    transport(wire)
+                wall = time.perf_counter() - start
+            else:
+                transport_batch = guest.frontend.transport_batch
+                full, rest = divmod(commands, batch_size)
+                batch = [wire] * batch_size
+                tail = [wire] * rest
+                start = time.perf_counter()
+                for _ in range(full):
+                    transport_batch(batch)
+                if tail:
+                    transport_batch(tail)
+                wall = time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    virtual_us = clock.now_us - virtual_start
+
+    monitor = platform.monitor
+    lookups = monitor.cache_hits + monitor.cache_misses
+    return {
+        "mode": AccessMode.IMPROVED.value,
+        "commands": commands,
+        "batch_size": batch_size,
+        "wall_seconds": wall,
+        "ops_per_sec": commands / wall,
+        "wall_us_per_cmd": wall * 1e6 / commands,
+        "virtual_us_per_cmd": virtual_us / commands,
+        "cache_hit_rate": monitor.cache_hits / lookups if lookups else 0.0,
+        "audit_records": len(platform.audit),
+        "chain_ok": platform.audit.verify_chain(),
+    }
+
+
 def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
                  repeats: int = 24) -> dict:
     """Measure the pipeline at each batch size; returns the JSON payload.
@@ -82,27 +179,22 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
     phase, so a drift that lands on one variant's fastest slice but not
     on the baseline's no longer moves the overhead.
     """
-    from repro.harness.profiling import profile_pipeline
     from repro.obs import CountingSink, Tracer
 
     def measure(variant):
         kind = variant[0]
         if kind == "batch":
-            return profile_pipeline(commands=commands, batch_size=variant[1])
+            return time_slice(commands, batch_size=variant[1])
         if kind == "traced":
-            return profile_pipeline(
-                commands=commands, batch_size=1,
+            return time_slice(
+                commands,
                 tracer=Tracer(CountingSink(), sample_rate=TRACE_SAMPLE_RATE),
             )
         if kind == "traced_full":
-            return profile_pipeline(
-                commands=commands, batch_size=1, tracer=Tracer(CountingSink())
-            )
+            return time_slice(commands, tracer=Tracer(CountingSink()))
         # Supervision (health record, breaker and admission hooks on every
         # frame) must cost wall time only, never virtual time.
-        return profile_pipeline(
-            commands=commands, batch_size=1, supervised=True
-        )
+        return time_slice(commands, supervised=True)
 
     variants = [("batch", b) for b in batch_sizes]
     variants += [("traced",), ("traced_full",), ("supervised",)]
@@ -112,13 +204,13 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
         shift = round_no % len(variants)
         rates = {}
         for variant in variants[shift:] + variants[:shift]:
-            profile = measure(variant)
-            if profile.chain_ok is False:
+            run = measure(variant)
+            if not run["chain_ok"]:
                 raise AssertionError("audit chain broke during the benchmark")
-            rates[variant] = profile.ops_per_sec
+            rates[variant] = run["ops_per_sec"]
             pair = fastest[variant]
-            pair.append(profile)
-            pair.sort(key=lambda p: p.wall_seconds)
+            pair.append(run)
+            pair.sort(key=lambda r: r["wall_seconds"])
             del pair[2:]
         for variant, rate in rates.items():
             ratios[variant].append(rate / rates[("batch", 1)])
@@ -130,7 +222,11 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
     def overhead_pct(variant):
         return round(100.0 * (1.0 - statistics.median(ratios[variant])), 1)
 
-    runs = [best[("batch", b)].as_dict() for b in batch_sizes]
+    runs = [
+        {key: round(value, RUN_ROUNDING[key]) if key in RUN_ROUNDING
+         else value for key, value in best[("batch", b)].items()}
+        for b in batch_sizes
+    ]
     unbatched = runs[0]["ops_per_sec"]
 
     return {
@@ -145,13 +241,15 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
             unbatched / PRE_OVERHAUL_OPS_PER_SEC, 2
         ),
         "trace_sample_rate": TRACE_SAMPLE_RATE,
-        "traced_ops_per_sec": round(best[("traced",)].ops_per_sec, 1),
+        "traced_ops_per_sec": round(best[("traced",)]["ops_per_sec"], 1),
         "trace_overhead_pct": overhead_pct(("traced",)),
         "traced_full_ops_per_sec": round(
-            best[("traced_full",)].ops_per_sec, 1
+            best[("traced_full",)]["ops_per_sec"], 1
         ),
         "trace_full_overhead_pct": overhead_pct(("traced_full",)),
-        "supervised_ops_per_sec": round(best[("supervised",)].ops_per_sec, 1),
+        "supervised_ops_per_sec": round(
+            best[("supervised",)]["ops_per_sec"], 1
+        ),
         "supervised_overhead_pct": overhead_pct(("supervised",)),
         "runs": runs,
     }
@@ -249,32 +347,27 @@ def main(argv=None) -> int:
 
 def test_pipeline_invariants():
     """The fast path keeps its semantic invariants at both batch sizes."""
-    from repro.harness.profiling import profile_pipeline
-
-    single = profile_pipeline(commands=1_500, batch_size=1)
-    batched = profile_pipeline(commands=1_500, batch_size=16)
-    for profile in (single, batched):
-        assert profile.chain_ok is True
-        assert profile.cache_hit_rate > 0.95
+    single = time_slice(1_500, batch_size=1)
+    batched = time_slice(1_500, batch_size=16)
+    for run in (single, batched):
+        assert run["chain_ok"] is True
+        assert run["cache_hit_rate"] > 0.95
         # one audit record per command (plus the warm-up frame)
-        assert profile.audit_records == profile.commands + 1
+        assert run["audit_records"] == run["commands"] + 1
     # Batching must amortize virtual per-notify costs, not just wall time.
-    assert batched.virtual_us_per_cmd < single.virtual_us_per_cmd
+    assert batched["virtual_us_per_cmd"] < single["virtual_us_per_cmd"]
 
 
 def test_tracing_charges_no_virtual_time():
     """A traced run costs host time, never virtual time: per-command
     virtual cost and the audit chain are identical with spans on."""
-    from repro.harness.profiling import profile_pipeline
     from repro.obs import CountingSink, Tracer
 
-    plain = profile_pipeline(commands=800, batch_size=1)
+    plain = time_slice(800)
     sink = CountingSink()
-    traced = profile_pipeline(
-        commands=800, batch_size=1, tracer=Tracer(sink)
-    )
-    assert traced.virtual_us_per_cmd == plain.virtual_us_per_cmd
-    assert traced.chain_ok is True
+    traced = time_slice(800, tracer=Tracer(sink))
+    assert traced["virtual_us_per_cmd"] == plain["virtual_us_per_cmd"]
+    assert traced["chain_ok"] is True
     assert sink.roots == 800  # one tree per timed command
     assert sink.spans > sink.roots
 
@@ -282,13 +375,11 @@ def test_tracing_charges_no_virtual_time():
 def test_supervision_charges_no_virtual_time():
     """Supervision costs host time only: per-command virtual cost and the
     audit chain are identical with the supervisor's hooks installed."""
-    from repro.harness.profiling import profile_pipeline
-
-    plain = profile_pipeline(commands=800, batch_size=1)
-    supervised = profile_pipeline(commands=800, batch_size=1, supervised=True)
-    assert supervised.virtual_us_per_cmd == plain.virtual_us_per_cmd
-    assert supervised.chain_ok is True
-    assert supervised.audit_records == plain.audit_records
+    plain = time_slice(800)
+    supervised = time_slice(800, supervised=True)
+    assert supervised["virtual_us_per_cmd"] == plain["virtual_us_per_cmd"]
+    assert supervised["chain_ok"] is True
+    assert supervised["audit_records"] == plain["audit_records"]
 
 
 def test_committed_numbers_are_fresh():

@@ -2,7 +2,7 @@
 
 ``python -m repro analyze`` walks every file of the ``repro`` package
 through the registered AST rules (fail-closed, determinism,
-secret-flow, audit-on-deny, counter-registry, virtual-time), applies
+secret-flow, audit-on-deny, counter-registry), applies
 per-line ``# repro: allow[rule-id] -- reason`` suppressions, and diffs
 the surviving findings against the committed ``analysis-baseline.json``.
 See :mod:`repro.analysis.core` for the framework and

@@ -6,5 +6,4 @@ from repro.analysis.rules import (  # noqa: F401  (import-for-registration)
     determinism,
     fail_closed,
     secret_flow,
-    virtual_time,
 )

@@ -1,9 +1,9 @@
-"""determinism: ban ambient nondeterminism outside the wall-capture sites.
+"""determinism: ban ambient nondeterminism everywhere in the package.
 
 Every oracle in this repository — byte-identical chaos digests, replay-
 identical breaker schedules, the conformance explorer's schedule cache —
 rests on the simulation being a pure function of its seed.  One stray
-``time.time()`` or ``random.random()`` breaks all of them at once, and
+host-clock read or ``random.random()`` breaks all of them at once, and
 does so silently: the run still "works", it just stops being evidence.
 
 Banned everywhere in ``repro/``:
@@ -16,10 +16,11 @@ Banned everywhere in ``repro/``:
   comprehension generators): set order is salted per process, so the
   iteration order — and anything derived from it — varies between runs;
   iterate ``sorted(…)`` instead;
-* wall-clock reads (``time.time``, ``perf_counter*``, ``monotonic*``,
-  ``process_time*``) — except in the two allowlisted wall-capture files
-  (``obs/trace.py``, ``harness/profiling.py``), where the companion
-  ``virtual-time`` rule takes over and checks the *gating*.
+* host-clock reads — ``time``'s ``time``, ``perf_counter``,
+  ``monotonic`` and ``process_time`` and their ``_ns`` twins, called as
+  attributes or imported by name.  No file is exempt: spans carry
+  virtual time only, and wall time is measured from outside the package
+  (``bench/``, ``benchmarks/``).
 """
 
 from __future__ import annotations
@@ -35,22 +36,13 @@ from repro.analysis.core import (
     register,
 )
 
-#: the only files allowed to touch the host clock at all; the
-#: virtual-time rule owns what happens inside them
-WALL_CAPTURE_FILES = ("repro/obs/trace.py", "repro/harness/profiling.py")
-
-WALL_READS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-    }
+#: host-clock readers of the stdlib ``time`` module
+WALL_CLOCKS = frozenset(
+    f"{clock}{suffix}"
+    for clock in ("time", "perf_counter", "monotonic", "process_time")
+    for suffix in ("", "_ns")
 )
+WALL_READS = frozenset(f"time.{clock}" for clock in WALL_CLOCKS)
 
 BANNED_CALLS = {
     "os.urandom": "use the platform's seeded RandomSource",
@@ -84,21 +76,18 @@ class DeterminismRule(Rule):
     id = "determinism"
     title = "no ambient nondeterminism (wall clocks, entropy, set order)"
     description = (
-        "Bans time.*/random/os.urandom/datetime.now/uuid4 and iteration "
-        "over set expressions everywhere in repro/, except wall-clock "
-        "reads inside the allowlisted wall-capture files obs/trace.py "
-        "and harness/profiling.py (policed by the virtual-time rule)."
+        "Bans host-clock reads, random/os.urandom/datetime.now/uuid4 and "
+        "iteration over set expressions in every file of repro/."
     )
     example_violation = (
         "repro/sim/_injected_determinism.py",
-        "import time\n"
+        "from datetime import datetime\n"
         "def stamp(record):\n"
-        "    record.t = time.time()\n",
+        "    record.t = datetime.now()\n",
     )
 
     def check(self, module: ModuleSource) -> List[Finding]:
         findings: List[Finding] = []
-        wall_exempt = module.relpath in WALL_CAPTURE_FILES
 
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
@@ -116,15 +105,22 @@ class DeterminismRule(Rule):
                         module, node.lineno,
                         f"import from {root!r}: {BANNED_MODULES[root]}",
                     ))
+                elif node.module == "time":
+                    for alias in node.names:
+                        if alias.name in WALL_CLOCKS:
+                            findings.append(self.finding(
+                                module, node.lineno,
+                                f"import of wall clock time.{alias.name}: "
+                                "use the virtual clock",
+                            ))
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name is None:
                     continue
-                if name in WALL_READS and not wall_exempt:
+                if name in WALL_READS:
                     findings.append(self.finding(
                         module, node.lineno,
-                        f"wall-clock read {name}() outside the allowlisted "
-                        "wall-capture sites; use the virtual clock",
+                        f"wall-clock read {name}(): use the virtual clock",
                     ))
                 elif name in BANNED_CALLS:
                     findings.append(self.finding(

@@ -23,7 +23,7 @@ Subcommands:
   succeeds only if the explorer catches and shrinks it.
 * ``analyze`` — the domain-specific static analyzer: walk the package
   through the AST rule catalogue (fail-closed, determinism,
-  secret-flow, audit-on-deny, counter-registry, virtual-time), honour
+  secret-flow, audit-on-deny, counter-registry), honour
   ``# repro: allow[rule-id] -- reason`` pragmas, and with ``--check``
   diff against the committed ``analysis-baseline.json`` (CI gate).
   ``--inject-violation RULE`` plants that rule's example violation and
@@ -32,6 +32,10 @@ Subcommands:
 
 ``chaos``, ``cluster`` and ``experiment`` accept ``--trace PATH`` to
 stream every finished span tree to ``PATH`` as JSONL (``-`` for stdout).
+
+Every output is a pure function of the seed: spans carry virtual time
+only, and nothing here reads the host clock.  Wall time is measured from
+outside the package (``bench/run.py``, ``benchmarks/``).
 """
 
 from __future__ import annotations
@@ -419,22 +423,6 @@ def cmd_replay_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Wall-clock profile of the simulator's own command pipeline."""
-    from repro.harness.profiling import profile_pipeline
-
-    profile = profile_pipeline(
-        commands=args.commands,
-        batch_size=args.batch,
-        mode=AccessMode(args.mode),
-        seed=args.seed,
-        supervised=args.supervised,
-    )
-    for line in profile.summary_lines():
-        print(line)
-    return 0
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Conformance verification: explorer sweep, self-check, or replay."""
     import dataclasses
@@ -575,6 +563,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1; anything else is a usage error."""
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _add_runner_options(parser: argparse.ArgumentParser) -> None:
     """The scenario runner's options, the same for every scenario."""
     parser.add_argument("--single", action="store_true",
@@ -585,7 +583,8 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--conformance", action="store_true",
                         help="piggyback the reference-model oracle on every "
                              "authz decision of every run")
-    parser.add_argument("--trace-sample", metavar="N", type=int, default=1,
+    parser.add_argument("--trace-sample", metavar="N", type=_positive_int,
+                        default=1,
                         help="record 1-in-N root span trees (deterministic "
                              "head sampling; counters stay exact)")
     parser.set_defaults(fn=cmd_scenario)
@@ -641,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="smaller sizes for a fast run")
     p_exp.add_argument("--trace", metavar="PATH", default=None,
                        help="write span trees as JSONL (- for stdout)")
-    p_exp.add_argument("--trace-sample", metavar="N", type=int, default=1,
+    p_exp.add_argument("--trace-sample", metavar="N", type=_positive_int,
+                       default=1,
                        help="record 1-in-N root span trees (deterministic "
                             "head sampling)")
     p_exp.set_defaults(fn=cmd_experiment)
@@ -688,21 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--seed", type=int, default=2010)
     p_replay.set_defaults(fn=cmd_replay_trace)
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="wall-clock profile of the simulator's command pipeline",
-    )
-    p_profile.add_argument("--commands", type=int, default=10_000)
-    p_profile.add_argument("--batch", type=int, default=1,
-                           help="frames per ring submission (1 = classic)")
-    p_profile.add_argument("--mode", choices=["baseline", "improved"],
-                           default="improved")
-    p_profile.add_argument("--seed", type=int, default=2010)
-    p_profile.add_argument("--supervised", action="store_true",
-                           help="profile with the resilience supervisor "
-                                "attached")
-    p_profile.set_defaults(fn=cmd_profile)
-
     p_health = sub.add_parser(
         "health",
         help="run a short supervised scenario and print per-guest health",
@@ -748,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--rule", metavar="ID", default=None,
                            help="run one rule only (fail-closed, "
                                 "determinism, secret-flow, audit-on-deny, "
-                                "counter-registry, virtual-time)")
+                                "counter-registry)")
     p_analyze.add_argument("--check", action="store_true",
                            help="gate mode: exit 1 on any finding not in "
                                 "the committed baseline, or on stale "

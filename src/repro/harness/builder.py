@@ -194,6 +194,14 @@ class Platform:
         ``profile`` optionally narrows the policy grant (improved mode);
         see :mod:`repro.core.profiles`.
         """
+        domain = self._create_domain(name, kernel_image, config)
+        frontend, backend = attach_vtpm(
+            self.xen, self.manager, domain, profile=profile
+        )
+        return self._adopt(name, domain, frontend, backend)
+
+    def _create_domain(self, name: str, kernel_image: Optional[bytes],
+                       config: Optional[Dict[str, str]] = None):
         if name in self.guests:
             raise ReproError(f"guest {name!r} already exists on {self.name}")
         domain = self.xen.create_domain(
@@ -203,9 +211,10 @@ class Platform:
         )
         if self.mode is AccessMode.IMPROVED:
             self.identities.register(domain)
-        frontend, backend = attach_vtpm(
-            self.xen, self.manager, domain, profile=profile
-        )
+        return domain
+
+    def _adopt(self, name: str, domain, frontend, backend) -> GuestHandle:
+        """Record a connected guest; supervise it if supervision is on."""
         client = TpmClient(frontend.transport, self.rng.fork(f"client-{name}"))
         handle = GuestHandle(
             domain=domain,
@@ -256,31 +265,14 @@ class Platform:
                           kernel_image: Optional[bytes] = None) -> GuestHandle:
         """Add a guest whose vTPM connects via the XenStore watch protocol
         instead of the explicit attach path."""
-        if name in self.guests:
-            raise ReproError(f"guest {name!r} already exists on {self.name}")
         agent = self.hotplug_agent()
-        domain = self.xen.create_domain(
-            name,
-            kernel_image=kernel_image or f"linux-2.6.18-{name}".encode(),
-            config={"vtpm": "1"},
-        )
-        if self.mode is AccessMode.IMPROVED:
-            self.identities.register(domain)
+        domain = self._create_domain(name, kernel_image)
         frontend = VtpmFrontend(self.xen, domain, backend_domid=DOM0_ID)
         agent.register_frontend(frontend)
         backend = agent.backend_for(domain.domid)
         if backend is None:
             raise ReproError(f"hotplug agent failed to connect {name!r}")
-        client = TpmClient(frontend.transport, self.rng.fork(f"client-{name}"))
-        handle = GuestHandle(
-            domain=domain,
-            frontend=frontend,
-            backend=backend,
-            client=client,
-            instance_id=backend.instance_id,
-        )
-        self.guests[name] = handle
-        return handle
+        return self._adopt(name, domain, frontend, backend)
 
     # -- crash recovery ----------------------------------------------------------
 

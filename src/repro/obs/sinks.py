@@ -15,15 +15,6 @@ Each sink declares whether it **retains** emitted trees via its
 promises to be done with the tree the moment ``emit`` returns, which lets
 the :class:`~repro.obs.trace.Tracer` recycle every span of the tree into
 its pool — the steady state then allocates nothing per command.
-
-Sinks also declare whether they consume span **wall-clock** times via
-``wants_wall``.  With it ``False`` the tracer skips both host-clock
-reads per span — on virtualized hosts those are the most expensive
-instructions in the span lifecycle.  The counting and JSONL sinks opt
-out: the offline JSONL artifact records virtual intervals only and is
-therefore a pure function of the seed (byte-reproducible), which is
-exactly what the replay/differential oracles want.  The in-memory sink
-keeps wall capture on (the CLI tree renderer reports it).
 """
 
 from __future__ import annotations
@@ -40,8 +31,6 @@ class InMemorySink:
 
     #: emitted trees are kept — the tracer must not recycle them
     retains = True
-    #: the CLI tree renderer prints per-span wall durations
-    wants_wall = True
 
     def __init__(self) -> None:
         self.roots: List[Span] = []
@@ -77,8 +66,6 @@ class JsonlSink:
     """
 
     retains = False
-    #: virtual intervals only — the artifact stays seed-reproducible
-    wants_wall = False
 
     def __init__(self, stream: TextIO, flush_every: int = 64) -> None:
         self._stream = stream
@@ -105,8 +92,6 @@ class CountingSink:
     """Counts emitted trees and spans without retaining them."""
 
     retains = False
-    #: cost accounting needs no wall times inside the spans themselves
-    wants_wall = False
 
     def __init__(self) -> None:
         self.roots = 0
@@ -147,14 +132,13 @@ def validate_tree_dict(node: dict, parent: Optional[dict] = None) -> int:
 
 
 def format_span_tree(root: Span, indent: str = "") -> List[str]:
-    """Human-readable tree: name, virtual duration, wall duration, attrs."""
+    """Human-readable tree: name, virtual duration, attrs, events."""
     attrs = ""
     if root.attrs:
         attrs = "  " + " ".join(f"{k}={v}" for k, v in sorted(root.attrs.items()))
     lines = [
         f"{indent}{root.name:<{max(1, 28 - len(indent))}} "
-        f"{root.duration_virtual_us:>10.2f} us "
-        f"{root.duration_wall_ns / 1000.0:>9.1f} wall-us{attrs}"
+        f"{root.duration_virtual_us:>10.2f} us{attrs}"
     ]
     for event in root.events:
         extra = " ".join(

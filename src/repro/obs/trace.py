@@ -1,18 +1,13 @@
 """Hierarchical trace spans over the command pipeline.
 
 A :class:`Span` covers one stage of a command's life (parse → authz →
-engine → serialize → ring/audit) and carries *both* timebases the
-simulator knows about:
-
-* **virtual microseconds** — read from the ambient
-  :class:`~repro.sim.timing.TimingContext` clock, so span durations add up
-  exactly to the cost-model charges made inside them;
-* **wall-clock nanoseconds** — ``time.perf_counter_ns`` on the host, so
-  the harness's own hot-path cost is attributable per stage.  Wall
-  capture is *sink-declared*: a sink with ``wants_wall = False`` (the
-  counting and JSONL sinks — their artifacts are deterministic functions
-  of the seed) skips both host-clock reads per span, the single most
-  expensive instruction in the span lifecycle on virtualized hosts.
+engine → serialize → ring/audit) and carries **virtual microseconds**
+only, read from the ambient :class:`~repro.sim.timing.TimingContext`
+clock, so span durations add up exactly to the cost-model charges made
+inside them and every trace is a pure function of the seed.  The host
+clock is never read here: wall time is measured from outside the
+package (``bench/run.py --trace 1`` per layer, ``benchmarks/`` end to
+end), where the observer cannot inflate it.
 
 Instrumented code calls :func:`span` at named sites.  The contract is the
 same as the fault injector's :func:`~repro.faults.injector.fire`: with no
@@ -53,7 +48,7 @@ Two cost features keep tracing near-free:
   records only roots whose zero-based index ``i`` satisfies
   ``(i - sample_seed) % N == 0``.  The schedule is a pure function of
   the root count and the seed: no RNG, no clock, so two same-seed runs
-  sample the identical trees (replay-identical) and neither timebase is
+  sample the identical trees (replay-identical) and virtual time is not
   perturbed.  While a root is suppressed the tracer hides itself from
   the ambient slot, so nested guarded sites take their tracer-is-None
   path — a skipped tree costs one sampling check, not one call per span.
@@ -63,7 +58,6 @@ Two cost features keep tracing near-free:
 from __future__ import annotations
 
 import contextlib
-import time
 from typing import Dict, Iterator, List, Optional
 
 from repro.sim import timing as _timing
@@ -78,13 +72,12 @@ class Span:
     """One timed stage; a context manager that closes itself on exit."""
 
     __slots__ = (
-        "name", "attrs", "start_virtual_us", "end_virtual_us",
-        "start_wall_ns", "end_wall_ns", "children", "events", "_tracer",
-        "_ctx",
+        "name", "attrs", "start_virtual_us", "end_virtual_us", "children",
+        "events", "_tracer", "_ctx",
     )
 
     def __init__(self, name: str, attrs: Optional[Dict] = None,
-                 tracer: Optional["Tracer"] = None, wall: bool = True) -> None:
+                 tracer: Optional["Tracer"] = None) -> None:
         self.name = name
         # Lazy capture: the caller's dict is stored by reference (hot sites
         # pass a fresh literal); None means "no attributes yet".
@@ -92,11 +85,6 @@ class Span:
         self._ctx = get_context()
         self.start_virtual_us = self._ctx.clock._now_us
         self.end_virtual_us: Optional[float] = None
-        # Wall capture is sink-declared (``wants_wall``); with it off both
-        # endpoints read 0 — host clock reads are the single most
-        # expensive instruction in the span lifecycle on virtualized hosts.
-        self.start_wall_ns = time.perf_counter_ns() if wall else 0
-        self.end_wall_ns: Optional[int] = None
         self.children: List["Span"] = []
         self.events: List[Dict] = []
         self._tracer = tracer
@@ -136,12 +124,6 @@ class Span:
             raise ReproError(f"span {self.name!r} is still open")
         return self.end_virtual_us - self.start_virtual_us
 
-    @property
-    def duration_wall_ns(self) -> int:
-        if self.end_wall_ns is None:
-            raise ReproError(f"span {self.name!r} is still open")
-        return self.end_wall_ns - self.start_wall_ns
-
     # -- views -------------------------------------------------------------------
 
     def to_dict(self) -> Dict:
@@ -150,10 +132,6 @@ class Span:
             "name": self.name,
             "virtual_us": [self.start_virtual_us, self.end_virtual_us],
         }
-        if self.end_wall_ns:
-            # Only when the sink captured wall time; omitting it keeps the
-            # offline artifact a pure function of the seed.
-            out["wall_ns"] = [self.start_wall_ns, self.end_wall_ns]
         if self.attrs:
             out["attrs"] = dict(self.attrs)
         if self.events:
@@ -257,12 +235,11 @@ class Tracer:
 
             sink = InMemorySink()
         self.sink = sink
-        self.sample_rate = max(1, int(sample_rate))
+        self.sample_rate = int(sample_rate)
+        if self.sample_rate < 1:
+            raise ReproError(f"sample_rate must be >= 1, got {sample_rate}")
         self.sample_seed = int(sample_seed)
         self._retains = bool(getattr(sink, "retains", True))
-        #: sinks that never read span wall times (counting, JSONL) opt out
-        #: of the two host-clock reads per span via ``wants_wall = False``
-        self._wall = bool(getattr(sink, "wants_wall", True))
         self._stack: List[Span] = []
         self._pool: List[Span] = []
         self._skipping = False
@@ -333,10 +310,8 @@ class Tracer:
             span._ctx = ctx
             span.start_virtual_us = ctx.clock._now_us
             span.end_virtual_us = None
-            span.start_wall_ns = time.perf_counter_ns() if self._wall else 0
-            span.end_wall_ns = None
         else:
-            span = Span(name, attrs, tracer=self, wall=self._wall)
+            span = Span(name, attrs, tracer=self)
         if stack:
             stack[-1].children.append(span)
         stack.append(span)
@@ -360,7 +335,6 @@ class Tracer:
                 "spans before calling fresh_timing_context()"
             )
         span.end_virtual_us = ctx.clock._now_us
-        span.end_wall_ns = time.perf_counter_ns() if self._wall else 0
         if not stack:
             self.roots_emitted += 1
             self.sink.emit(span)
@@ -446,20 +420,16 @@ def validate_span_tree(root: Span) -> None:
     """Structural oracle: raises :class:`ReproError` on a malformed tree.
 
     Checks, for every span in the tree: it is closed, its interval is
-    non-negative in both timebases, and every child's virtual interval
-    nests inside its parent's.  Orphans are impossible by construction
-    (spans attach to the stack top at start), but a tree handed across a
-    serialization boundary is re-checked here all the same.
+    non-negative, and every child's interval nests inside its parent's.
+    Orphans are impossible by construction (spans attach to the stack top
+    at start), but a tree handed across a serialization boundary is
+    re-checked here all the same.
     """
     for parent in root.walk():
-        if not parent.closed or parent.end_wall_ns is None:
+        if not parent.closed:
             raise ReproError(f"span {parent.name!r} was never closed")
         if parent.end_virtual_us < parent.start_virtual_us:
             raise ReproError(f"span {parent.name!r} ends before it starts")
-        if parent.end_wall_ns < parent.start_wall_ns:
-            raise ReproError(
-                f"span {parent.name!r} wall-clock interval is negative"
-            )
         for child in parent.children:
             if not child.closed:
                 raise ReproError(f"span {child.name!r} was never closed")

@@ -1,7 +1,13 @@
 """Unit tests for the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -113,6 +119,33 @@ class TestCommands:
         assert "engine" in out
         assert "== counters ==" in out
         assert 'ac.decisions{outcome="allow",reason="granted"}' in out
+
+    def test_trace_live_output_is_byte_identical_across_processes(self):
+        # Spans carry virtual time only, so two processes print the same
+        # bytes; a host-clock column would differ on every run.
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        argv = [sys.executable, "-m", "repro", "trace", "pcrread",
+                "--count", "2"]
+        first, second = (
+            subprocess.run(argv, env=env, capture_output=True, check=True)
+            for _ in range(2)
+        )
+        assert b"frontend.command" in first.stdout
+        assert b"wall" not in first.stdout
+        assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--single"],
+        ["cluster", "--single"],
+        ["experiment", "table1"],
+    ])
+    @pytest.mark.parametrize("rate", ["0", "-2"])
+    def test_trace_sample_below_one_is_a_usage_error(self, capsys, argv,
+                                                     rate):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--trace-sample", rate])
+        assert exit_info.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
     def test_trace_live_unknown_workload(self, capsys):
         assert main(["trace", "frobnicate"]) == 2

@@ -399,11 +399,15 @@ class TestHealthGateAndRing:
         with pytest.raises(Exception, match="already supervised"):
             platform.enable_supervision()
 
-    def test_guests_added_after_enable_are_supervised(self):
+    @pytest.mark.parametrize("add", ["add_guest", "add_guest_hotplug"])
+    def test_guests_added_after_enable_are_supervised(self, add):
         platform, _, supervisor = self._supervised()
-        late = platform.add_guest("late")
-        assert supervisor.record_for(late.domain.uuid) is not None
+        late = getattr(platform, add)("late")
+        record = supervisor.record_for(late.domain.uuid)
+        assert record.instance_id == late.instance_id
         assert late.backend.supervision is supervisor
+        assert late.backend._supervised is not None
+        assert _rc(late.frontend.transport(_pcr_read_wire())) == TPM_SUCCESS
 
 
 class TestFailClosedRebind:
