@@ -84,11 +84,10 @@ class AuditAnchor:
         if len(log) == 0:
             raise AccessControlError("refusing to anchor an empty log")
         value = self._hw.increment_counter(self._counter_auth, self._counter_handle)
-        record = log.records()[-1]
         anchor = Anchor(
             count=value - self._counter_base,
             sequence=len(log),
-            chain_head=record.chain_hash,
+            chain_head=log.chain_head(),
         )
         self._hw.nv_write(self._area_auth, ANCHOR_NV_INDEX, 0, anchor.serialize())
         self.anchors_written += 1
@@ -137,7 +136,6 @@ class AuditAnchor:
                 f"log has {len(log)} records but hardware anchored "
                 f"{anchor.sequence} (truncated)"
             )
-        head_at_anchor = log.records()[anchor.sequence - 1].chain_hash
-        if head_at_anchor != anchor.chain_head:
+        if log.head_at(anchor.sequence) != anchor.chain_head:
             return False, "chain head at anchored sequence differs (regenerated log)"
         return True, f"anchored at sequence {anchor.sequence}, chain intact"

@@ -1,33 +1,74 @@
 """Append-only, hash-chained audit log for access decisions.
 
-Every monitor decision (allow *and* deny) produces a record; records chain
-``h_i = SHA-256(h_{i-1} || record_i)`` so truncation or in-place edits are
-detectable — the standard response to "the attacker owns the log file".
+Every monitor decision (allow *and* deny) produces an entry; entries chain
+``h_i = SHA-256(h_{i-1} || encode(entry_i))`` so truncation or in-place
+edits are detectable — the standard response to "the attacker owns the
+log file".
 
-The hot path uses **buffered chaining**: :meth:`AuditLog.append_buffered`
-captures the record fields and encoded bytes immediately (and charges the
-modeled ``ac.audit.append`` cost at that point), but defers the SHA-256
-chain extension until the log is next *read* — so a burst of commands pays
-one tight hashing loop instead of interleaving a digest into every
-dispatch.  The final chain hash is byte-identical to eager chaining: the
-encoded bytes and their order are fixed at append time.
+The log stores one form: a list of entry field tuples in sequence order
+(the sequence number is the index) and the concatenated 32-byte chain
+hashes of the entries chained so far.  :meth:`AuditLog.append_buffered`
+encodes an entry and charges the modeled ``ac.audit.append`` cost at append
+time, but the SHA-256 link is deferred until the chain is next read:
+:meth:`AuditLog.chain_head` hashes only the encoded bytes not yet chained,
+in one tight loop, then drops them.  The final chain hash is identical to
+eager chaining — the encoded bytes and their order are fixed at append
+time.  :class:`AuditRecord` objects are built only for the readers that
+return them; chaining and verification never build one.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 from repro.sim import timing as _timing
 from repro.sim.timing import charge
 
 GENESIS = hashlib.sha256(b"vtpm-audit-genesis").digest()
+_HASH = 32  # bytes per stored chain hash
+
+
+def encode_entry(
+    sequence: int,
+    timestamp_us: float,
+    subject: str,
+    instance: object,
+    operation: str,
+    allowed: bool,
+    reason: str,
+) -> bytes:
+    """The bytes one entry contributes to the chain."""
+    return (
+        f"{sequence}|{timestamp_us:.3f}|{subject}|{instance}|{operation}|"
+        f"{'ALLOW' if allowed else 'DENY'}|{reason}"
+    ).encode("utf-8")
+
+
+def encode_decision(
+    sequence: int,
+    subject: str,
+    instance: object,
+    operation: str,
+    allowed: bool,
+    reason: str,
+) -> bytes:
+    """The timestamp-free encoding: only decision-relevant fields.
+
+    Two runs that take different amounts of *virtual time* but make the
+    same decisions (e.g. authz cache on vs off) agree on this encoding
+    while their full chains legitimately differ.
+    """
+    return (
+        f"{sequence}|{subject}|{instance}|{operation}|"
+        f"{'ALLOW' if allowed else 'DENY'}|{reason}"
+    ).encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
-    """One immutable audit entry."""
+    """One immutable audit entry, as the log's readers return it."""
 
     sequence: int
     timestamp_us: float
@@ -39,37 +80,25 @@ class AuditRecord:
     chain_hash: bytes = b""
 
     def encode(self) -> bytes:
-        return (
-            f"{self.sequence}|{self.timestamp_us:.3f}|{self.subject}|"
-            f"{self.instance}|{self.operation}|"
-            f"{'ALLOW' if self.allowed else 'DENY'}|{self.reason}"
-        ).encode("utf-8")
-
-    def encode_decision(self) -> bytes:
-        """The timestamp-free encoding: only decision-relevant fields.
-
-        Two runs that take different amounts of *virtual time* but make
-        the same decisions (e.g. authz cache on vs off) agree on this
-        encoding while their full chains legitimately differ.
-        """
-        return (
-            f"{self.sequence}|{self.subject}|{self.instance}|"
-            f"{self.operation}|{'ALLOW' if self.allowed else 'DENY'}|"
-            f"{self.reason}"
-        ).encode("utf-8")
+        return encode_entry(
+            self.sequence, self.timestamp_us, self.subject, self.instance,
+            self.operation, self.allowed, self.reason,
+        )
 
 
 class AuditLog:
     """The manager's append-only decision log."""
 
-    __slots__ = ("_flushed", "_pending", "_chain_head")
+    __slots__ = ("_entries", "_hashes", "_unchained")
 
     def __init__(self) -> None:
-        self._flushed: List[AuditRecord] = []
-        #: appended-but-not-yet-chained entries:
-        #: (sequence, timestamp_us, subject, instance, op, allowed, reason, encoded)
-        self._pending: List[tuple] = []
-        self._chain_head = GENESIS
+        #: (timestamp_us, subject, instance, operation, allowed, reason);
+        #: an entry's sequence number is its index
+        self._entries: List[tuple] = []
+        #: chain hash of each chained entry, ``_HASH`` bytes apiece
+        self._hashes = bytearray()
+        #: encoded bytes of the entries appended since the last chaining
+        self._unchained: List[bytes] = []
 
     # -- the write path ----------------------------------------------------------
 
@@ -86,19 +115,17 @@ class AuditLog:
         The encoded bytes (and therefore the eventual chain hash) are fully
         determined here; only the SHA-256 work is deferred to the next read.
         """
-        pending = self._pending
-        sequence = len(self._flushed) + len(pending)
+        entries = self._entries
         timestamp_us = _timing._current_context.clock.now_us
-        encoded = (
-            f"{sequence}|{timestamp_us:.3f}|{subject}|"
-            f"{instance}|{operation}|"
-            f"{'ALLOW' if allowed else 'DENY'}|{reason}"
-        ).encode("utf-8")
-        charge("ac.audit.append", len(encoded))
-        pending.append(
-            (sequence, timestamp_us, subject, instance, operation, allowed,
-             reason, encoded)
+        encoded = encode_entry(
+            len(entries), timestamp_us, subject, instance, operation,
+            allowed, reason,
         )
+        charge("ac.audit.append", len(encoded))
+        entries.append(
+            (timestamp_us, subject, instance, operation, allowed, reason)
+        )
+        self._unchained.append(encoded)
 
     def append(
         self,
@@ -110,102 +137,105 @@ class AuditLog:
     ) -> AuditRecord:
         """Append and chain immediately; returns the finished record."""
         self.append_buffered(subject, instance, operation, allowed, reason)
-        self._flush()
-        return self._flushed[-1]
+        self.chain_head()
+        return self._record(len(self._entries) - 1)
 
-    def _flush(self) -> None:
-        """Extend the chain over every pending entry (one tight loop)."""
-        if not self._pending:
-            return
-        head = self._chain_head
-        sha256 = hashlib.sha256
-        flushed = self._flushed
-        for (sequence, timestamp_us, subject, instance, operation, allowed,
-             reason, encoded) in self._pending:
-            head = sha256(head + encoded).digest()
-            flushed.append(
-                AuditRecord(
-                    sequence=sequence,
-                    timestamp_us=timestamp_us,
-                    subject=subject,
-                    instance=instance,
-                    operation=operation,
-                    allowed=allowed,
-                    reason=reason,
-                    chain_hash=head,
-                )
-            )
-        self._pending.clear()
-        self._chain_head = head
+    def _record(self, sequence: int) -> AuditRecord:
+        start = sequence * _HASH
+        return AuditRecord(
+            sequence, *self._entries[sequence],
+            bytes(self._hashes[start:start + _HASH]),
+        )
 
-    # -- internal views (tests poke these; keep them flush-consistent) ----------
-
-    @property
-    def _records(self) -> List[AuditRecord]:
-        self._flush()
-        return self._flushed
-
-    @_records.setter
-    def _records(self, value: List[AuditRecord]) -> None:
-        self._flush()
-        self._flushed = list(value)
-
-    @property
-    def _head(self) -> bytes:
-        self._flush()
-        return self._chain_head
-
-    @_head.setter
-    def _head(self, value: bytes) -> None:
-        self._flush()
-        self._chain_head = value
-
-    # -- verification -----------------------------------------------------------
+    # -- the chain ---------------------------------------------------------------
 
     def chain_head(self) -> bytes:
-        """The current chain head (flushes pending entries first)."""
-        self._flush()
-        return self._chain_head
+        """The current chain head; chains the entries not yet chained."""
+        hashes = self._hashes
+        head = bytes(hashes[-_HASH:]) if hashes else GENESIS
+        if self._unchained:
+            sha256 = hashlib.sha256
+            for encoded in self._unchained:
+                head = sha256(head + encoded).digest()
+                hashes += head
+            self._unchained.clear()
+        return head
+
+    def head_at(self, sequence: int) -> bytes:
+        """The chain hash after the first ``sequence`` entries."""
+        self.chain_head()
+        if not 0 <= sequence <= len(self._hashes) // _HASH:
+            raise ValueError(
+                f"sequence {sequence} outside the chained log "
+                f"(0..{len(self._hashes) // _HASH})"
+            )
+        if sequence == 0:
+            return GENESIS
+        return bytes(self._hashes[(sequence - 1) * _HASH:sequence * _HASH])
 
     def decision_chain_hash(self) -> bytes:
         """Chain hash over the timestamp-free decision encodings.
 
         The differential oracle compares this across configurations whose
         virtual-time costs differ by design (decision cache on vs off):
-        equality means every record agrees on sequence, subject, instance,
+        equality means every entry agrees on sequence, subject, instance,
         operation, verdict and reason — everything but the clock.
         """
         head = GENESIS
-        for record in self._records:
-            head = hashlib.sha256(head + record.encode_decision()).digest()
+        sha256 = hashlib.sha256
+        for sequence, (_, subject, instance, operation, allowed,
+                       reason) in enumerate(self._entries):
+            head = sha256(head + encode_decision(
+                sequence, subject, instance, operation, allowed, reason,
+            )).digest()
         return head
 
     def verify_chain(self) -> bool:
-        """Recompute the whole chain; False means tampering."""
-        self._flush()
+        """Re-encode every entry from its fields and recompute the chain
+        against the stored hashes; False means tampering."""
+        self.chain_head()
+        hashes = self._hashes
+        if len(hashes) != len(self._entries) * _HASH:
+            return False
         head = GENESIS
-        for record in self._flushed:
-            head = hashlib.sha256(head + record.encode()).digest()
-            if head != record.chain_hash:
+        sha256 = hashlib.sha256
+        for sequence, entry in enumerate(self._entries):
+            head = sha256(head + encode_entry(sequence, *entry)).digest()
+            start = sequence * _HASH
+            if head != hashes[start:start + _HASH]:
                 return False
-        return head == self._chain_head
+        return True
 
-    # -- queries -------------------------------------------------------------------
+    # -- queries (each builds records only for what it returns) ------------------
 
     def __len__(self) -> int:
-        return len(self._flushed) + len(self._pending)
+        return len(self._entries)
+
+    def _select(self, keep: Callable[[tuple], bool]) -> List[AuditRecord]:
+        self.chain_head()
+        return [
+            self._record(sequence)
+            for sequence, entry in enumerate(self._entries)
+            if keep(entry)
+        ]
 
     def records(self) -> List[AuditRecord]:
-        return list(self._records)
+        self.chain_head()
+        return [self._record(i) for i in range(len(self._entries))]
 
     def denials(self) -> List[AuditRecord]:
-        return [r for r in self._records if not r.allowed]
+        return self._select(lambda entry: not entry[4])
 
     def for_subject(self, subject: str) -> List[AuditRecord]:
-        return [r for r in self._records if r.subject == subject]
+        return self._select(lambda entry: entry[1] == subject)
 
     def for_instance(self, instance: object) -> List[AuditRecord]:
-        return [r for r in self._records if r.instance == instance]
+        return self._select(lambda entry: entry[2] == instance)
 
     def tail(self, count: int = 10) -> List[AuditRecord]:
-        return self._records[-count:]
+        """The last ``count`` records (fewer if the log is shorter)."""
+        if count < 0:
+            raise ValueError(f"tail count must be >= 0, got {count}")
+        self.chain_head()
+        size = len(self._entries)
+        return [self._record(i) for i in range(max(0, size - count), size)]

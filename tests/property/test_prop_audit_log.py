@@ -1,0 +1,373 @@
+"""Oracle property test: the audit log against the eager-record reference.
+
+``AuditLog`` keeps entry field tuples plus stored chain hashes and builds
+``AuditRecord`` objects only for readers.  The reference below is the
+earlier implementation, copied verbatim: it built one record per entry
+whenever the chain was read.  Hypothesis drives both through the same
+interleavings of ``append``, ``append_buffered``, clock advances and every
+reader; each reader, ``len``, ``chain_head``, ``decision_chain_hash`` and
+``verify_chain`` must agree.  The tamper scenarios then check that both
+``verify_chain`` and ``AuditAnchor.verify`` catch what they caught before.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+from dataclasses import dataclass
+from typing import List
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import audit
+from repro.core.anchor import AuditAnchor
+from repro.crypto.random_source import RandomSource
+from repro.sim import timing as _timing
+from repro.sim.clock import VirtualClock
+from repro.sim.timing import CostModel, TimingContext, charge, context_scope
+from repro.tpm.client import TpmClient
+from repro.tpm.device import TpmDevice
+
+# -- the reference: the eager-record log, verbatim --------------------------------
+
+GENESIS = hashlib.sha256(b"vtpm-audit-genesis").digest()
+
+
+@dataclass(frozen=True, slots=True)
+class AuditRecord:
+    """One immutable audit entry."""
+
+    sequence: int
+    timestamp_us: float
+    subject: str            # identity hex (or 'dom<N>' pre-identity)
+    instance: object
+    operation: str          # ordinal name
+    allowed: bool
+    reason: str
+    chain_hash: bytes = b""
+
+    def encode(self) -> bytes:
+        return (
+            f"{self.sequence}|{self.timestamp_us:.3f}|{self.subject}|"
+            f"{self.instance}|{self.operation}|"
+            f"{'ALLOW' if self.allowed else 'DENY'}|{self.reason}"
+        ).encode("utf-8")
+
+    def encode_decision(self) -> bytes:
+        """The timestamp-free encoding: only decision-relevant fields.
+
+        Two runs that take different amounts of *virtual time* but make
+        the same decisions (e.g. authz cache on vs off) agree on this
+        encoding while their full chains legitimately differ.
+        """
+        return (
+            f"{self.sequence}|{self.subject}|{self.instance}|"
+            f"{self.operation}|{'ALLOW' if self.allowed else 'DENY'}|"
+            f"{self.reason}"
+        ).encode("utf-8")
+
+
+class AuditLog:
+    """The manager's append-only decision log."""
+
+    __slots__ = ("_flushed", "_pending", "_chain_head")
+
+    def __init__(self) -> None:
+        self._flushed: List[AuditRecord] = []
+        #: appended-but-not-yet-chained entries:
+        #: (sequence, timestamp_us, subject, instance, op, allowed, reason, encoded)
+        self._pending: List[tuple] = []
+        self._chain_head = GENESIS
+
+    # -- the write path ----------------------------------------------------------
+
+    def append_buffered(
+        self,
+        subject: str,
+        instance: object,
+        operation: str,
+        allowed: bool,
+        reason: str,
+    ) -> None:
+        """Record a decision without extending the hash chain yet.
+
+        The encoded bytes (and therefore the eventual chain hash) are fully
+        determined here; only the SHA-256 work is deferred to the next read.
+        """
+        pending = self._pending
+        sequence = len(self._flushed) + len(pending)
+        timestamp_us = _timing._current_context.clock.now_us
+        encoded = (
+            f"{sequence}|{timestamp_us:.3f}|{subject}|"
+            f"{instance}|{operation}|"
+            f"{'ALLOW' if allowed else 'DENY'}|{reason}"
+        ).encode("utf-8")
+        charge("ac.audit.append", len(encoded))
+        pending.append(
+            (sequence, timestamp_us, subject, instance, operation, allowed,
+             reason, encoded)
+        )
+
+    def append(
+        self,
+        subject: str,
+        instance: object,
+        operation: str,
+        allowed: bool,
+        reason: str,
+    ) -> AuditRecord:
+        """Append and chain immediately; returns the finished record."""
+        self.append_buffered(subject, instance, operation, allowed, reason)
+        self._flush()
+        return self._flushed[-1]
+
+    def _flush(self) -> None:
+        """Extend the chain over every pending entry (one tight loop)."""
+        if not self._pending:
+            return
+        head = self._chain_head
+        sha256 = hashlib.sha256
+        flushed = self._flushed
+        for (sequence, timestamp_us, subject, instance, operation, allowed,
+             reason, encoded) in self._pending:
+            head = sha256(head + encoded).digest()
+            flushed.append(
+                AuditRecord(
+                    sequence=sequence,
+                    timestamp_us=timestamp_us,
+                    subject=subject,
+                    instance=instance,
+                    operation=operation,
+                    allowed=allowed,
+                    reason=reason,
+                    chain_hash=head,
+                )
+            )
+        self._pending.clear()
+        self._chain_head = head
+
+    # -- internal views (tests poke these; keep them flush-consistent) ----------
+
+    @property
+    def _records(self) -> List[AuditRecord]:
+        self._flush()
+        return self._flushed
+
+    @_records.setter
+    def _records(self, value: List[AuditRecord]) -> None:
+        self._flush()
+        self._flushed = list(value)
+
+    @property
+    def _head(self) -> bytes:
+        self._flush()
+        return self._chain_head
+
+    @_head.setter
+    def _head(self, value: bytes) -> None:
+        self._flush()
+        self._chain_head = value
+
+    # -- verification -----------------------------------------------------------
+
+    def chain_head(self) -> bytes:
+        """The current chain head (flushes pending entries first)."""
+        self._flush()
+        return self._chain_head
+
+    def decision_chain_hash(self) -> bytes:
+        """Chain hash over the timestamp-free decision encodings.
+
+        The differential oracle compares this across configurations whose
+        virtual-time costs differ by design (decision cache on vs off):
+        equality means every record agrees on sequence, subject, instance,
+        operation, verdict and reason — everything but the clock.
+        """
+        head = GENESIS
+        for record in self._records:
+            head = hashlib.sha256(head + record.encode_decision()).digest()
+        return head
+
+    def verify_chain(self) -> bool:
+        """Recompute the whole chain; False means tampering."""
+        self._flush()
+        head = GENESIS
+        for record in self._flushed:
+            head = hashlib.sha256(head + record.encode()).digest()
+            if head != record.chain_hash:
+                return False
+        return head == self._chain_head
+
+    # -- queries -------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._flushed) + len(self._pending)
+
+    def records(self) -> List[AuditRecord]:
+        return list(self._records)
+
+    def denials(self) -> List[AuditRecord]:
+        return [r for r in self._records if not r.allowed]
+
+    def for_subject(self, subject: str) -> List[AuditRecord]:
+        return [r for r in self._records if r.subject == subject]
+
+    def for_instance(self, instance: object) -> List[AuditRecord]:
+        return [r for r in self._records if r.instance == instance]
+
+    def tail(self, count: int = 10) -> List[AuditRecord]:
+        return self._records[-count:]
+
+
+# -- driving both logs ---------------------------------------------------------------
+
+SUBJECTS = ["dom0", "dom3", "a1b2c3d4", "ünïcode"]
+INSTANCES = [0, 1, 7, "vtpm-2", None]
+fields = st.tuples(
+    st.sampled_from(SUBJECTS),
+    st.sampled_from(INSTANCES),
+    st.sampled_from(["TPM_Extend", "TPM_PCRRead", "TPM_OwnerClear"]),
+    st.booleans(),
+    st.sampled_from(["granted:r1", "no-grant", "binding-mismatch", "a|b"]),
+)
+READERS = [
+    "records", "tail", "denials", "for_subject", "for_instance", "len",
+    "chain_head", "decision_chain_hash", "verify_chain", "head_at",
+]
+step = st.one_of(
+    st.tuples(st.just("append"), fields),
+    st.tuples(st.just("append_buffered"), fields),
+    st.tuples(st.just("advance"), st.floats(0.0, 5_000.0)),
+    st.tuples(st.sampled_from(READERS), st.integers(0, 40)),
+)
+
+
+def _fields(record) -> tuple:
+    """A record of either implementation as a plain field tuple."""
+    return dataclasses.astuple(record)
+
+
+def _head_at(log, sequence: int) -> bytes:
+    """``head_at`` for either implementation (the reference predates it)."""
+    sequence = min(sequence, len(log))
+    if isinstance(log, audit.AuditLog):
+        return log.head_at(sequence)
+    return log.records()[sequence - 1].chain_hash if sequence else GENESIS
+
+
+def _read(log, name: str, arg: int):
+    if name == "tail":
+        return [_fields(r) for r in log.tail(1 + arg % 6)]
+    if name == "for_subject":
+        return [_fields(r) for r in log.for_subject(SUBJECTS[arg % 4])]
+    if name == "for_instance":
+        return [_fields(r) for r in log.for_instance(INSTANCES[arg % 5])]
+    if name == "head_at":
+        return _head_at(log, arg)
+    if name == "len":
+        return len(log)
+    result = getattr(log, name)()
+    if isinstance(result, list):
+        return [_fields(r) for r in result]
+    return result
+
+
+def _run(log, steps) -> list:
+    """Drive ``log`` on a fresh clock; returns every observation in order."""
+    seen = []
+    ctx = TimingContext(model=CostModel(), clock=VirtualClock())
+    with context_scope(ctx):
+        for name, arg in steps:
+            if name == "advance":
+                ctx.clock.advance(arg)
+            elif name == "append":
+                seen.append((name, _fields(log.append(*arg))))
+            elif name == "append_buffered":
+                log.append_buffered(*arg)
+            else:
+                seen.append((name, _read(log, name, arg)))
+        for name in READERS:
+            seen.append((name, _read(log, name, 0)))
+        seen.append(("clock", ctx.clock.now_us))
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(step, max_size=40))
+def test_every_reader_matches_the_reference(steps):
+    assert _run(audit.AuditLog(), steps) == _run(AuditLog(), steps)
+
+
+# -- tampering -----------------------------------------------------------------------
+
+
+def _anchor() -> AuditAnchor:
+    rng = RandomSource(b"prop-audit-anchor")
+    device = TpmDevice(rng.fork("dev"), key_bits=512)
+    device.power_on()
+    client = TpmClient(device.execute, rng.fork("cli"))
+    client.take_ownership(b"O" * 20, b"S" * 20, client.read_pubek())
+    return AuditAnchor(client, b"O" * 20, b"A" * 20, b"C" * 20)
+
+
+def _edit_reason(log, victim: int) -> None:
+    if isinstance(log, audit.AuditLog):
+        entry = log._entries[victim]
+        log._entries[victim] = entry[:5] + (entry[5] + "-edited",)
+    else:
+        log._records[victim] = dataclasses.replace(
+            log._records[victim], reason=log._records[victim].reason + "-edited"
+        )
+
+
+def _drop_last(log, _victim: int) -> None:
+    if isinstance(log, audit.AuditLog):
+        log._entries.pop()
+    else:
+        log._records.pop()
+
+
+def _truncate(log, keep: int) -> None:
+    """Cut the log to ``keep`` entries with a matching head: the chain is
+    self-consistent again, which is what the hardware anchor is for."""
+    if isinstance(log, audit.AuditLog):
+        del log._entries[keep:]
+        del log._hashes[keep * 32:]
+    else:
+        log._records = log._records[:keep]
+        log._head = log._records[-1].chain_hash if keep else GENESIS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(fields, min_size=2, max_size=12),
+    st.sampled_from(["edit", "drop-last", "truncate"]),
+    st.booleans(),
+    st.data(),
+)
+def test_tampering_is_caught(entries, scenario, chained, data):
+    victim = data.draw(st.integers(0, len(entries) - 2))
+    tamper = {"edit": _edit_reason, "drop-last": _drop_last,
+              "truncate": _truncate}[scenario]
+    logs = (audit.AuditLog(), AuditLog())
+    anchor = _anchor()
+    with context_scope(TimingContext(model=CostModel(), clock=VirtualClock())):
+        for log in logs:
+            for fields_ in entries:
+                if chained:
+                    log.append(*fields_)
+                else:
+                    log.append_buffered(*fields_)
+        anchor.anchor(logs[0])
+        for log in logs:
+            tamper(log, victim)
+        ok, reason = anchor.verify(logs[0])
+    assert not ok, reason
+    if scenario == "truncate":
+        # A consistent shorter chain: only the anchor can tell.
+        assert [log.verify_chain() for log in logs] == [True, True]
+        assert "truncated" in reason
+    else:
+        assert [log.verify_chain() for log in logs] == [False, False]
+        assert "chain broken" in reason

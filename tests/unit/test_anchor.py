@@ -1,11 +1,9 @@
 """Unit tests for hardware-anchored audit logs."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.anchor import Anchor, AuditAnchor
-from repro.core.audit import AuditLog
+from repro.core.audit import AuditLog, AuditRecord
 from repro.util.errors import AccessControlError
 
 from tests.conftest import OWNER
@@ -52,8 +50,10 @@ class TestAnchoring:
     def test_truncation_detected(self, anchor_client):
         log = _filled_log()
         anchor_client.anchor(log)
-        log._records = log._records[:3]
-        log._head = log._records[-1].chain_hash
+        # Truncate to three entries; the head is the third entry's hash.
+        del log._entries[3:]
+        del log._hashes[3 * 32:]
+        assert log.verify_chain()
         ok, reason = anchor_client.verify(log)
         assert not ok and "truncated" in reason
 
@@ -72,9 +72,32 @@ class TestAnchoring:
     def test_edited_record_detected(self, anchor_client):
         log = _filled_log()
         anchor_client.anchor(log)
-        log._records[2] = dataclasses.replace(log._records[2], reason="edited")
+        log._entries[2] = log._entries[2][:5] + ("edited",)
         ok, reason = anchor_client.verify(log)
         assert not ok and "chain broken" in reason
+
+    def test_dropped_last_entry_detected(self, anchor_client):
+        log = _filled_log()
+        anchor_client.anchor(log)
+        log._entries.pop()
+        ok, reason = anchor_client.verify(log)
+        assert not ok and "chain broken" in reason
+
+    def test_anchor_and_verify_build_no_records(self, anchor_client,
+                                                monkeypatch):
+        log = AuditLog()
+        for i in range(1_000):
+            log.append_buffered(f"s{i % 3}", i % 2, "TPM_Extend", True, "r")
+        built = []
+        monkeypatch.setattr(
+            AuditRecord, "__init__",
+            lambda record, *args, **kwargs: built.append(args),
+        )
+        anchor = anchor_client.anchor(log)
+        ok, reason = anchor_client.verify(log)
+        assert ok, reason
+        assert anchor.sequence == 1_000
+        assert built == []
 
     def test_stale_anchor_replay_detected(self, anchor_client, owned_client):
         """Restoring an old NV image cannot hide later anchors: the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.audit import AuditLog
+from repro.core.audit import GENESIS, AuditLog, AuditRecord, encode_entry
 from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
 from repro.core.monitor import AccessControlMonitor, BaselineMonitor
@@ -60,19 +60,61 @@ class TestAuditLog:
         log = AuditLog()
         for i in range(5):
             log.append(f"s{i}", i, "op", True, "r")
-        # In-place edit of a past record.
-        records = log._records
-        import dataclasses
-
-        records[2] = dataclasses.replace(records[2], reason="edited")
+        # In-place edit of a past entry's reason.
+        log._entries[2] = log._entries[2][:5] + ("edited",)
         assert not log.verify_chain()
 
     def test_truncation_breaks_chain(self):
         log = AuditLog()
         for i in range(5):
             log.append(f"s{i}", i, "op", True, "r")
-        log._records.pop()
+        log._entries.pop()
         assert not log.verify_chain()
+
+    def test_edit_of_unchained_entry_breaks_chain(self):
+        """Verification re-encodes from the fields, so an edit made before
+        the entry was chained is caught against the bytes captured at
+        append time."""
+        log = AuditLog()
+        for i in range(5):
+            log.append_buffered(f"s{i}", i, "op", True, "r")
+        log._entries[4] = log._entries[4][:5] + ("edited",)
+        assert not log.verify_chain()
+
+    def test_tail_edges(self):
+        log = AuditLog()
+        for i in range(3):
+            log.append(f"s{i}", i, "op", True, "r")
+        assert log.tail(0) == []
+        assert [r.sequence for r in log.tail(1)] == [2]
+        assert [r.sequence for r in log.tail(5)] == [0, 1, 2]
+        assert AuditLog().tail(0) == []
+        for count in (-1, -3):
+            with pytest.raises(ValueError):
+                log.tail(count)
+
+    def test_head_at(self):
+        log = AuditLog()
+        assert log.head_at(0) == GENESIS == log.chain_head()
+        records = [log.append(f"s{i}", i, "op", True, "r") for i in range(4)]
+        log.append_buffered("late", 9, "op", False, "r")
+        assert [log.head_at(i + 1) for i in range(4)] == [
+            r.chain_hash for r in records
+        ]
+        assert log.head_at(5) == log.chain_head() == log.tail(1)[0].chain_hash
+        for sequence in (-1, 6):
+            with pytest.raises(ValueError):
+                log.head_at(sequence)
+
+    def test_append_returns_the_chained_record(self):
+        log = AuditLog()
+        log.append_buffered("a", 1, "op", True, "r")
+        record = log.append("b", 2, "op", False, "r")
+        assert record == log.records()[1]
+        assert record.chain_hash == log.chain_head()
+        assert record.encode() == encode_entry(
+            1, record.timestamp_us, "b", 2, "op", False, "r"
+        )
 
     def test_records_carry_virtual_timestamps(self, timing_context):
         log = AuditLog()
@@ -80,6 +122,50 @@ class TestAuditLog:
         timing_context.clock.advance(500)
         second = log.append("s", 1, "op", True, "r")
         assert second.timestamp_us > first.timestamp_us
+
+
+class TestAuditRecordBuilds:
+    """Chaining, verification and anchoring build no AuditRecord; only the
+    readers that return records build them (a count, not a timing)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        init = AuditRecord.__init__
+
+        def counting_init(record, *args, **kwargs):
+            built.append(args[0] if args else kwargs["sequence"])
+            init(record, *args, **kwargs)
+
+        monkeypatch.setattr(AuditRecord, "__init__", counting_init)
+        return built
+
+    @staticmethod
+    def _buffered(count: int) -> AuditLog:
+        log = AuditLog()
+        for i in range(count):
+            log.append_buffered(f"s{i % 7}", i % 3, "op", i % 5 != 0, "r")
+        return log
+
+    def test_chain_and_verify_build_none(self, builds):
+        log = self._buffered(10_000)
+        log.chain_head()
+        assert log.verify_chain()
+        log.decision_chain_hash()
+        log.head_at(5_000)
+        assert len(log) == 10_000
+        assert builds == []
+
+    def test_tail_one_builds_exactly_one(self, builds):
+        log = self._buffered(10_000)
+        [record] = log.tail(1)
+        assert record.sequence == 9_999
+        assert builds == [9_999]
+
+    def test_filtered_readers_build_only_matches(self, builds):
+        log = self._buffered(100)
+        denials = log.denials()
+        assert builds == [r.sequence for r in denials] == list(range(0, 100, 5))
 
 
 class TestBaselineMonitor:
