@@ -4,9 +4,10 @@ The paper's monitor is only as good as its audit log: a denial that is
 not chained (or at least counted) is indistinguishable from a command
 that never happened, which defeats both forensics and the conformance
 explorer's denial-accounting oracle.  This rule pins the property to
-the three files that can say "no":
+the four files that can say "no":
 
 * ``core/monitor.py`` — reference-monitor denials,
+* ``vtpm/manager.py`` — frames for an unknown instance, degraded faults,
 * ``resilience/admission.py`` — load-shed / degraded verdicts,
 * ``resilience/breaker.py`` — breaker state transitions.
 
@@ -32,6 +33,7 @@ from repro.analysis.core import Finding, ModuleSource, Rule, register
 
 SCOPE_FILES = (
     "repro/core/monitor.py",
+    "repro/vtpm/manager.py",
     "repro/resilience/admission.py",
     "repro/resilience/breaker.py",
 )
@@ -97,7 +99,7 @@ class AuditOnDenyRule(Rule):
     id = "audit-on-deny"
     title = "deny/degrade paths must audit or count on the same path"
     description = (
-        "In core/monitor.py, resilience/admission.py and "
+        "In core/monitor.py, vtpm/manager.py, resilience/admission.py and "
         "resilience/breaker.py, any function that constructs a denial "
         "(AuthorizationResult with a deny code, build_response shed frame, "
         "breaker events.append) must also emit evidence in the same "

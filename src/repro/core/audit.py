@@ -116,7 +116,7 @@ class AuditLog:
         determined here; only the SHA-256 work is deferred to the next read.
         """
         entries = self._entries
-        timestamp_us = _timing._current_context.clock.now_us
+        timestamp_us = _timing._current_context.clock._now_us
         encoded = encode_entry(
             len(entries), timestamp_us, subject, instance, operation,
             allowed, reason,

@@ -43,13 +43,13 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from repro.core.audit import AuditLog
 from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
-from repro.core.policy import PolicyEngine, classify_ordinal
+from repro.core.policy import CommandClass, PolicyEngine, classify_ordinal
 from repro.core.reason import Reason
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
 from repro.sim.timing import charge
-from repro.tpm.constants import ordinal_name
+from repro.tpm.constants import ORDINAL_NAMES, ordinal_name
 from repro.tpm.marshal import ParsedCommand, parse_command
 from repro.util.errors import IdentityError, MarshalError
 from repro.xen.domain import Domain
@@ -64,6 +64,20 @@ _AC_CACHE_HIT = obs_counters.counter("ac.cache", result="hit")
 _AC_CACHE_MISS = obs_counters.counter("ac.cache", result="miss")
 #: per-class ``ac.commands`` handles, filled on first sight of each class
 _AC_COMMANDS: Dict[str, obs_counters.CounterHandle] = {}
+
+
+def _describe(ordinal: int) -> Tuple[CommandClass, str, str]:
+    """An ordinal's (class, class value, name), from the single sources
+    :func:`classify_ordinal` and :func:`ordinal_name`."""
+    command_class = classify_ordinal(ordinal)
+    return command_class, command_class.value, ordinal_name(ordinal)
+
+
+#: every named ordinal's :func:`_describe`, built once: a cache hit costs
+#: one probe here instead of a classification and a name lookup
+_ORDINALS: Dict[int, Tuple[CommandClass, str, str]] = {
+    ordinal: _describe(ordinal) for ordinal in ORDINAL_NAMES
+}
 
 
 def _ac_commands(cls: str) -> obs_counters.CounterHandle:
@@ -167,15 +181,17 @@ class AccessControlMonitor(Monitor):
         self.checks = 0
         self.denials = 0
         # -- decision cache ------------------------------------------------
-        #: (domid, live measurement, instance, class) -> (subject, rule id)
+        #: (domid, live measurement, instance, class value) ->
+        #: (subject, rule id)
         self._cache: Dict[Tuple, Tuple[str, Optional[int]]] = {}
         #: rule id -> its allow record's reason text, so every record of
         #: one rule shares one string (emptied with the cache)
         self._allow_texts: Dict[Optional[int], str] = {None: "unchecked"}
         #: monitor-local epoch component (instance lifecycle events)
         self._epoch = 0
-        #: the composite epoch the current cache contents were built under
-        self._cache_epoch: Tuple[int, int, int] = (-1, -1, -1)
+        #: the (monitor epoch, policy version, identity version) the
+        #: current cache contents were built under
+        self._cache_local = self._cache_policy = self._cache_identity = -1
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -227,7 +243,7 @@ class AccessControlMonitor(Monitor):
         if obs_counters._current_registry is not None:
             parsed = result.parsed
             _ac_commands(
-                classify_ordinal(parsed.ordinal).value
+                (_ORDINALS.get(parsed.ordinal) or _describe(parsed.ordinal))[1]
                 if parsed is not None else "malformed"
             ).inc()
             _AC_DECISIONS[result.reason].inc()
@@ -257,7 +273,9 @@ class AccessControlMonitor(Monitor):
                     )
         ordinal = parsed.ordinal
         config = self.config
-        command_class = classify_ordinal(ordinal)
+        command_class, class_value, operation = (
+            _ORDINALS.get(ordinal) or _describe(ordinal)
+        )
 
         # Resilience gating runs before the decision cache: health state
         # changes without bumping any cache epoch, so a cached allow must
@@ -272,21 +290,29 @@ class AccessControlMonitor(Monitor):
                 veto = gate(instance_id, command_class)
                 if veto is not None:
                     return self._deny(
-                        veto, f"dom{caller.domid}", instance_id,
-                        ordinal_name(ordinal), parsed,
+                        veto, f"dom{caller.domid}", instance_id, operation,
+                        parsed,
                     )
 
         cache_key: Optional[Tuple] = None
         if config.authz_cache:
-            epoch = (self._epoch, self.policy.version, self.identities.version)
+            local = self._epoch
+            policy_version = self.policy.version
+            identity_version = self.identities.version
             if INJECT_STALE_POLICY_EPOCH:  # test-only, see module docstring
-                epoch = (epoch[0], self._cache_epoch[1], epoch[2])
-            if epoch != self._cache_epoch:
+                policy_version = self._cache_policy
+            if (
+                local != self._cache_local
+                or policy_version != self._cache_policy
+                or identity_version != self._cache_identity
+            ):
                 self._cache.clear()
                 self._allow_texts = {None: "unchecked"}
-                self._cache_epoch = epoch
+                self._cache_local = local
+                self._cache_policy = policy_version
+                self._cache_identity = identity_version
             cache_key = (
-                caller.domid, caller.measurement, instance_id, command_class,
+                caller.domid, caller.measurement, instance_id, class_value,
             )
             hit = self._cache.get(cache_key)
             if hit is not None:
@@ -297,14 +323,11 @@ class AccessControlMonitor(Monitor):
                     span.set("cache", "hit")
                 subject, rule_id = hit
                 return self._allow(
-                    subject, instance_id, ordinal_name(ordinal), rule_id,
-                    parsed, tracer,
+                    subject, instance_id, operation, rule_id, parsed, tracer,
                 )
             self.cache_misses += 1
             span.set("cache", "miss")
             _AC_CACHE_MISS.inc()
-
-        operation = ordinal_name(ordinal)
 
         # 1. identity binding
         subject = f"dom{caller.domid}"

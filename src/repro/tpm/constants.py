@@ -151,7 +151,8 @@ ORDINAL_NAMES = {
 
 def ordinal_name(ordinal: int) -> str:
     """Name for an ordinal, or a hex placeholder for unknown ones."""
-    return ORDINAL_NAMES.get(ordinal, f"TPM_ORD_{ordinal:#010x}")
+    name = ORDINAL_NAMES.get(ordinal)
+    return name if name is not None else f"TPM_ORD_{ordinal:#010x}"
 
 
 # -- startup types -------------------------------------------------------------

@@ -10,6 +10,7 @@ from typing import Optional
 
 from repro.crypto.random_source import RandomSource
 from repro.faults import FaultKind, fire
+from repro.faults import injector as _injector
 from repro.sim.timing import charge
 from repro.tpm.constants import TPM_ST_CLEAR, TPM_ST_STATE
 from repro.tpm.dispatch import TpmExecutor
@@ -58,7 +59,10 @@ class TpmDevice:
         wire bytes.  ``parsed`` optionally carries the frame a layer above
         already parsed, so the executor does not parse it again.
         """
-        event = fire("tpm.device.execute", device=self.name)
+        # Without an injector no fault can be due: skip the hook's kwargs.
+        event = None if _injector._current_injector is None else fire(
+            "tpm.device.execute", device=self.name
+        )
         if event is not None and event.kind is FaultKind.DEVICE_TRANSIENT:
             charge("fault.device.transient")
             event.raise_fault()

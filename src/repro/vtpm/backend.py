@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 
+from repro.core.config import AccessMode
 from repro.obs import trace as obs_trace
 from repro.util.errors import IdentityError, VtpmError
 from repro.vtpm.frontend import VtpmFrontend
@@ -123,10 +124,18 @@ class VtpmBackend:
         front-end domain must *currently measure* to the identity the
         target instance is bound to.  A mismatch raises — fail closed —
         and is reported to the monitor for the audit trail; the old
-        binding stays in force.
+        binding stays in force.  The improved regime likewise refuses a
+        target that does not exist: no identity is bound to it.
         """
         manager = self.manager
         target = manager._instances.get(new_instance_id)
+        if target is None and manager.mode is AccessMode.IMPROVED:
+            manager.monitor.on_rebind_denied(
+                f"dom{self.front_domid}", new_instance_id
+            )
+            raise VtpmError(
+                f"rebind refused: no vTPM instance {new_instance_id}"
+            )
         if (
             target is not None
             and target.bound_identity_hex is not None

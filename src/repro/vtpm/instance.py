@@ -152,7 +152,7 @@ class VtpmInstance:
                     wire, locality=locality, parsed=parsed
                 )
         self.commands_handled += 1
-        self.last_activity_us = _timing._current_context.clock.now_us
+        self.last_activity_us = _timing._current_context.clock._now_us
         return response
 
     def idle_us(self) -> float:

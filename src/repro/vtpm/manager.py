@@ -33,6 +33,9 @@ from repro.xen.domain import Domain
 from repro.xen.hypervisor import Xen
 
 _VTPM_FAULT_RESPONSES = obs_counters.counter("vtpm.fault_responses")
+_VTPM_UNKNOWN_INSTANCE = obs_counters.counter("vtpm.unknown_instance")
+#: the manager vCPU's key-bearing registers, zeroed
+_ZERO_REGISTERS = {"rax": 0, "rbx": 0, "rcx": 0, "rdx": 0}
 
 
 class VtpmManager:
@@ -198,11 +201,14 @@ class VtpmManager:
         """
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
+        caller, registers, scrub = self._notify_context(caller_domid)
         with (NULL_SPAN if tracer is None else tracer.start_span(
             "manager.dispatch", {"instance": instance_id}
         )):
             try:
-                return self._dispatch_one(caller_domid, instance_id, wire, locality)
+                return self._dispatch_frame(
+                    caller, registers, scrub, instance_id, wire, locality
+                )
             finally:
                 self._flush_image(instance_id, tracer)
 
@@ -232,9 +238,10 @@ class VtpmManager:
         """
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
+        caller, registers, scrub = self._notify_context(caller_domid)
         # The injector cannot be (un)installed mid-notify — the ring is
         # serviced synchronously — so one check covers the whole batch.
-        # Without an injector, _dispatch_one can never raise an injected
+        # Without an injector, _dispatch_frame can never raise an injected
         # fault and the retry envelope is pure overhead.
         retrying = _injector._current_injector is not None
         clock = None if observe is None else _timing._current_context.clock
@@ -249,14 +256,16 @@ class VtpmManager:
                     "manager.dispatch", {"instance": instance_id}
                 )):
                     if not retrying:
-                        response = self._dispatch_one(
-                            caller_domid, instance_id, wire, locality
+                        response = self._dispatch_frame(
+                            caller, registers, scrub, instance_id, wire,
+                            locality,
                         )
                     else:
                         try:
                             response = with_retry(
-                                self._dispatch_one, caller_domid, instance_id,
-                                wire, locality, site="vtpm.backend.forward",
+                                self._dispatch_frame, caller, registers,
+                                scrub, instance_id, wire, locality,
+                                site="vtpm.backend.forward",
                                 jitter_token=instance_id,
                             )
                         except RetryExhausted as exc:
@@ -294,23 +303,43 @@ class VtpmManager:
                 ("vtpm", instance_id), instance.state_region
             )
 
-    def _dispatch_one(
-        self, caller_domid: int, instance_id: int, wire: bytes, locality: int = 0
+    def _notify_context(self, caller_domid: int):
+        """What stays fixed for a whole notify: the caller's domain, the
+        manager vCPU's register file and whether it is scrubbed."""
+        caller = self.xen.domain(caller_domid)
+        registers = self.xen.domain(self.manager_domid).vcpu.registers
+        scrub = self.protector is not None and self.protector.enabled
+        return caller, registers, scrub
+
+    def _dispatch_frame(
+        self, caller: Domain, registers: dict, scrub: bool, instance_id: int,
+        wire: bytes, locality: int,
     ) -> bytes:
-        """The monitor-interposed command path for one already-demuxed wire."""
+        """The monitor-interposed command path for one already-demuxed wire.
+
+        The instance is looked up per frame, so one destroyed mid-notify
+        denies the frames after it.  Key fragments transit ``registers``
+        while the command runs, and are zeroed after it when ``scrub``.
+        """
         self.commands_dispatched += 1
         try:
             instance = self.instance(instance_id)
         except VtpmError:
+            # A backend pointed at no instance: a denial like any other.
+            self.commands_denied += 1
+            _VTPM_UNKNOWN_INSTANCE.inc()
             return marshal.build_response(TPM_AUTHFAIL)
-        caller = self.xen.domain(caller_domid)
         verdict = self.monitor.authorize(
             caller, instance_id, instance.bound_identity_hex, wire
         )
-        if not verdict.allowed:
+        if not verdict.reason.allowed:
             self.commands_denied += 1
             return marshal.build_response(TPM_AUTHFAIL)
-        self._load_working_registers(instance)
+        packed = instance.working_registers
+        if packed is None:
+            packed = self._working_registers(instance)
+        if packed is not None:
+            registers.update(packed)
         try:
             return instance.execute(wire, locality=locality, parsed=verdict.parsed)
         except FaultInjected as exc:
@@ -318,8 +347,9 @@ class VtpmManager:
                 raise  # the back-end's bounded retry resends the same wire
             return self.fault_response(instance_id, exc)
         finally:
-            if self.protector is not None and self.protector.enabled:
-                self._scrub_working_registers()
+            if scrub:
+                # The improved manager zeroes key-bearing registers after use.
+                registers.update(_ZERO_REGISTERS)
 
     def fault_response(self, instance_id: int, exc: Exception) -> bytes:
         """Graceful degradation: a subsystem failure becomes a ``TPM_FAIL``
@@ -333,35 +363,27 @@ class VtpmManager:
 
     # -- CPU-residency modelling ---------------------------------------------------
 
-    def _load_working_registers(self, instance: VtpmInstance) -> None:
+    @staticmethod
+    def _working_registers(instance: VtpmInstance) -> Optional[dict]:
         """Model crypto in flight: key fragments transit the manager's vCPU.
 
         Real RSA code schedules private-key material through registers;
         this puts the first 32 bytes of the instance EK into rax..rdx so a
         vCPU dump sees what a real dump would see.  The register values are
         pure functions of the (immutable) EK, so they are computed once per
-        instance and bulk-assigned on every subsequent command.
+        instance and bulk-assigned on every subsequent command; ``None``
+        while the instance has no EK.
         """
-        vcpu = self.xen.domain(self.manager_domid).vcpu
-        packed = instance.working_registers
-        if packed is None:
-            ek = instance.device.state.keys.ek
-            if ek is None:
-                return
-            fragment = ek.keypair.serialize_private()[:32]
-            packed = {
-                reg: int.from_bytes(fragment[i * 8 : (i + 1) * 8], "big")
-                for i, reg in enumerate(("rax", "rbx", "rcx", "rdx"))
-            }
-            instance.working_registers = packed
-        vcpu.registers.update(packed)
-
-    _ZERO_REGISTERS = {"rax": 0, "rbx": 0, "rcx": 0, "rdx": 0}
-
-    def _scrub_working_registers(self) -> None:
-        """The improved manager zeroes key-bearing registers after use."""
-        vcpu = self.xen.domain(self.manager_domid).vcpu
-        vcpu.registers.update(self._ZERO_REGISTERS)
+        ek = instance.device.state.keys.ek
+        if ek is None:
+            return None
+        fragment = ek.keypair.serialize_private()[:32]
+        packed = {
+            reg: int.from_bytes(fragment[i * 8 : (i + 1) * 8], "big")
+            for i, reg in enumerate(("rax", "rbx", "rcx", "rdx"))
+        }
+        instance.working_registers = packed
+        return packed
 
     # -- persistence ---------------------------------------------------------------------
 

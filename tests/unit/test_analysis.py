@@ -10,6 +10,7 @@ previous-line, mandatory reason, staleness) and the baseline diff.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -321,6 +322,26 @@ class TestAuditOnDeny:
             "    self.events.append((state, 0.0))\n",
         )
         assert len(findings) == 1
+
+    def test_positive_manager_deny_without_emission(self):
+        """The manager's unknown-instance denial must leave evidence."""
+        findings = run_rule(
+            "audit-on-deny",
+            "repro/vtpm/manager.py",
+            "def _dispatch_frame(self, instance_id):\n"
+            "    if instance_id not in self._instances:\n"
+            "        self.commands_denied += 1\n"
+            "        return marshal.build_response(TPM_AUTHFAIL)\n",
+        )
+        assert len(findings) == 1
+
+    def test_live_manager_is_in_scope_and_clean(self):
+        import repro.vtpm.manager as manager_mod
+
+        source = Path(manager_mod.__file__).read_text()
+        assert run_rule("audit-on-deny", "repro/vtpm/manager.py", source) == []
+        stripped = source.replace("_VTPM_UNKNOWN_INSTANCE.inc()", "pass")
+        assert run_rule("audit-on-deny", "repro/vtpm/manager.py", stripped)
 
     def test_out_of_scope_file_ignored(self):
         src = "def shed(wire):\n    return build_response(0x9)\n"

@@ -1,0 +1,278 @@
+"""The per-frame command path: authorization under mid-batch change, the
+unknown-instance denial, and a deterministic guard on per-frame work.
+
+A notify's frames share one caller domain and one manager vCPU, so the
+manager resolves those once per notify; everything that can change a
+decision — rules, identities, the instance itself — is still checked on
+every frame.  The count guard uses call-counting wrappers, not timings,
+so it is exact and host-independent.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.core.monitor as monitor_mod
+import repro.core.policy as policy_mod
+import repro.tpm.constants as constants_mod
+from repro.core.config import AccessMode
+from repro.core.reason import Reason
+from repro.harness.builder import build_platform
+from repro.obs.counters import CounterRegistry, registry_scope
+from repro.sim.clock import VirtualClock
+from repro.tpm import marshal
+from repro.tpm.constants import (
+    TPM_AUTHFAIL,
+    TPM_ORD_PcrRead,
+    TPM_SUCCESS,
+    ordinal_name,
+)
+from repro.util.bytesio import ByteWriter
+from repro.util.errors import VtpmError
+from repro.xen.hypervisor import Xen
+
+
+def _pcr_read_wire(index: int = 0) -> bytes:
+    return marshal.build_command(
+        TPM_ORD_PcrRead, ByteWriter().u32(index).getvalue()
+    )
+
+
+def _rc(response: bytes) -> int:
+    return marshal.parse_response(response).return_code
+
+
+@pytest.fixture
+def platform():
+    return build_platform(AccessMode.IMPROVED, seed=11, name="frame-path")
+
+
+@pytest.fixture
+def guest(platform):
+    return platform.add_guest("alice")
+
+
+# -- a rebind to, or a frame for, an instance that does not exist ------------------
+
+
+class TestUnknownInstance:
+    def test_improved_rebind_to_missing_instance_is_refused_and_audited(
+        self, platform, guest
+    ):
+        audit_before = len(platform.audit)
+        denials_before = platform.monitor.denials
+        with pytest.raises(VtpmError, match="no vTPM instance 999"):
+            guest.backend.rebind(999)
+        assert guest.backend.instance_id == guest.instance_id
+        assert platform.monitor.denials == denials_before + 1
+        assert len(platform.audit) == audit_before + 1
+        record = platform.audit.records()[-1]
+        assert (record.operation, record.instance, record.allowed) == (
+            "VTPM_Rebind", 999, False,
+        )
+        assert Reason.from_record(record.reason) is Reason.BINDING_MISMATCH
+        # The refused rebind left the connection working.
+        assert _rc(guest.frontend.transport(_pcr_read_wire())) == TPM_SUCCESS
+
+    def test_baseline_rebind_keeps_stock_behaviour(self):
+        platform = build_platform(AccessMode.BASELINE, seed=11, name="stock")
+        guest = platform.add_guest("alice")
+        guest.backend.rebind(999)
+        assert guest.backend.instance_id == 999
+
+    def test_unknown_instance_frames_are_counted_denials(self):
+        platform = build_platform(AccessMode.BASELINE, seed=11, name="stock")
+        guest = platform.add_guest("alice")
+        guest.backend.rebind(999)
+        manager = platform.manager
+        denied_before = manager.commands_denied
+        registry = CounterRegistry()
+        with registry_scope(registry):
+            responses = guest.frontend.transport_batch([_pcr_read_wire()] * 3)
+        assert [_rc(r) for r in responses] == [TPM_AUTHFAIL] * 3
+        assert manager.commands_denied == denied_before + 3
+        assert registry.value("vtpm.unknown_instance") == 3
+
+    def test_direct_command_for_unknown_instance_is_counted(
+        self, platform, guest
+    ):
+        manager = platform.manager
+        denied_before = manager.commands_denied
+        response = manager.handle_command(
+            guest.domain.domid, 999, _pcr_read_wire()
+        )
+        assert _rc(response) == TPM_AUTHFAIL
+        assert manager.commands_denied == denied_before + 1
+
+
+# -- ordinal names ---------------------------------------------------------------------
+
+
+class TestOrdinalName:
+    def test_unknown_ordinal_name_is_unchanged(self):
+        assert ordinal_name(0xDEADBEEF) == "TPM_ORD_0xdeadbeef"
+        assert ordinal_name(0) == "TPM_ORD_0x00000000"
+
+    def test_monitor_table_agrees_with_the_sources(self):
+        for ordinal, (cls, value, name) in monitor_mod._ORDINALS.items():
+            assert cls is policy_mod.classify_ordinal(ordinal)
+            assert value == cls.value
+            assert name == ordinal_name(ordinal)
+
+
+# -- authorization stays per frame under mid-batch change --------------------------
+
+
+def _after_frame(instance, frame: int, action) -> None:
+    """Run ``action`` right after the instance's device executes ``frame``."""
+    device = instance.device
+    execute = device.execute
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        response = execute(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == frame:
+            action()
+        return response
+
+    device.execute = wrapped
+
+
+class TestMidBatchChange:
+    FRAMES = 8
+    CHANGE_AFTER = 3
+
+    def _batch(self, platform, guest, action):
+        instance = platform.manager.instance(guest.instance_id)
+        wire = _pcr_read_wire()
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS  # warm
+        _after_frame(instance, self.CHANGE_AFTER, action)
+        audit_before = len(platform.audit)
+        responses = guest.frontend.transport_batch([wire] * self.FRAMES)
+        return [_rc(r) for r in responses], audit_before
+
+    def _expected_codes(self):
+        denied = self.FRAMES - self.CHANGE_AFTER
+        return [TPM_SUCCESS] * self.CHANGE_AFTER + [TPM_AUTHFAIL] * denied
+
+    def test_revoked_rules_deny_the_rest_as_no_grant(self, platform, guest):
+        policy = platform.policy
+
+        def revoke():
+            for rule in policy.rules_for_instance(guest.instance_id):
+                policy.revoke_rule(rule.rule_id)
+
+        codes, audit_before = self._batch(platform, guest, revoke)
+        assert codes == self._expected_codes()
+        records = platform.audit.records()[audit_before:]
+        assert len(records) == self.FRAMES
+        assert [Reason.from_record(r.reason) for r in records] == (
+            [Reason.GRANTED] * self.CHANGE_AFTER
+            + [Reason.NO_GRANT] * (self.FRAMES - self.CHANGE_AFTER)
+        )
+
+    def test_forgotten_identity_denies_the_rest_as_unregistered(
+        self, platform, guest
+    ):
+        def forget():
+            platform.identities.forget(guest.domain.domid)
+
+        codes, audit_before = self._batch(platform, guest, forget)
+        assert codes == self._expected_codes()
+        records = platform.audit.records()[audit_before:]
+        assert [Reason.from_record(r.reason) for r in records] == (
+            [Reason.GRANTED] * self.CHANGE_AFTER
+            + [Reason.UNREGISTERED_IDENTITY] * (self.FRAMES - self.CHANGE_AFTER)
+        )
+
+    def test_destroyed_instance_denies_and_counts_the_rest(
+        self, platform, guest
+    ):
+        manager = platform.manager
+        denied_before = manager.commands_denied
+
+        def destroy():
+            manager.destroy_instance(guest.instance_id, persist=False)
+
+        registry = CounterRegistry()
+        with registry_scope(registry):
+            codes, _ = self._batch(platform, guest, destroy)
+        assert codes == self._expected_codes()
+        rest = self.FRAMES - self.CHANGE_AFTER
+        assert manager.commands_denied == denied_before + rest
+        assert registry.value("vtpm.unknown_instance") == rest
+
+
+# -- deterministic guard on per-frame work ------------------------------------------
+
+
+def _counted(fn):
+    """``fn`` behind a wrapper that counts its calls in ``.calls``."""
+
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+class TestPerFrameWorkGuard:
+    FRAMES = 8
+
+    def test_warm_notify_does_only_per_frame_work(
+        self, platform, guest, monkeypatch
+    ):
+        wire = _pcr_read_wire()
+        guest.frontend.transport_batch([wire] * self.FRAMES)  # warm
+        hits_before = platform.monitor.cache_hits
+
+        domain = _counted(Xen.domain)
+        monkeypatch.setattr(Xen, "domain", domain)
+        classify = _counted(policy_mod.classify_ordinal)
+        name = _counted(constants_mod.ordinal_name)
+        for module in (monitor_mod, policy_mod):
+            monkeypatch.setattr(module, "classify_ordinal", classify)
+        for module in (monitor_mod, constants_mod):
+            monkeypatch.setattr(module, "ordinal_name", name)
+        clock_reads = _counted(VirtualClock.now_us.fget)
+        monkeypatch.setattr(VirtualClock, "now_us", property(clock_reads))
+
+        responses = guest.frontend.transport_batch([wire] * self.FRAMES)
+
+        assert [_rc(r) for r in responses] == [TPM_SUCCESS] * self.FRAMES
+        assert platform.monitor.cache_hits == hits_before + self.FRAMES
+        assert domain.calls <= 2  # caller and manager, once per notify
+        assert classify.calls == 0
+        assert name.calls == 0
+        assert clock_reads.calls == 0
+
+    def test_handle_command_and_handle_batch_share_one_frame_function(
+        self, platform, guest, monkeypatch
+    ):
+        manager = platform.manager
+        frame = _counted(manager._dispatch_frame)
+        monkeypatch.setattr(manager, "_dispatch_frame", frame)
+        wire = _pcr_read_wire()
+        manager.handle_command(guest.domain.domid, guest.instance_id, wire)
+        manager.handle_batch(guest.domain.domid, guest.instance_id, [wire] * 2)
+        assert frame.calls == 3
+
+
+# -- the test-only stale-epoch bug keeps its exact shape ---------------------------
+
+
+class TestInjectedStaleEpoch:
+    def test_stale_policy_epoch_survives_revocation_only(
+        self, platform, guest, monkeypatch
+    ):
+        monkeypatch.setattr(monitor_mod, "INJECT_STALE_POLICY_EPOCH", True)
+        wire = _pcr_read_wire()
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS  # hot
+        platform.policy.revoke_subject(guest.domain.measurement.hex())
+        # The injected bug: the policy bump is ignored, the allow survives.
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS
+        # Any other epoch component still flushes the cache.
+        platform.monitor.invalidate_cache()
+        assert _rc(guest.frontend.transport(wire)) == TPM_AUTHFAIL
