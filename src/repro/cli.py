@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection demo: seeded chaos, zero state loss",
     )
     p_chaos.add_argument("--seed", type=int, default=2026)
-    p_chaos.add_argument("--commands", type=int, default=None,
+    p_chaos.add_argument("--commands", type=_positive_int, default=None,
                          help="workload steps (default: 1000, or 600 "
                               "with --supervised)")
     p_chaos.add_argument("--supervised", action="store_true",
@@ -621,9 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-host fleet demo: storm + host crash, zero state loss",
     )
     p_cluster.add_argument("--seed", type=int, default=2027)
-    p_cluster.add_argument("--hosts", type=int, default=4)
-    p_cluster.add_argument("--guests", type=int, default=32)
-    p_cluster.add_argument("--steps", type=int, default=96)
+    p_cluster.add_argument("--hosts", type=_positive_int, default=4)
+    p_cluster.add_argument("--guests", type=_positive_int, default=32)
+    p_cluster.add_argument("--steps", type=_positive_int, default=96)
     _add_runner_options(p_cluster)
 
     p_attack = sub.add_parser("attack-matrix", help="run the attack toolkit")
@@ -658,9 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--mode", choices=["baseline", "improved"],
                          default="improved",
                          help="regime for a live workload run")
-    p_trace.add_argument("--count", type=int, default=2,
+    p_trace.add_argument("--count", type=_positive_int, default=2,
                          help="repetitions of the live workload (default 2)")
-    p_trace.add_argument("--guests", type=int, default=4)
+    p_trace.add_argument("--guests", type=_positive_int, default=4)
     p_trace.add_argument("--rate", type=float, default=100.0,
                          help="commands per guest per second")
     p_trace.add_argument("--duration", type=float, default=1.0,
@@ -693,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a short supervised scenario and print per-guest health",
     )
     p_health.add_argument("--seed", type=int, default=2026)
-    p_health.add_argument("--commands", type=int, default=200)
+    p_health.add_argument("--commands", type=_positive_int, default=200)
     p_health.add_argument("--no-faults", dest="faults", action="store_false",
                           help="fault-free control run (everything healthy)")
     p_health.set_defaults(fn=cmd_health)

@@ -8,8 +8,10 @@ The subsystem has three pieces:
 * :mod:`repro.faults.injector` — :class:`FaultInjector` plus the ambient
   ``fire()`` hook the instrumented layers call (ring transfers, storage,
   TPM devices, migration);
-* :mod:`repro.faults.retry` — :func:`with_retry`, the bounded
-  backoff-in-virtual-time loop the recovery paths share.
+* :mod:`repro.faults.retry` — :func:`with_retry`, the one bounded
+  backoff-in-virtual-time loop every recovery path retries through (ring
+  kick, back-end forwarding, restore, storage save and load, migration,
+  fleet link); it alone notes retries and counts exhaustions.
 
 With no injector installed every hook is a single ``None`` check, so the
 fault-free fast path stays fault-free and free.
@@ -23,7 +25,6 @@ from repro.faults.injector import (
     injector_scope,
     install,
     note_recovery,
-    note_retry,
 )
 from repro.faults.plan import KIND_SITES, FaultKind, FaultPlan, FaultSpec, spec
 from repro.faults.retry import DEFAULT_ATTEMPTS, DEFAULT_BACKOFF_US, with_retry
@@ -42,7 +43,6 @@ __all__ = [
     "injector_scope",
     "install",
     "note_recovery",
-    "note_retry",
     "spec",
     "with_retry",
 ]

@@ -1,16 +1,23 @@
 """Bounded retry-with-backoff, paid for in virtual time.
 
-Back-end command forwarding (``vtpm.backend.forward``), instance restore,
-the supervisor's health probe and the fleet router's link forwarding
-(``cluster.link``) share this loop: attempt the operation, catch
-*transient* injected faults, charge an exponentially growing backoff
-against the virtual clock, and try again.  Storage persistence keeps its
-own save/load loops (500/400 us doubling backoff, no jitter), and the
-migration transaction (:class:`~repro.vtpm.migration.Migration`) retries
-whole attempts at the flat ``vtpm.migration.retry`` cost.  Non-transient
-faults — the injector's model of a hard crash — propagate untouched, and
-a fault that survives every attempt surfaces as
+Every recovery path of the stack retries through this one loop: the
+front-end's ring kick (``xen.ring.notify``), back-end command forwarding
+(``vtpm.backend.forward``), instance restore, the supervisor's health
+probe, storage save and load (``vtpm.storage.save`` /
+``vtpm.storage.load``), the migration transaction (``vtpm.migration``,
+``cluster.migrate``) and the fleet router's link forwarding
+(``cluster.link``).  It attempts the operation, catches the failures the
+caller names in ``retry_on`` (transient injected faults by default),
+charges an exponentially growing backoff against the virtual clock, and
+tries again.  Non-transient injected faults — the injector's model of a
+hard crash — propagate untouched, and a failure that survives every
+attempt is counted per site and surfaces as
 :class:`~repro.util.errors.RetryExhausted`.
+
+A site with failure-specific work — the ring's driver timeout, storage's
+ENOSPC garbage collection, the migration's rollback — does it inside its
+attempt function and re-raises; a site with its own flat retry cost
+passes ``base_backoff_us=0`` and charges that cost there.
 
 Two refinements keep the loop honest at fleet scale:
 
@@ -23,9 +30,9 @@ Two refinements keep the loop honest at fleet scale:
   instance id) de-correlate without sacrificing replay determinism.  The
   nominal step is the *minimum*, never shortened.
 * **total-backoff cap** — the cumulative backoff charged by one
-  ``with_retry`` episode is capped, so a caller that raises ``attempts``
-  cannot stall the virtual clock unboundedly; attempts beyond the cap
-  still run, they just stop paying.
+  ``with_retry`` episode is capped at :data:`DEFAULT_MAX_TOTAL_BACKOFF_US`,
+  so a caller that raises ``attempts`` cannot stall the virtual clock
+  unboundedly; attempts beyond the cap still run, they just stop paying.
 """
 
 from __future__ import annotations
@@ -44,14 +51,10 @@ T = TypeVar("T")
 DEFAULT_ATTEMPTS = 4
 #: first backoff step; doubles per retry (virtual microseconds)
 DEFAULT_BACKOFF_US = 250.0
-#: default ceiling on the *cumulative* backoff one episode may charge
+#: ceiling on the *cumulative* backoff one episode may charge
 DEFAULT_MAX_TOTAL_BACKOFF_US = 60_000.0
 #: jitter stretches each step by up to this fraction (never shortens it)
 JITTER_FRAC = 0.5
-
-
-def is_transient(exc: Exception) -> bool:
-    return isinstance(exc, FaultInjected) and exc.transient
 
 
 def backoff_jitter_frac(site: str, token: object, attempt: int) -> float:
@@ -76,18 +79,19 @@ def with_retry(
     base_backoff_us: float = DEFAULT_BACKOFF_US,
     retry_on: Tuple[Type[Exception], ...] = (FaultInjected,),
     jitter_token: Optional[object] = None,
-    max_total_backoff_us: float = DEFAULT_MAX_TOTAL_BACKOFF_US,
 ) -> T:
-    """Run ``attempt(*args)`` with bounded backoff on transient injected faults.
+    """Run ``attempt(*args)`` with bounded backoff on ``retry_on`` failures.
 
     Each retry charges ``fault.retry.backoff`` for ``base_backoff_us * 2^i``
     virtual microseconds (stretched by the seeded jitter when
     ``jitter_token`` is given), so recovery latency is measurable on the
     same clock as everything else.  The cumulative charge is capped at
-    ``max_total_backoff_us``.  A successful retry is recorded as one
-    recovery (with the virtual time the whole episode took); an exhausted
-    episode is counted per site in the ambient counter registry
-    (``faults.retry_exhausted{site=…}``) before it raises.
+    :data:`DEFAULT_MAX_TOTAL_BACKOFF_US`.  A :class:`FaultInjected` with
+    ``transient=False`` propagates at once, whatever ``retry_on`` says.  A
+    successful retry is recorded as one recovery (with the virtual time the
+    whole episode took); an exhausted episode is counted per site in the
+    ambient counter registry (``faults.retry_exhausted{site=…}``) before it
+    raises.
 
     Positional arguments are forwarded to ``attempt`` so per-call hot paths
     (the back-end forwarding every command) need not allocate a closure.
@@ -99,14 +103,16 @@ def with_retry(
         try:
             result = attempt(*args)
         except retry_on as exc:
-            if not is_transient(exc):
+            if isinstance(exc, FaultInjected) and not exc.transient:
                 raise
             last = exc
             note_retry(site)
             step_us = base_backoff_us * (2.0 ** i)
             if jitter_token is not None:
                 step_us *= 1.0 + backoff_jitter_frac(site, jitter_token, i)
-            step_us = min(step_us, max(0.0, max_total_backoff_us - backoff_spent_us))
+            step_us = min(
+                step_us, max(0.0, DEFAULT_MAX_TOTAL_BACKOFF_US - backoff_spent_us)
+            )
             if step_us > 0.0:
                 backoff_spent_us += step_us
                 charge("fault.retry.backoff", step_us)

@@ -30,13 +30,13 @@ from repro.core.config import AccessMode
 from repro.crypto.random_source import RandomSource
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
-from repro.faults import FaultKind, fire, note_recovery, note_retry
+from repro.faults import FaultKind, fire, with_retry
 from repro.obs import inc, span
 from repro.sim.timing import charge, get_context
 from repro.tpm.client import TpmClient
 from repro.tpm.constants import TPM_KEY_BIND, TPM_KH_SRK
 from repro.util.bytesio import ByteReader, ByteWriter
-from repro.util.errors import FaultInjected, MigrationError, RetryExhausted
+from repro.util.errors import FaultInjected, MigrationError
 from repro.vtpm.manager import VtpmManager
 from repro.xen.domain import Domain
 
@@ -393,41 +393,34 @@ class Migration:
 
     def run(self):
         """Migrate with bounded retries; returns the destination's instance."""
-        start_us = get_context().clock.now_us
-        last: Optional[FaultInjected] = None
-        for self.attempt in range(1, MIGRATION_ATTEMPTS + 1):
-            try:
-                instance = self._once()
-            except FaultInjected as exc:
-                if not exc.transient:
-                    raise
-                last = exc
-                note_retry(self.site)
-                charge("vtpm.migration.retry")
-                continue
-            if self.attempt > 1:
-                note_recovery(self.site, get_context().clock.now_us - start_us)
-            return instance
-        raise RetryExhausted(self.site, MIGRATION_ATTEMPTS, last)
+        self.attempt = 0
+        return with_retry(self._once, site=self.site,
+                          attempts=MIGRATION_ATTEMPTS, base_backoff_us=0.0)
 
     def _once(self):
+        """One attempt; rolled back (and a transient fault's retry cost
+        paid) if anything in it fails."""
+        self.attempt += 1
         source, destination, vm_uuid = self.source, self.destination, self.vm_uuid
-        self.before_offer()
-        sealed = source.manager.mode is AccessMode.IMPROVED
-        offer = destination.prepare_target() if sealed else None
+        offer: Optional[MigrationOffer] = None
         txn: Optional[ExportTransaction] = None
         try:
+            self.before_offer()
+            sealed = source.manager.mode is AccessMode.IMPROVED
+            offer = destination.prepare_target() if sealed else None
             txn = (source.begin_export_sealed(vm_uuid, offer) if sealed
                    else source.begin_export_plaintext(vm_uuid))
             self.wire(txn.package)
             land = destination.import_sealed if sealed else destination.import_plaintext
             instance = land(txn.package, self.target_vm)
-        except BaseException:
+        except BaseException as exc:
             if txn is not None:
                 source.abort_export(txn)
             if offer is not None:
                 destination.cancel_offer(offer.offer_id)
             self.rolled_back()
+            if isinstance(exc, FaultInjected) and exc.transient:
+                charge("vtpm.migration.retry")
             raise
         source.commit_export(txn)
         return instance

@@ -25,7 +25,7 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.sealing import StateSealer
-from repro.faults import FaultKind, fire, note_recovery, note_retry
+from repro.faults import FaultKind, fire, note_recovery, with_retry
 from repro.sim.timing import charge, get_context
 from repro.util.errors import FaultInjected, RetryExhausted, VtpmError
 
@@ -166,7 +166,6 @@ class VtpmStorage:
         self.disk = disk
         self.sealer = sealer
         self.saves = 0
-        self.recoveries = 0
         self.fallbacks = 0
 
     @staticmethod
@@ -210,30 +209,20 @@ class VtpmStorage:
         generation = (existing[-1] + 1) if existing else 1
         name = self._gen_name(vm_uuid, generation)
         frame = encode_generation(generation, blob)
-        start_us = get_context().clock.now_us
-        last: Optional[Exception] = None
-        for attempt in range(STORAGE_ATTEMPTS):
+
+        def write() -> None:
             try:
                 self.disk.write(name, frame)
             except FaultInjected as exc:
-                if not exc.transient:
-                    raise  # a hard crash mid-save; recovery happens at restore
-                last = exc
-                note_retry("vtpm.storage.save")
-                if exc.kind == FaultKind.STORAGE_ENOSPC.value:
+                if exc.transient and exc.kind == FaultKind.STORAGE_ENOSPC.value:
                     self._garbage_collect(vm_uuid, keep_from=generation)
-                charge("fault.retry.backoff", 500.0 * (2.0 ** attempt))
-                continue
-            if last is not None:
-                note_recovery(
-                    "vtpm.storage.save", get_context().clock.now_us - start_us
-                )
-                self.recoveries += 1
-            self._prune(vm_uuid, committed=generation)
-            self.saves += 1
-            return name
-        raise RetryExhausted("vtpm.storage.save", STORAGE_ATTEMPTS, last or
-                             VtpmError("storage write kept failing"))
+                raise  # a hard crash mid-save propagates; restore recovers
+
+        with_retry(write, site="vtpm.storage.save", attempts=STORAGE_ATTEMPTS,
+                   base_backoff_us=500.0)
+        self._prune(vm_uuid, committed=generation)
+        self.saves += 1
+        return name
 
     def _prune(self, vm_uuid: str, committed: int) -> None:
         """Drop generations older than the retention window.  Runs only
@@ -299,7 +288,6 @@ class VtpmStorage:
                 note_recovery(
                     "vtpm.storage.load", get_context().clock.now_us - start_us
                 )
-                self.recoveries += 1
             if self.sealer is not None:
                 return self.sealer.unseal_state(vm_uuid, identity_hex or "", payload)
             return payload
@@ -309,22 +297,18 @@ class VtpmStorage:
         )
 
     def _read_generation(self, name: str) -> Optional[bytes]:
-        """One generation file → payload, retrying transient corruption."""
-        for attempt in range(STORAGE_ATTEMPTS):
-            raw = self.disk.read(name)
-            try:
-                _generation, payload = decode_generation(raw)
-            except ChecksumMismatch:
-                if attempt + 1 < STORAGE_ATTEMPTS:
-                    # In-flight corruption: the medium may still be good.
-                    note_retry("vtpm.storage.load")
-                    charge("fault.retry.backoff", 400.0 * (2.0 ** attempt))
-                    continue
-                return None
-            except VtpmError:
-                return None  # torn frame: no amount of re-reading helps
-            return payload
-        return None
+        """One generation file → payload, re-reading transient corruption;
+        ``None`` when the frame is torn or every read came back corrupt."""
+
+        def read() -> bytes:
+            return decode_generation(self.disk.read(name))[1]
+
+        try:
+            return with_retry(read, site="vtpm.storage.load",
+                              attempts=STORAGE_ATTEMPTS, base_backoff_us=400.0,
+                              retry_on=(ChecksumMismatch,))
+        except (RetryExhausted, VtpmError):
+            return None  # torn, or corrupt on every read: fall back
 
     # -- bookkeeping ------------------------------------------------------------
 

@@ -23,18 +23,17 @@ from __future__ import annotations
 import struct
 from typing import Callable, Optional
 
-from repro.faults import FaultKind, fire, note_recovery, note_retry
+from repro.faults import FaultKind, fire, with_retry
 from repro.faults import injector as _injector
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
-from repro.sim.timing import charge, get_context
-from repro.util.errors import RetryExhausted, RingError
+from repro.sim.timing import charge
+from repro.util.errors import RingError
 from repro.xen.memory import PAGE_SIZE, PhysicalMemory
 
 _RING_KICKS = obs_counters.counter("ring.kicks")
 _RING_SHED = obs_counters.counter("ring.shed")
 _RING_BATCHED_FRAMES = obs_counters.counter("ring.batched_frames")
-_RING_KICK_RETRIES = obs_counters.counter("ring.kick_retries")
 
 STATUS_IDLE = 0
 STATUS_COMMAND = 1
@@ -346,36 +345,20 @@ class TpmRing:
             # Fault-free fast path: no kwargs dict, no clock read, no loop.
             self._events.notify(self.port, self.front_domid)
             return
-        start_us = get_context().clock.now_us
-        dropped = 0
-        for attempt in range(MAX_KICKS):
-            event = fire(
-                "xen.ring.notify",
-                port=self.port,
-                front=self.front_domid,
-                attempt=attempt,
-            )
-            if event is not None and event.kind is FaultKind.RING_DROP_NOTIFY:
-                # The kick is lost: wait out the driver timeout and retry.
-                dropped += 1
-                charge("fault.ring.timeout")
-                note_retry("xen.ring.notify")
-                _RING_KICK_RETRIES.inc()
-                continue
-            if event is not None and event.kind is FaultKind.RING_STALL:
-                # The transfer stalls but the kick still lands afterwards.
-                charge("fault.ring.stall")
-            self._events.notify(self.port, self.front_domid)
-            if dropped:
-                note_recovery(
-                    "xen.ring.notify", get_context().clock.now_us - start_us
-                )
-            return
-        raise RetryExhausted(
-            "xen.ring.notify",
-            MAX_KICKS,
-            RingError(f"event channel dropped {dropped} notifications"),
-        )
+        # The driver timeout is the whole wait between kicks: no backoff.
+        with_retry(self._kick_once, site="xen.ring.notify", attempts=MAX_KICKS,
+                   base_backoff_us=0.0)
+
+    def _kick_once(self) -> None:
+        """One kick: a dropped one waits out the driver timeout and raises."""
+        event = fire("xen.ring.notify", port=self.port, front=self.front_domid)
+        if event is not None and event.kind is FaultKind.RING_DROP_NOTIFY:
+            charge("fault.ring.timeout")
+            event.raise_fault()
+        if event is not None and event.kind is FaultKind.RING_STALL:
+            # The transfer stalls but the kick still lands afterwards.
+            charge("fault.ring.stall")
+        self._events.notify(self.port, self.front_domid)
 
     def teardown(self) -> None:
         """Release grant, channel and page (front-end shutdown path)."""

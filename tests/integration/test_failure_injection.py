@@ -11,6 +11,7 @@ different threat than an injected runtime fault.
 import pytest
 
 from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
+from repro.obs import CounterRegistry, registry_scope
 from repro.util.errors import (
     FaultInjected,
     MarshalError,
@@ -32,13 +33,14 @@ class TestStorageFaults:
         guest.client.extend(9, b"\x21" * 20)
         expected = guest.client.pcr_read(9)
         plan = _plan(spec(FaultKind.STORAGE_TORN_WRITE, at=(0,)))
-        with injector_scope(FaultInjector(plan)) as injector:
-            platform.manager.save_instance(guest.instance_id)
+        with registry_scope(CounterRegistry()) as counters:
+            with injector_scope(FaultInjector(plan)) as injector:
+                platform.manager.save_instance(guest.instance_id)
         # The first write died mid-flush; the retry committed the same
         # generation, so restore sees exactly the saved state.
         assert platform.disk.torn_writes == 1
         assert injector.retries >= 1
-        assert platform.storage.recoveries >= 1
+        assert counters.value("faults.recoveries", site="vtpm.storage.save") >= 1
         platform.manager.destroy_instance(guest.instance_id, persist=False)
         restored = platform.manager.restore_instance(guest.domain)
         guest.backend.rebind(restored.instance_id)

@@ -142,8 +142,25 @@ class TestCommands:
     @pytest.mark.parametrize("rate", ["0", "-2"])
     def test_trace_sample_below_one_is_a_usage_error(self, capsys, argv,
                                                      rate):
+        self._assert_usage_error(capsys, argv + ["--trace-sample", rate])
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--commands", "-5", "--single"],
+        ["chaos", "--commands", "-5"],
+        ["health", "--commands", "-3"],
+        ["cluster", "--hosts", "0"],
+        ["cluster", "--guests", "0"],
+        ["cluster", "--steps", "0"],
+        ["trace", "pcrread", "--count", "-1"],
+        ["trace", "pcrread", "--guests", "0"],
+    ])
+    def test_count_below_one_is_a_usage_error(self, capsys, argv):
+        self._assert_usage_error(capsys, argv)
+
+    @staticmethod
+    def _assert_usage_error(capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
-            main(argv + ["--trace-sample", rate])
+            main(argv)
         assert exit_info.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 

@@ -1,11 +1,16 @@
 """Unit tests for the fault-injection subsystem itself: plans, the
 injector's scheduling/observability, and the shared retry loop."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.audit import AuditLog
 from repro.faults import (
     DEFAULT_ATTEMPTS,
+    DEFAULT_BACKOFF_US,
     KIND_SITES,
     FaultInjector,
     FaultKind,
@@ -16,6 +21,11 @@ from repro.faults import (
     install,
     spec,
     with_retry,
+)
+from repro.faults.retry import (
+    DEFAULT_MAX_TOTAL_BACKOFF_US,
+    JITTER_FRAC,
+    backoff_jitter_frac,
 )
 from repro.obs import CounterRegistry, registry_scope
 from repro.sim.timing import get_context
@@ -223,3 +233,134 @@ class TestWithRetry:
             assert with_retry(flaky, site="unit")
         assert injector.retries == 1
         assert injector.recoveries == 1
+
+    def test_retry_on_retries_its_own_types(self):
+        calls = {"n": 0}
+
+        def flaky():
+            calls["n"] += 1
+            if calls["n"] < 3:
+                raise ValueError("transient in this caller's terms")
+            return "ok"
+
+        assert with_retry(flaky, site="unit", retry_on=(ValueError,)) == "ok"
+        assert calls["n"] == 3
+
+    def test_retry_on_cannot_retry_a_hard_crash(self):
+        calls = {"n": 0}
+
+        def crash():
+            calls["n"] += 1
+            raise FaultInjected("storage-torn-write", "unit", transient=False)
+
+        with pytest.raises(FaultInjected):
+            with_retry(crash, site="unit", retry_on=(Exception,))
+        assert calls["n"] == 1
+
+    def test_exhaustion_is_counted_per_site(self):
+        def always():
+            raise FaultInjected("device-transient", "unit", transient=True)
+
+        with registry_scope(CounterRegistry()) as counters:
+            with pytest.raises(RetryExhausted):
+                with_retry(always, site="unit", attempts=2)
+        assert counters.value("faults.retry_exhausted", site="unit") == 1
+
+
+class _BackoffSteps:
+    """Ledger keeping each ``fault.retry.backoff`` charge in order."""
+
+    def __init__(self):
+        self.steps = []
+
+    def record(self, op, cost_us):
+        if op == "fault.retry.backoff":
+            self.steps.append(cost_us)
+
+
+def _backoff_steps(attempts, failures, **kwargs):
+    """The backoff charges of one episode whose first attempts fail."""
+    calls = {"n": 0}
+
+    def flaky():
+        calls["n"] += 1
+        if calls["n"] <= failures:
+            raise FaultInjected("device-transient", "unit", transient=True)
+        return True
+
+    ledger = _BackoffSteps()
+    get_context().push_ledger(ledger)
+    try:
+        with_retry(flaky, site="unit", attempts=attempts, **kwargs)
+    except RetryExhausted:
+        pass
+    finally:
+        get_context().pop_ledger()
+    return ledger.steps
+
+
+class TestBackoffSchedule:
+    def test_jitter_is_a_pure_bounded_fraction(self):
+        for token in range(16):
+            for attempt in range(6):
+                frac = backoff_jitter_frac("unit", token, attempt)
+                assert frac == backoff_jitter_frac("unit", token, attempt)
+                assert 0.0 <= frac < JITTER_FRAC == 0.5
+
+    def test_two_tokens_give_different_schedules(self):
+        first = _backoff_steps(4, 3, jitter_token="vtpm1")
+        second = _backoff_steps(4, 3, jitter_token="vtpm2")
+        assert first != second
+        assert first == _backoff_steps(4, 3, jitter_token="vtpm1")
+
+    def test_jittered_step_never_below_nominal(self):
+        for token in range(8):
+            steps = _backoff_steps(4, 3, jitter_token=token)
+            assert len(steps) == 3
+            for i, step in enumerate(steps):
+                nominal = DEFAULT_BACKOFF_US * 2 ** i
+                frac = backoff_jitter_frac("unit", token, i)
+                assert step == nominal * (1.0 + frac)
+                assert step >= nominal
+
+    def test_cumulative_backoff_is_capped(self):
+        # Nominally 250 * (2^12 - 1) us; the eighth step is cut short at
+        # the cap and the last four charge nothing.
+        steps = _backoff_steps(12, 12, base_backoff_us=250.0)
+        assert steps[:7] == [250.0 * 2 ** i for i in range(7)]
+        assert len(steps) == 8
+        assert sum(steps) == DEFAULT_MAX_TOTAL_BACKOFF_US
+
+
+class TestOneRetryLoop:
+    """``with_retry`` is the only retry loop: no module outside the fault
+    subsystem notes a retry or raises :class:`RetryExhausted` itself."""
+
+    @staticmethod
+    def _calls(name):
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None)
+                if called == name:
+                    yield path.relative_to(root.parent).as_posix(), node.lineno
+
+    def test_retries_are_noted_only_by_the_fault_subsystem(self):
+        stray = [f"{path}:{line}" for path, line in self._calls("note_retry")
+                 if not path.startswith("repro/faults/")]
+        assert stray == []
+
+    def test_retry_exhaustion_is_raised_only_by_with_retry(self):
+        stray = [f"{path}:{line}" for path, line in self._calls("RetryExhausted")
+                 if path != "repro/faults/retry.py"]
+        assert stray == []
+
+    def test_the_guard_sees_with_retry(self):
+        assert [path for path, _ in self._calls("RetryExhausted")] == [
+            "repro/faults/retry.py"
+        ]

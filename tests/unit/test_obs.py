@@ -40,7 +40,7 @@ class TestSpans:
             inner.add_event("ignored")
         span_event("also-ignored")  # must not raise with no tracer
 
-    def test_span_carries_both_timebases(self):
+    def test_span_carries_virtual_time_only(self):
         # Spans read the virtual clock only; wall time is measured from
         # outside the package.
         tracer = Tracer(InMemorySink())
@@ -222,7 +222,7 @@ class TestSinks:
         with pytest.raises(ReproError, match="not nested"):
             validate_tree_dict(broken)
 
-    def test_wall_capture_is_sink_declared(self, tmp_path):
+    def test_jsonl_spans_carry_virtual_time_only(self, tmp_path):
         # No sink captures wall time: spans carry virtual time only, so
         # the JSONL trace is a pure function of the seed.
         out = tmp_path / "t.jsonl"
