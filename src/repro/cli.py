@@ -41,6 +41,7 @@ outside the package (``bench/run.py``, ``benchmarks/``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, List, Sequence
 
@@ -573,6 +574,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0; anything else is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 (so not nan or inf)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}"
+        )
+    return value
+
+
 def _add_runner_options(parser: argparse.ArgumentParser) -> None:
     """The scenario runner's options, the same for every scenario."""
     parser.add_argument("--single", action="store_true",
@@ -661,9 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--count", type=_positive_int, default=2,
                          help="repetitions of the live workload (default 2)")
     p_trace.add_argument("--guests", type=_positive_int, default=4)
-    p_trace.add_argument("--rate", type=float, default=100.0,
+    p_trace.add_argument("--rate", type=_positive_float, default=100.0,
                          help="commands per guest per second")
-    p_trace.add_argument("--duration", type=float, default=1.0,
+    p_trace.add_argument("--duration", type=_positive_float, default=1.0,
                          help="seconds of trace")
     p_trace.add_argument("--mix", default="mixed",
                          choices=["measurement-heavy", "sealed-storage",
@@ -675,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_xm.add_argument("op", choices=["list", "info", "vcpu-list", "dump-core"])
     p_xm.add_argument("--mode", choices=["baseline", "improved"],
                       default="improved")
-    p_xm.add_argument("--guests", type=int, default=2)
+    p_xm.add_argument("--guests", type=_non_negative_int, default=2)
     p_xm.add_argument("--domid", type=int, default=0)
     p_xm.add_argument("--seed", type=int, default=2010)
     p_xm.set_defaults(fn=cmd_xm)

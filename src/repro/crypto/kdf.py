@@ -9,8 +9,8 @@ decrypted for (and by) the correct identity.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 
+from repro.crypto.hmac_util import mac
 from repro.sim.timing import charge
 from repro.util.errors import CryptoError
 
@@ -21,13 +21,13 @@ def derive_key(secret: bytes, salt: bytes, info: bytes, length: int = 32) -> byt
         raise CryptoError(f"cannot derive {length} bytes")
     charge("ac.seal.derive")
     charge("mac.hmac", len(secret))
-    prk = _hmac.new(salt or b"\x00" * 32, secret, "sha256").digest()
+    prk = mac(salt or b"\x00" * 32, secret, "sha256")
     okm = b""
     block = b""
     counter = 1
     while len(okm) < length:
         charge("mac.hmac", len(block) + len(info) + 1)
-        block = _hmac.new(prk, block + info + bytes([counter]), "sha256").digest()
+        block = mac(prk, block + info + bytes([counter]), "sha256")
         okm += block
         counter += 1
     return okm[:length]

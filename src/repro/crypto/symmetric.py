@@ -11,10 +11,10 @@ cost is charged at bulk-cipher rates so timing matches an AES deployment.
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import struct
 from dataclasses import dataclass
 
+from repro.crypto.hmac_util import constant_time_equal, mac
 from repro.crypto.random_source import RandomSource
 from repro.sim.timing import charge
 from repro.util.bytesio import ByteReader, ByteWriter
@@ -23,6 +23,13 @@ from repro.util.errors import CryptoError
 KEY_SIZE = 32
 NONCE_SIZE = 16
 TAG_SIZE = 32
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR an equal-length ``stream``, as one wide integer."""
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(len(data), "big")
 
 
 @dataclass(frozen=True)
@@ -81,19 +88,17 @@ class SymmetricKey:
         charge("cipher.sym", len(plaintext))
         nonce = rng.bytes(NONCE_SIZE)
         stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+        ciphertext = _xor(plaintext, stream)
         charge("mac.hmac", len(ciphertext))
-        tag = _hmac.new(self._mac_key, nonce + ciphertext, "sha256").digest()
+        tag = mac(self._mac_key, nonce + ciphertext, "sha256")
         return EncryptedBlob(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
     def decrypt(self, blob: EncryptedBlob) -> bytes:
         """Verify the tag then decrypt; raises :class:`CryptoError` on tamper."""
         charge("mac.hmac", len(blob.ciphertext))
-        expected = _hmac.new(
-            self._mac_key, blob.nonce + blob.ciphertext, "sha256"
-        ).digest()
-        if not _hmac.compare_digest(expected, blob.tag):
+        expected = mac(self._mac_key, blob.nonce + blob.ciphertext, "sha256")
+        if not constant_time_equal(expected, blob.tag):
             raise CryptoError("authentication tag mismatch (tampered or wrong key)")
         charge("cipher.sym", len(blob.ciphertext))
         stream = self._keystream(blob.nonce, len(blob.ciphertext))
-        return bytes(a ^ b for a, b in zip(blob.ciphertext, stream))
+        return _xor(blob.ciphertext, stream)

@@ -81,16 +81,21 @@ class ByteReader:
         return len(self._data) - self._pos
 
     def _take(self, count: int) -> bytes:
+        pos = self._pos
+        end = pos + count
+        if count < 0 or end > len(self._data):
+            self._bad_read(count)
+        self._pos = end
+        return self._data[pos:end]
+
+    def _bad_read(self, count: int) -> None:
+        """Raise for a negative or short read (kept off the hot path)."""
         if count < 0:
             raise MarshalError(f"negative read of {count} bytes")
-        if self._pos + count > len(self._data):
-            raise MarshalError(
-                f"short read: wanted {count} bytes at offset {self._pos}, "
-                f"only {self.remaining()} remain"
-            )
-        chunk = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
+        raise MarshalError(
+            f"short read: wanted {count} bytes at offset {self._pos}, "
+            f"only {self.remaining()} remain"
+        )
 
     def u8(self) -> int:
         return self._take(1)[0]
@@ -99,13 +104,17 @@ class ByteReader:
         return int.from_bytes(self._take(2), "big")
 
     def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
+        pos = self._pos
+        end = pos + 4
+        if end > len(self._data):
+            self._bad_read(4)
+        self._pos = end
+        return int.from_bytes(self._data[pos:end], "big")
 
     def u64(self) -> int:
         return int.from_bytes(self._take(8), "big")
 
-    def raw(self, count: int) -> bytes:
-        return self._take(count)
+    raw = _take
 
     def sized(self, max_size: int = 1 << 20) -> bytes:
         """Read a u32 length prefix then that many bytes (TPM_SIZED_BUFFER)."""

@@ -60,7 +60,10 @@ class GrantTable:
                 f"not dom{grantee}"
             )
         entry.mapped = True
-        self._memory.page(entry.frame).shared_with.add(grantee)
+        page = self._memory.page(entry.frame)
+        page.shared_with.add(grantee)
+        if entry.readonly:
+            page.read_only_for = page.read_only_for | {grantee}
         return entry.frame
 
     def unmap_grant(self, grantee: int, granter: int, gref: int) -> None:
@@ -69,7 +72,9 @@ class GrantTable:
         if not entry.mapped:
             raise GrantError(f"grant {gref} of dom{granter} is not mapped")
         entry.mapped = False
-        self._memory.page(entry.frame).shared_with.discard(grantee)
+        page = self._memory.page(entry.frame)
+        page.shared_with.discard(grantee)
+        page.read_only_for = page.read_only_for - {grantee}
 
     def end_access(self, granter: int, gref: int) -> None:
         """Revoke a grant (must be unmapped first, as in real Xen)."""

@@ -28,6 +28,7 @@ class Page:
     data: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
     protected: bool = False         # excluded from foreign mapping
     shared_with: set[int] = field(default_factory=set)  # via grant table
+    read_only_for: frozenset[int] = frozenset()  # grantees mapped read-only
 
 
 class PhysicalMemory:
@@ -81,10 +82,13 @@ class PhysicalMemory:
     # -- owner access -----------------------------------------------------------
 
     def write(self, domid: int, frame: int, offset: int, data: bytes) -> None:
-        """Write by the owning domain (or a domain it is shared with)."""
+        """Write by the owner, or by a domain with a read-write grant mapping."""
         page = self.page(frame)
-        if page.owner != domid and domid not in page.shared_with:
-            raise PageFault(f"dom{domid} does not own frame {frame}")
+        if page.owner != domid:
+            if domid not in page.shared_with:
+                raise PageFault(f"dom{domid} does not own frame {frame}")
+            if domid in page.read_only_for:
+                raise PageFault(f"dom{domid} maps frame {frame} read-only")
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise PageFault(f"write beyond page: {offset}+{len(data)}")
         page.data[offset : offset + len(data)] = data

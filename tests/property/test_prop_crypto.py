@@ -1,9 +1,12 @@
 """Property tests: crypto substrate invariants."""
 
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hmac_util import mac
 from repro.crypto.kdf import derive_key
 from repro.crypto.random_source import RandomSource
 from repro.crypto.rsa import generate_keypair
@@ -101,3 +104,9 @@ def test_randint_below_uniform_support(seed, bound):
 def test_shuffle_is_permutation(seed, items):
     shuffled = RandomSource(seed).shuffle(list(items))
     assert sorted(shuffled) == sorted(items)
+
+
+@given(st.binary(max_size=200), st.binary(max_size=300),
+       st.sampled_from(["sha1", "sha256"]))
+def test_mac_equals_stdlib_hmac(key, data, name):
+    assert mac(key, data, name) == hmac.digest(key, data, name)

@@ -157,12 +157,31 @@ class TestCommands:
     def test_count_below_one_is_a_usage_error(self, capsys, argv):
         self._assert_usage_error(capsys, argv)
 
+    @pytest.mark.parametrize("option", ["--rate", "--duration"])
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_trace_rate_and_duration_must_be_finite_positive(
+        self, capsys, option, value
+    ):
+        self._assert_usage_error(capsys, ["trace", option, value],
+                                 "expected a finite positive number")
+
+    def test_xm_negative_guests_is_a_usage_error(self, capsys):
+        self._assert_usage_error(capsys, ["xm", "list", "--guests", "-2"],
+                                 "expected a non-negative integer")
+
+    def test_xm_list_zero_guests_lists_dom0_only(self, capsys):
+        assert main(["xm", "list", "--guests", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "Domain-0" in out
+        assert "guest" not in out
+
     @staticmethod
-    def _assert_usage_error(capsys, argv):
+    def _assert_usage_error(capsys, argv,
+                            message="expected a positive integer"):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "expected a positive integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_trace_live_unknown_workload(self, capsys):
         assert main(["trace", "frobnicate"]) == 2

@@ -92,6 +92,28 @@ class TestGrantTable:
         with pytest.raises(PageFault):
             memory.read(2, frame, 0, 1)
 
+    def test_read_only_grant_refuses_grantee_writes(self, memory, grants):
+        from repro.util.errors import PageFault
+
+        [frame] = memory.allocate(1, 1)
+        memory.write(1, frame, 0, b"owner")
+        gref = grants.grant_access(1, 0, frame, readonly=True)
+        grants.map_grant(0, 1, gref)
+        assert memory.read(0, frame, 0, 5) == b"owner"
+        with pytest.raises(PageFault, match="read-only"):
+            memory.write(0, frame, 0, b"dom0!")
+        assert memory.read(1, frame, 0, 5) == b"owner"
+        memory.write(1, frame, 0, b"still")  # the owner keeps write access
+        grants.unmap_grant(0, 1, gref)
+        assert 0 not in memory.page(frame).read_only_for
+        with pytest.raises(PageFault, match="does not own"):
+            memory.write(0, frame, 0, b"dom0!")
+        # A later read-write grant of the same frame is writable again.
+        gref = grants.grant_access(1, 0, frame)
+        grants.map_grant(0, 1, gref)
+        memory.write(0, frame, 0, b"dom0!")
+        assert memory.read(1, frame, 0, 5) == b"dom0!"
+
     def test_end_access_requires_unmapped(self, memory, grants):
         [frame] = memory.allocate(1, 1)
         gref = grants.grant_access(1, 2, frame)
