@@ -15,7 +15,6 @@ integration suites exercise every piece in isolation.
 """
 
 from repro.cluster.attestation import (
-    HOST_IDENTITY_PCRS,
     AttestationReport,
     measure_host,
     verify_report,
@@ -42,7 +41,6 @@ __all__ = [
     "Fleet",
     "FleetRouter",
     "GuestLocation",
-    "HOST_IDENTITY_PCRS",
     "Host",
     "HostState",
     "MigrationRecord",

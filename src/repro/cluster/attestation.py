@@ -26,11 +26,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.core.sealing import PLATFORM_PCRS
 from repro.obs import inc
-
-#: the hardware PCRs whose chain constitutes a host's measured identity —
-#: the same indices the state sealer binds sealed storage to
-HOST_IDENTITY_PCRS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -39,14 +36,14 @@ class AttestationReport:
 
     host_id: str
     nonce: bytes
-    measured_identity: str  # hex digest over HOST_IDENTITY_PCRS
+    measured_identity: str  # hex digest over PLATFORM_PCRS
     policy_epoch: int
 
 
 def measure_host(hw_client) -> str:
     """Digest the host's boot-measurement PCR chain (live read)."""
     h = hashlib.sha256()
-    for index in HOST_IDENTITY_PCRS:
+    for index in PLATFORM_PCRS:
         h.update(hw_client.pcr_read(index))
     return h.hexdigest()
 

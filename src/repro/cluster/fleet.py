@@ -135,9 +135,9 @@ class Fleet:
 
         Called once per workload step.  A fired ``HOST_CRASH`` drives the
         whole crash → recover leg inline: the host's volatile manager
-        state dies, and the replacement daemon restores every resident
-        the router knows about from the last committed checkpoint, then
-        the router is re-pointed.  The fault is *handled*, not raised —
+        state dies, and the replacement daemon restores every instance
+        its manager held from the last committed checkpoint, then the
+        router is re-pointed.  The fault is *handled*, not raised —
         like the supervisor's restart leg, recovery is the behaviour
         under test.
         """
@@ -163,20 +163,23 @@ class Fleet:
         host.platform.manager.save_all()
         host.crash()
 
-    def recover_host(self, host_id: str) -> Dict[str, int]:
-        """Hard-restart a crashed host and re-point the router."""
+    def recover_host(self, host_id: str) -> int:
+        """Hard-restart a crashed host and re-point the router; returns
+        how many instances were restored."""
         host = self.hosts[host_id]
-        residents = [
-            (name, host.platform.xen.domain(location.domid))
-            for name, location in sorted(self.router.locations().items())
+        residents = {
+            name: location
+            for name, location in self.router.locations().items()
             if location.host_id == host_id
-        ]
+        }
         with span("cluster.recover", host=host_id, residents=len(residents)):
-            new_ids = host.hard_restart(residents)
-        for name, location in self.router.locations().items():
-            if location.host_id == host_id:
-                self.router.rebind_instance(name, new_ids[location.vm_uuid])
-        return new_ids
+            restored = host.hard_restart()
+        manager = host.platform.manager
+        for name, location in residents.items():
+            self.router.rebind_instance(
+                name, manager.instance_for_vm(location.vm_uuid).instance_id
+            )
+        return restored
 
     # -- exposition ---------------------------------------------------------------
 

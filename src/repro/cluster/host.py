@@ -15,14 +15,13 @@ through the ``cluster.link`` fault site.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
 from repro.cluster.attestation import AttestationReport, measure_host
 from repro.obs import inc
 from repro.resilience.admission import AdmissionController
 from repro.resilience.health import HealthState
 from repro.util.errors import ClusterError
-from repro.xen.domain import Domain
 
 
 class HostState(enum.Enum):
@@ -88,7 +87,7 @@ class Host:
             return 0.0
         return sum(
             HEALTH_PENALTY[record.state]
-            for record in supervisor._records.values()
+            for record in supervisor.records()
         )
 
     def admissible(self) -> bool:
@@ -120,43 +119,22 @@ class Host:
         self.platform.migration.crash()  # in-flight offers die with it
         inc("cluster.host_crashes", host=self.host_id)
 
-    def hard_restart(
-        self, residents: Iterable[Tuple[str, Domain]]
-    ) -> Dict[str, int]:
+    def hard_restart(self) -> int:
         """Bring a crashed host back from its last committed checkpoints.
 
-        ``residents`` names every vTPM the router knows lives here —
-        including instances migrated in after boot, which the platform's
-        own ``restart_manager`` (keyed to locally added guests) cannot
-        see.  Sealed state is bound to *this* host's hardware TPM, so
-        recovery is strictly in-place: lock and re-earn the sealer root,
-        drop every volatile instance object, restore each resident from
-        the generation-stamped store, and re-point any local back-ends.
-        Returns ``{vm_uuid: new_instance_id}``.
+        Sealed state is bound to *this* host's hardware TPM, so recovery
+        is strictly in-place: the platform's manager restart re-earns the
+        sealer root and restores every instance its manager held,
+        migrated-in ones included.  Returns how many were restored.
         """
         if self.state is not HostState.CRASHED:
             raise ClusterError(
                 f"host {self.host_id} is {self.state.value}, not crashed"
             )
-        platform = self.platform
-        manager = platform.manager
-        if platform.sealer is not None:
-            platform.sealer.lock()
-            platform.sealer.unlock()
-        for instance in list(manager.instances()):
-            manager.destroy_instance(instance.instance_id, persist=False)
-        new_ids: Dict[str, int] = {}
-        for _name, domain in sorted(residents, key=lambda r: r[0]):
-            restored = manager.restore_instance(domain)
-            new_ids[domain.uuid] = restored.instance_id
-        for handle in platform.guests.values():
-            new_id = new_ids.get(handle.domain.uuid)
-            if new_id is not None:
-                handle.backend.rebind(new_id)  # fail-closed identity check
-                handle.instance_id = new_id
+        restored = self.platform.restart_manager(clean=False)
         self.state = HostState.UP
         inc("cluster.host_recoveries", host=self.host_id)
-        return new_ids
+        return restored
 
     # -- exposition --------------------------------------------------------------------
 

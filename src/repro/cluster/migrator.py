@@ -146,11 +146,8 @@ class ClusterMigrator:
                 ))
                 raise
             # Leg 5 tail: the source copy is gone (commit_export), so
-            # finish the domain teardown and re-point the router.
-            source.platform.guests.pop(name, None)
-            if source.platform.identities is not None:
-                source.platform.identities.forget(location.domid)
-            source.platform.xen.destroy_domain(location.domid)
+            # retire the guest there and re-point the router.
+            source.platform.remove_guest(name)
             fleet.router.relocate(
                 name, target.host_id, move.target_vm.domid,
                 instance.instance_id, move.target_vm.uuid,

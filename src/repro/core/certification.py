@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.core.sealing import PLATFORM_PCRS
 from repro.crypto.rsa import RsaPublicKey
 from repro.tpm.client import TpmClient
 from repro.tpm.constants import TPM_KH_SRK
@@ -29,8 +30,6 @@ from repro.util.bytesio import ByteReader, ByteWriter
 from repro.util.errors import AccessControlError, AccessDenied
 
 CERT_MAGIC = b"VTPMCERT"
-#: platform boot PCRs covered by every endorsement
-PLATFORM_PCRS = (0, 1, 2)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 
 class AccessMode(enum.Enum):
@@ -37,40 +37,20 @@ class AccessControlConfig:
     @staticmethod
     def all_off() -> "AccessControlConfig":
         return AccessControlConfig(
-            identity_check=False,
-            policy_check=False,
-            authz_cache=False,
-            audit=False,
-            protect_memory=False,
-            seal_storage=False,
+            **{f.name: False for f in fields(AccessControlConfig)}
         )
 
     def with_only(self, component: str) -> "AccessControlConfig":
         """A config with exactly one mechanism enabled (ablation helper)."""
-        base = {
-            "identity_check": False,
-            "policy_check": False,
-            "authz_cache": False,
-            "audit": False,
-            "protect_memory": False,
-            "seal_storage": False,
-        }
-        if component not in base:
-            raise ValueError(f"unknown access-control component {component!r}")
-        base[component] = True
-        return AccessControlConfig(**base)
+        return replace(self.all_off(), **{_checked(component): True})
 
     def without(self, component: str) -> "AccessControlConfig":
         """A config with one mechanism disabled (leave-one-out ablation)."""
-        values = {
-            "identity_check": self.identity_check,
-            "policy_check": self.policy_check,
-            "authz_cache": self.authz_cache,
-            "audit": self.audit,
-            "protect_memory": self.protect_memory,
-            "seal_storage": self.seal_storage,
-        }
-        if component not in values:
-            raise ValueError(f"unknown access-control component {component!r}")
-        values[component] = False
-        return AccessControlConfig(**values)
+        return replace(self, **{_checked(component): False})
+
+
+def _checked(component: str) -> str:
+    """``component`` if it names a switch, else ``ValueError``."""
+    if component not in {f.name for f in fields(AccessControlConfig)}:
+        raise ValueError(f"unknown access-control component {component!r}")
+    return component

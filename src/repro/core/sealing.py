@@ -25,6 +25,10 @@ from repro.tpm.pcr import PcrSelection
 from repro.util.errors import SealingError, TpmError
 
 ROOT_SECRET_SIZE = 32
+#: the hardware PCRs the platform's boot chain (BIOS, loader, xen+dom0) is
+#: measured into: the sealed root, vTPM endorsements and a fleet host's
+#: measured identity all bind to them
+PLATFORM_PCRS = (0, 1, 2)
 
 
 class StateSealer:
@@ -45,7 +49,7 @@ class StateSealer:
 
     # -- root lifecycle --------------------------------------------------------
 
-    def initialize(self, pcr_indices: Iterable[int] = (0, 1, 2)) -> bytes:
+    def initialize(self, pcr_indices: Iterable[int] = PLATFORM_PCRS) -> bytes:
         """Generate the root secret and seal it to the hardware TPM.
 
         Returns the sealed blob (safe to persist next to the state files).

@@ -116,7 +116,7 @@ class Platform:
                 self.sealer = StateSealer(
                     self.hw_client, SRK_AUTH, self.rng.fork("sealer")
                 )
-                self.sealer.initialize(pcr_indices=(0, 1, 2))
+                self.sealer.initialize()
             self.protector = MemoryProtector(
                 self.xen.memory, enabled=self.ac_config.protect_memory
             )
@@ -229,12 +229,27 @@ class Platform:
         return handle
 
     def remove_guest(self, name: str, persist_vtpm: bool = True) -> None:
-        handle = self.guests.pop(name)
-        handle.frontend.close()
-        self.manager.destroy_instance(handle.instance_id, persist=persist_vtpm)
+        """Retire a guest that has left this platform: the one retire path.
+
+        Closes its front-end and detaches its supervision when the guest
+        has a handle here (a migrated-in guest has none), destroys its
+        vTPM unless a committed migration already took it, then forgets
+        its identity and destroys the domain.
+        """
+        handle = self.guests.pop(name, None)
+        if handle is None:
+            domain = self.xen.domain_by_name(name)
+        else:
+            domain = handle.domain
+            handle.frontend.close()
+            if self.supervisor is not None:
+                self.supervisor.detach(handle.backend)
+        instance_id = self.manager._by_vm.get(domain.uuid)
+        if instance_id is not None:
+            self.manager.destroy_instance(instance_id, persist=persist_vtpm)
         if self.mode is AccessMode.IMPROVED:
-            self.identities.forget(handle.domain.domid)
-        self.xen.destroy_domain(handle.domain.domid)
+            self.identities.forget(domain.domid)
+        self.xen.destroy_domain(domain.domid)
 
     def audit_anchor(self):
         """Hardware-anchored audit checkpointing (improved mode, lazy)."""
@@ -279,10 +294,11 @@ class Platform:
     def restart_manager(self, clean: bool = True) -> int:
         """Simulate a vTPM-manager daemon crash and restart.
 
-        Every instance's volatile object is lost; the new daemon reloads
-        state from persistent storage (through the hardware-TPM-gated
-        sealer in improved mode) and the back-ends reconnect.  Returns how
-        many instances were recovered.
+        Every instance's volatile object is lost, migrated-in ones
+        included; the new daemon reloads each, in instance-id order, from
+        persistent storage (through the hardware-TPM-gated sealer in
+        improved mode) and the local guests' back-ends reconnect.  Returns
+        how many instances were recovered.
 
         ``clean=True`` models an orderly shutdown (state flushed first);
         ``clean=False`` models a hard crash — whatever the last successful
@@ -299,18 +315,19 @@ class Platform:
             self.sealer.lock()
             # ...and the replacement must re-earn it from the hardware TPM.
             self.sealer.unlock()
-        old_instances = {
-            name: handle.instance_id for name, handle in self.guests.items()
-        }
-        for handle in self.guests.values():
-            self.manager.destroy_instance(handle.instance_id, persist=False)
-        recovered = 0
-        for name, handle in self.guests.items():
-            instance = self.manager.restore_instance(handle.domain)
-            handle.backend.rebind(instance.instance_id)
-            handle.instance_id = instance.instance_id
-            recovered += 1
-        return recovered
+        manager = self.manager
+        instances = manager.instances()
+        for instance in instances:
+            manager.destroy_instance(instance.instance_id, persist=False)
+        domains = {domain.uuid: domain for domain in self.xen.domains()}
+        handles = {handle.domain.uuid: handle for handle in self.guests.values()}
+        for instance in instances:
+            restored = manager.restore_instance(domains[instance.vm_uuid])
+            handle = handles.get(instance.vm_uuid)
+            if handle is not None:
+                handle.backend.rebind(restored.instance_id)
+                handle.instance_id = restored.instance_id
+        return len(instances)
 
     def dom0_hypercalls(self) -> HypercallInterface:
         return HypercallInterface(self.xen, DOM0_ID)

@@ -182,14 +182,12 @@ class ChaosScenario(Scenario):
         """Live-migrate 'mover' to platform B; the injector may cut the
         wire or crash the destination — migrate_with_recovery recovers."""
         source, target = self.platform_a, self.platform_b
-        handle = source.guests.pop("mover")
-        target_vm = target.migration.landing_domain(handle.domain)
+        domain = source.guests["mover"].domain
+        target_vm = target.migration.landing_domain(domain)
         instance = migrate_with_recovery(
-            source.migration, target.migration, handle.domain.uuid, target_vm
+            source.migration, target.migration, domain.uuid, target_vm
         )
-        handle.frontend.close()
-        source.identities.forget(handle.domain.domid)
-        source.xen.destroy_domain(handle.domain.domid)
+        source.remove_guest("mover")
         self.clients["mover"] = TpmClient(
             _direct_transport(
                 target.manager, target_vm.domid, instance.instance_id

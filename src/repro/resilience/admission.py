@@ -17,18 +17,11 @@ admission, before the frame consumes manager capacity).  Depth is bounded
 independently, so a flood of cheap commands still cannot grow the backlog
 without limit.
 
-Degradation matrix (enforced here for the fast path and again inside the
-reference monitor as the authoritative gate):
-
-============  =======================================================
-health state  admitted ordinal classes
-============  =======================================================
-healthy       all granted classes
-degraded      READ only (status / PCR-read class); rest shed busy
-restarting    READ only (lets the supervisor's probes through)
-quarantined   none (shed busy)
-failed        none (refused with ``TPM_FAIL``)
-============  =======================================================
+The degradation matrix (``health.ADMITTED_CLASSES``) is enforced here
+for the fast path and again inside the reference monitor as the
+authoritative gate.  A state that admits nothing sheds every frame under
+its own name — busy when quarantined, ``TPM_FAIL`` when failed; a state
+that admits only some classes sheds the rest busy as ``degraded``.
 """
 
 from __future__ import annotations
@@ -36,10 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.policy import CommandClass, classify_ordinal
+from repro.core.policy import classify_ordinal
 from repro.obs import counters as obs_counters
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.health import HealthState, InstanceHealth
+from repro.resilience.health import (
+    ADMITTED_CLASSES,
+    HealthState,
+    InstanceHealth,
+)
 from repro.tpm.constants import TPM_FAIL, TPM_RESOURCES
 from repro.tpm.marshal import build_response
 
@@ -117,15 +114,15 @@ class AdmissionController:
         backlog = 0
         for wire in wires:
             state = health.state
-            if state is HealthState.FAILED:
-                out.append(self._shed("failed", TPM_FAIL))
-                continue
-            if state is HealthState.QUARANTINED:
-                out.append(self._shed("quarantined", TPM_RESOURCES))
-                continue
-            if state in (HealthState.DEGRADED, HealthState.RESTARTING):
-                cls = classify_ordinal(_ordinal_of(wire))
-                if cls is not CommandClass.READ:
+            if state is not HealthState.HEALTHY:
+                admits = ADMITTED_CLASSES[state]
+                if not admits:
+                    failed = state is HealthState.FAILED
+                    out.append(self._shed(
+                        state.value, TPM_FAIL if failed else TPM_RESOURCES
+                    ))
+                    continue
+                if classify_ordinal(_ordinal_of(wire)) not in admits:
                     out.append(self._shed("degraded", TPM_RESOURCES))
                     continue
             if backlog >= cfg.max_depth:

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.policy import CommandClass
 from repro.obs import counters as obs_counters
 from repro.util.errors import SupervisionError
 
@@ -57,6 +58,17 @@ LEGAL_TRANSITIONS: FrozenSet[Tuple[HealthState, HealthState]] = frozenset(
         (HealthState.RESTARTING, HealthState.FAILED),
     }
 )
+
+#: the degradation matrix: the ordinal classes each health state admits.
+#: Admission sheds, and the reference monitor's health gate refuses, every
+#: other class; restarting admits reads so the supervisor's probes pass.
+ADMITTED_CLASSES: Dict[HealthState, FrozenSet[CommandClass]] = {
+    HealthState.HEALTHY: frozenset(CommandClass),
+    HealthState.DEGRADED: frozenset({CommandClass.READ}),
+    HealthState.RESTARTING: frozenset({CommandClass.READ}),
+    HealthState.QUARANTINED: frozenset(),
+    HealthState.FAILED: frozenset(),
+}
 
 #: watchdog failure signals (the ``kind`` argument of ``note_failure``)
 FAILURE_KINDS = ("retry-exhausted", "tpm-fail", "deadline-miss")

@@ -39,6 +39,7 @@ from repro.obs import trace as obs_trace
 from repro.resilience.admission import AdmissionConfig, AdmissionController
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.health import (
+    ADMITTED_CLASSES,
     HealthState,
     HealthThresholds,
     InstanceHealth,
@@ -93,9 +94,8 @@ class Supervisor:
         self.breaker_failure_threshold = breaker_failure_threshold
         self.breaker_cooldown_us = breaker_cooldown_us
         self.command_deadline_us = command_deadline_us
-        self._records: Dict[str, InstanceHealth] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._admission: Dict[str, AdmissionController] = {}
+        #: vm uuid -> supervised back-end; its ``_supervised`` tuple holds
+        #: the guest's health record, breaker and admission controller
         self._backends: Dict[str, object] = {}
         self._by_instance: Dict[int, InstanceHealth] = {}
         #: instance id -> health record, for every record NOT currently
@@ -111,33 +111,36 @@ class Supervisor:
     def attach(self, backend, admission: Optional[AdmissionConfig] = None) -> None:
         """Put one back-end under supervision (idempotent per guest)."""
         vm = backend.frontend.guest
-        if vm.uuid in self._records:
+        if vm.uuid in self._backends:
             raise SupervisionError(f"guest {vm.name} is already supervised")
         record = InstanceHealth(
             vm_uuid=vm.uuid,
             instance_id=backend.instance_id,
             thresholds=self.thresholds,
         )
-        self._records[vm.uuid] = record
         self._by_instance[backend.instance_id] = record
         record.on_transition = self._reindex_health
-        self._breakers[vm.uuid] = CircuitBreaker(
+        breaker = CircuitBreaker(
             name=vm.name,
             rng=self._rng.fork(f"breaker-{vm.uuid}"),
             failure_threshold=self.breaker_failure_threshold,
             cooldown_us=self.breaker_cooldown_us,
         )
-        self._admission[vm.uuid] = AdmissionController(
+        admission_controller = AdmissionController(
             vm.uuid, admission or self.default_admission
         )
         self._backends[vm.uuid] = backend
-        # Cache the per-guest objects on the back-end: the admit and
-        # observe hooks run once per notify, and resolving three dicts by
-        # uuid there is measurable at bench rates.
-        backend._supervised = (
-            record, self._breakers[vm.uuid], self._admission[vm.uuid]
-        )
+        # The per-guest objects live on the back-end: the admit and
+        # observe hooks run once per notify and read them without a lookup.
+        backend._supervised = (record, breaker, admission_controller)
         backend.attach_supervision(self)
+
+    def detach(self, backend) -> None:
+        """Stop supervising a retired guest: its record leaves
+        :meth:`status` and the monitor's health gate."""
+        record = self._backends.pop(backend.frontend.guest.uuid)._supervised[0]
+        self._by_instance.pop(record.instance_id, None)
+        self.unhealthy_instances.pop(record.instance_id, None)
 
     def _reindex_health(self, record: InstanceHealth) -> None:
         """Transition observer: keep :attr:`unhealthy_instances` exact."""
@@ -147,13 +150,17 @@ class Supervisor:
             self.unhealthy_instances[record.instance_id] = record
 
     def record_for(self, vm_uuid: str) -> InstanceHealth:
-        return self._records[vm_uuid]
+        return self._backends[vm_uuid]._supervised[0]
 
     def breaker_for(self, vm_uuid: str) -> CircuitBreaker:
-        return self._breakers[vm_uuid]
+        return self._backends[vm_uuid]._supervised[1]
 
     def admission_for(self, vm_uuid: str) -> AdmissionController:
-        return self._admission[vm_uuid]
+        return self._backends[vm_uuid]._supervised[2]
+
+    def records(self) -> List[InstanceHealth]:
+        """Every supervised guest's health record, in attach order."""
+        return [backend._supervised[0] for backend in self._backends.values()]
 
     # -- ring-side: admission ------------------------------------------------------
 
@@ -184,21 +191,12 @@ class Supervisor:
 
     def gate(self, instance_id: int, command_class: CommandClass
              ) -> Optional[Reason]:
-        """``health-gate`` when the instance's health state refuses the
-        class, else None: failed and quarantined refuse everything,
-        degraded and restarting admit only read-only ordinals."""
+        """``health-gate`` when the instance's health state does not admit
+        the class (``health.ADMITTED_CLASSES``), else None."""
         record = self._by_instance.get(instance_id)
-        if record is None:
+        if record is None or command_class in ADMITTED_CLASSES[record.state]:
             return None
-        state = record.state
-        if state is HealthState.HEALTHY:
-            return None
-        if state in (HealthState.FAILED, HealthState.QUARANTINED) or (
-            state in (HealthState.DEGRADED, HealthState.RESTARTING)
-            and command_class is not CommandClass.READ
-        ):
-            return Reason.HEALTH_GATE
-        return None
+        return Reason.HEALTH_GATE
 
     # -- backend-side: outcome observations ----------------------------------------
 
@@ -261,9 +259,9 @@ class Supervisor:
     def on_rebind(self, backend, new_instance_id: int) -> None:
         """The back-end was re-pointed (supervised restart or manager
         crash-recovery): key the health record to the new instance."""
-        record = self._records.get(backend.frontend.guest.uuid)
-        if record is None:
+        if backend.frontend.guest.uuid not in self._backends:
             return
+        record = backend._supervised[0]
         if self._by_instance.get(record.instance_id) is record:
             del self._by_instance[record.instance_id]
         if self.unhealthy_instances.pop(record.instance_id, None) is not None:
@@ -305,8 +303,7 @@ class Supervisor:
         """Drive ``quarantined → restarting → healthy|failed``, retrying
         flapped restarts until the budget runs out."""
         vm = backend.frontend.guest
-        record = self._records[vm.uuid]
-        breaker = self._breakers[vm.uuid]
+        record, breaker, _ = backend._supervised
         while record.state is HealthState.QUARANTINED:
             if record.restarts >= record.thresholds.max_restarts:
                 record.transition(HealthState.FAILED,
@@ -369,9 +366,8 @@ class Supervisor:
         ``max_wait_us`` of waiting plus a probe-count safety cap."""
         budget = max_wait_us
         with obs_trace.span("supervisor.drain"):
-            for vm_uuid, record in self._records.items():
-                backend = self._backends[vm_uuid]
-                breaker = self._breakers[vm_uuid]
+            for backend in self._backends.values():
+                record, breaker, _ = backend._supervised
                 for _ in range(64):  # probe cap per guest
                     if record.terminal:
                         break
@@ -399,25 +395,25 @@ class Supervisor:
 
     def settled(self) -> bool:
         """True when every record is healthy-with-closed-breaker or failed."""
-        for vm_uuid, record in self._records.items():
+        for backend in self._backends.values():
+            record, breaker, _ = backend._supervised
             if record.terminal:
                 continue
             if record.state is not HealthState.HEALTHY:
                 return False
-            if self._breakers[vm_uuid].state is not BreakerState.CLOSED:
+            if breaker.state is not BreakerState.CLOSED:
                 return False
         return True
 
     def status(self) -> List[Dict[str, object]]:
         """One dict per supervised guest (CLI ``health`` exposition)."""
         out = []
-        for vm_uuid, record in self._records.items():
-            breaker = self._breakers[vm_uuid]
-            admission = self._admission[vm_uuid]
+        for backend in self._backends.values():
+            record, breaker, admission = backend._supervised
             entry = record.describe()
             entry.update(
                 {
-                    "guest": self._backends[vm_uuid].frontend.guest.name,
+                    "guest": backend.frontend.guest.name,
                     "breaker": breaker.state.value,
                     "breaker_events": [
                         f"{state}@{t_us:.0f}us" for state, t_us in breaker.events

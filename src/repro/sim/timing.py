@@ -174,28 +174,6 @@ class TimingContext:
         self.clock = clock or VirtualClock()
         self._ledgers: list[CostLedger] = []
 
-    def charge(self, op: str, units: float = 1.0) -> float:
-        """Charge one operation: advance the clock, feed open ledgers.
-
-        This is the hottest function in the simulator (a dozen-plus calls
-        per vTPM command), so it reads the pre-scaled cost tuple directly
-        and only walks the ledger stack when a scope is actually open.
-        """
-        try:
-            fixed, per_unit = self.model._scaled[op]
-        except KeyError:
-            raise SimulationError(f"unknown cost-model operation {op!r}") from None
-        if units < 0:
-            raise SimulationError(f"negative units {units} for {op!r}")
-        cost = fixed + per_unit * units
-        if cost < 0:
-            raise SimulationError(f"negative cost {cost} for {op!r}")
-        self.clock._now_us += cost
-        if self._ledgers:
-            for ledger in self._ledgers:
-                ledger.record(op, cost)
-        return cost
-
     def push_ledger(self, ledger: CostLedger) -> None:
         self._ledgers.append(ledger)
 
@@ -221,10 +199,12 @@ def get_context() -> TimingContext:
 
 
 def charge(op: str, units: float = 1.0) -> float:
-    """Charge an operation against the ambient context (main entry point).
+    """Charge an operation against the ambient context (main entry point):
+    advance the clock and feed the open ledgers.
 
-    Inlines :meth:`TimingContext.charge` (rather than delegating) to save
-    a call frame: this is the single hottest function in the simulator.
+    This is the single hottest function in the simulator (a dozen-plus
+    calls per vTPM command), so it reads the pre-scaled cost tuple
+    directly and only walks the ledger stack when a scope is open.
     """
     ctx = _current_context
     try:

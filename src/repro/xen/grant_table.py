@@ -60,10 +60,7 @@ class GrantTable:
                 f"not dom{grantee}"
             )
         entry.mapped = True
-        page = self._memory.page(entry.frame)
-        page.shared_with.add(grantee)
-        if entry.readonly:
-            page.read_only_for = page.read_only_for | {grantee}
+        self._sync_page(entry.frame, grantee)
         return entry.frame
 
     def unmap_grant(self, grantee: int, granter: int, gref: int) -> None:
@@ -72,9 +69,25 @@ class GrantTable:
         if not entry.mapped:
             raise GrantError(f"grant {gref} of dom{granter} is not mapped")
         entry.mapped = False
-        page = self._memory.page(entry.frame)
-        page.shared_with.discard(grantee)
-        page.read_only_for = page.read_only_for - {grantee}
+        self._sync_page(entry.frame, grantee)
+
+    def _sync_page(self, frame: int, grantee: int) -> None:
+        """Derive the page's sharing with ``grantee`` from the grants of
+        that frame to it still mapped: shared while any is mapped,
+        read-only while every mapped one is."""
+        readonly = [
+            entry.readonly for entry in self._entries.values()
+            if entry.mapped and entry.frame == frame and entry.grantee == grantee
+        ]
+        page = self._memory.page(frame)
+        if readonly:
+            page.shared_with.add(grantee)
+        else:
+            page.shared_with.discard(grantee)
+        if readonly and all(readonly):
+            page.read_only_for = page.read_only_for | {grantee}
+        else:
+            page.read_only_for = page.read_only_for - {grantee}
 
     def end_access(self, granter: int, gref: int) -> None:
         """Revoke a grant (must be unmapped first, as in real Xen)."""

@@ -2,6 +2,7 @@
 manager, crash recovery."""
 
 import hashlib
+import struct
 
 import pytest
 
@@ -11,7 +12,11 @@ from repro.core.certification import (
 )
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform
+from repro.harness.scenario import state_digest
+from repro.tpm import marshal
+from repro.tpm.constants import TPM_ORD_Extend
 from repro.util.errors import AccessControlError, AccessDenied, SealingError
+from repro.vtpm.migration import migrate_with_recovery
 from repro.workloads.mixes import KEY_AUTH, GuestSession
 
 
@@ -187,6 +192,31 @@ class TestManagerRestart:
         platform.hw_client.extend(0, hashlib.sha1(b"evil-bootkit").digest())
         with pytest.raises(SealingError):
             platform.restart_manager()
+
+    def test_hard_restart_restores_migrated_in_instance(self):
+        """An instance that arrived by migration has no guest handle here;
+        a hard crash still loses its live object, and the restart brings
+        back its last checkpoint."""
+        source = build_platform(AccessMode.IMPROVED, seed=41, name="src")
+        target = build_platform(AccessMode.IMPROVED, seed=42, name="dst")
+        guest = source.add_guest("mover")
+        target_vm = target.migration.landing_domain(guest.domain)
+        moved = migrate_with_recovery(
+            source.migration, target.migration, guest.domain.uuid, target_vm
+        )
+        target.manager.save_all()
+        checkpoint = state_digest(moved)
+        extend = marshal.build_command(
+            TPM_ORD_Extend, struct.pack(">I", 7) + b"\x07" * 20
+        )
+        target.manager.handle_command(
+            target_vm.domid, moved.instance_id, extend
+        )
+        assert state_digest(moved) != checkpoint
+        assert target.restart_manager(clean=False) == 1
+        restored = target.manager.instance_for_vm(target_vm.uuid)
+        assert restored.instance_id != moved.instance_id
+        assert state_digest(restored) == checkpoint
 
     def test_instance_ids_rotate_but_bindings_hold(self, improved_platform):
         platform = improved_platform

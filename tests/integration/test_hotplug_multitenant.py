@@ -26,6 +26,16 @@ class TestHotplug:
         # State was persisted on the way out.
         assert platform.storage.has_state(guest.domain.uuid)
 
+    def test_remove_guest_retires_a_hotplugged_guest(self, improved_platform):
+        # Closing the front-end lets the watch retire the vTPM first;
+        # remove_guest then finishes the retire without a second destroy.
+        platform = improved_platform
+        guest = platform.add_guest_hotplug("hp")
+        platform.remove_guest("hp")
+        assert platform.manager.instance_count == 0
+        assert platform.storage.has_state(guest.domain.uuid)
+        assert not guest.domain.is_alive
+
     def test_many_hotplug_guests(self, baseline_platform):
         guests = [
             baseline_platform.add_guest_hotplug(f"hp{i}") for i in range(4)

@@ -124,8 +124,8 @@ class ConformanceMachine(RuleBasedStateMachine):
             instance_id=instance.instance_id,
         )
         runner.handles[guest] = handle
-        # Keep the platform's own book coherent so restart_manager still
-        # walks live instances only.
+        # Keep the platform's own book coherent so restart_manager
+        # rebinds the new back-end.
         platform.guests[name] = handle
         runner.model.on_migrated(name)
 

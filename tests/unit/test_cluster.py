@@ -26,7 +26,12 @@ from repro.harness.builder import build_platform
 from repro.harness.scenario import state_digest
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_ORD_Extend, TPM_ORD_PcrRead
-from repro.util.errors import ClusterError, RetryExhausted
+from repro.util.errors import (
+    ClusterError,
+    GrantError,
+    PageFault,
+    RetryExhausted,
+)
 
 
 def _pcr_read(index: int = 0) -> bytes:
@@ -93,7 +98,7 @@ class TestHost:
         platform = build_platform(AccessMode.IMPROVED, seed=302, name="n1")
         host = Host("h0", platform, capacity=4)
         with pytest.raises(ClusterError, match="not crashed"):
-            host.hard_restart([])
+            host.hard_restart()
         host.crash()
         assert host.state is HostState.CRASHED
         with pytest.raises(ClusterError, match="cannot attest"):
@@ -283,7 +288,7 @@ class TestFleetLifecycle:
             assert marshal.parse_response(response).return_code == 0
 
     def test_recovery_restores_migrated_in_residents(self):
-        """hard_restart must restore guests the host never created itself."""
+        """A host restart must restore guests it never created itself."""
         fleet = build_fleet(num_hosts=2, seed=331, capacity=8, name="fi")
         source = fleet.add_guest("immigrant")
         fleet.router.send("immigrant", _extend(9, b"\x99" * 20))
@@ -293,6 +298,32 @@ class TestFleetLifecycle:
         fleet.crash_host(target)
         fleet.recover_host(target)
         assert state_digest(fleet.instance_for("immigrant")) == digest
+
+    def test_migration_retires_the_source_guest(self):
+        """The source closes the front-end: ring frame freed, grant ended,
+        supervision dropped, domain destroyed."""
+        fleet = build_fleet(num_hosts=2, seed=333, capacity=8, name="fx")
+        source_id = fleet.add_guest("leaver")
+        host = fleet.hosts[source_id]
+        platform = host.platform
+        handle = platform.guests["leaver"]
+        ring = handle.frontend.ring
+        fleet.migrate("leaver", "h1" if source_id == "h0" else "h0")
+        assert "leaver" not in platform.guests
+        with pytest.raises(PageFault):
+            platform.xen.memory.page(ring.frame)
+        with pytest.raises(GrantError):
+            platform.xen.grants.entry(handle.domain.domid, ring.gref)
+        assert platform.supervisor.status() == []
+        assert host.health_penalty() == 0.0
+        assert not platform.xen.domain(handle.domain.domid).is_alive
+        # A migrated-in guest has no handle where it lands; moving it on
+        # retires its landing domain there all the same.
+        landed = fleet.hosts[fleet.router.locate("leaver").host_id].platform
+        landing = landed.xen.domain_by_name("leaver")
+        fleet.migrate("leaver", source_id)
+        assert not landing.is_alive
+        assert landed.identities.lookup(landing.domid) is None
 
     def test_rebalance_moves_guests_off_a_loaded_host(self):
         fleet = build_fleet(num_hosts=2, seed=332, capacity=8, name="fb2")

@@ -338,6 +338,20 @@ class TestHealthGateAndRing:
         _, guest, supervisor = self._supervised()
         assert supervisor.gate(guest.instance_id, CommandClass.MEASURE) is None
 
+    def test_removed_guest_leaves_supervision(self):
+        platform, guest, supervisor = self._supervised()
+        platform.add_guest("bob")
+        supervisor.record_for(guest.domain.uuid).transition(
+            HealthState.DEGRADED, "test"
+        )
+        platform.remove_guest("alice")
+        assert [entry["guest"] for entry in supervisor.status()] == ["bob"]
+        assert [r.vm_uuid for r in supervisor.records()] == [
+            platform.guests["bob"].domain.uuid
+        ]
+        assert supervisor.unhealthy_instances == {}
+        assert supervisor.gate(guest.instance_id, CommandClass.MEASURE) is None
+
     def test_gate_degraded_read_only(self):
         _, guest, supervisor = self._supervised()
         record = supervisor.record_for(guest.domain.uuid)

@@ -114,6 +114,40 @@ class TestGrantTable:
         memory.write(0, frame, 0, b"dom0!")
         assert memory.read(1, frame, 0, 5) == b"dom0!"
 
+    def test_sharing_outlives_unmap_of_a_second_mapping(self, memory, grants):
+        # Two grants of one frame to one grantee, both mapped: unmapping
+        # either leaves the other mapping readable and writable.
+        [frame] = memory.allocate(1, 1)
+        memory.write(1, frame, 0, b"x")
+        first = grants.grant_access(1, 2, frame)
+        second = grants.grant_access(1, 2, frame)
+        grants.map_grant(2, 1, first)
+        grants.map_grant(2, 1, second)
+        grants.unmap_grant(2, 1, second)
+        assert memory.read(2, frame, 0, 1) == b"x"
+        memory.write(2, frame, 0, b"y")
+        grants.unmap_grant(2, 1, first)
+        from repro.util.errors import PageFault
+
+        with pytest.raises(PageFault, match="does not own"):
+            memory.read(2, frame, 0, 1)
+
+    def test_writable_mapping_beside_read_only_one_writes(self, memory,
+                                                          grants):
+        from repro.util.errors import PageFault
+
+        [frame] = memory.allocate(1, 1)
+        read_only = grants.grant_access(1, 2, frame, readonly=True)
+        writable = grants.grant_access(1, 2, frame)
+        grants.map_grant(2, 1, read_only)
+        grants.map_grant(2, 1, writable)
+        memory.write(2, frame, 0, b"rw")
+        assert memory.read(1, frame, 0, 2) == b"rw"
+        # Only the read-only mapping left: writes are refused again.
+        grants.unmap_grant(2, 1, writable)
+        with pytest.raises(PageFault, match="read-only"):
+            memory.write(2, frame, 0, b"no")
+
     def test_end_access_requires_unmapped(self, memory, grants):
         [frame] = memory.allocate(1, 1)
         gref = grants.grant_access(1, 2, frame)
