@@ -365,6 +365,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_xm(args: argparse.Namespace) -> int:
+    from repro.util.errors import DomainNotFound
     from repro.xen import tools
 
     fresh_timing_context()
@@ -372,16 +373,20 @@ def cmd_xm(args: argparse.Namespace) -> int:
     for i in range(args.guests):
         platform.add_guest(f"guest{i:02d}")
     hypercalls = platform.dom0_hypercalls()
-    if args.op == "list":
-        print(tools.xm_list(hypercalls))
-    elif args.op == "info":
-        print(tools.xm_info(hypercalls))
-    elif args.op == "vcpu-list":
-        print(tools.xm_vcpu_list(hypercalls, args.domid))
-    elif args.op == "dump-core":
-        image = tools.xm_dump_core(hypercalls, args.domid)
-        print(f"dumped {len(image)} bytes of dom{args.domid} "
-              f"({args.mode} regime)")
+    try:
+        if args.op == "list":
+            print(tools.xm_list(hypercalls))
+        elif args.op == "info":
+            print(tools.xm_info(hypercalls))
+        elif args.op == "vcpu-list":
+            print(tools.xm_vcpu_list(hypercalls, args.domid))
+        elif args.op == "dump-core":
+            image = tools.xm_dump_core(hypercalls, args.domid)
+            print(f"dumped {len(image)} bytes of dom{args.domid} "
+                  f"({args.mode} regime)")
+    except DomainNotFound as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return 0
 
 
@@ -729,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exploration depth: small is the seeded CI "
                                "sweep (<60s), deep is the nightly sweep")
     p_verify.add_argument("--seed", type=int, default=2010)
-    p_verify.add_argument("--target", type=int, default=None,
+    p_verify.add_argument("--target", type=_positive_int, default=None,
                           help="override the budget's distinct-schedule "
                                "target (smoke tests)")
     p_verify.add_argument("--output", metavar="PATH",

@@ -5,29 +5,42 @@ Every monitor decision (allow *and* deny) produces an entry; entries chain
 edits are detectable — the standard response to "the attacker owns the
 log file".
 
-The log stores one form: a list of entry field tuples in sequence order
-(the sequence number is the index) and the concatenated 32-byte chain
-hashes of the entries chained so far.  :meth:`AuditLog.append_buffered`
-encodes an entry and charges the modeled ``ac.audit.append`` cost at append
-time, but the SHA-256 link is deferred until the chain is next read:
-:meth:`AuditLog.chain_head` hashes only the encoded bytes not yet chained,
-in one tight loop, then drops them.  The final chain hash is identical to
-eager chaining — the encoded bytes and their order are fixed at append
-time.  :class:`AuditRecord` objects are built only for the readers that
-return them; chaining and verification never build one.
+The log stores entries as columns, in sequence order (the sequence number
+is the index): a list of references to interned field tuples, an
+``array('d')`` of timestamps and the concatenated 32-byte chain hashes of
+the entries chained so far.  Decisions repeat — the same guest, instance,
+operation, verdict and reason recur across thousands of commands — so the
+log keeps one ``(subject, instance, operation, allowed, reason)`` tuple per
+distinct decision and an entry costs 48 bytes: a reference, a timestamp
+and its hash.
+
+:meth:`AuditLog.append_buffered` encodes an entry and charges the modeled
+``ac.audit.append`` cost at append time, but the SHA-256 link is deferred:
+the encoded bytes wait until the chain is next read, or until
+``_CHAIN_BATCH`` of them are buffered, and are then hashed in one tight
+loop and dropped.  The final chain hash is identical to eager chaining —
+the encoded bytes and their order are fixed at append time.
+:class:`AuditRecord` objects are built only for the readers that return
+them; chaining and verification never build one.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.sim import timing as _timing
 from repro.sim.timing import charge
 
 GENESIS = hashlib.sha256(b"vtpm-audit-genesis").digest()
 _HASH = 32  # bytes per stored chain hash
+#: encoded entries buffered before an append chains them; a read chains
+#: sooner.  Bounds the unchained bytes at one batch (about 600 KB).
+_CHAIN_BATCH = 4096
+#: instance types whose equal values always encode to the same text
+_EXACT_TYPES = (int, str)
 
 
 def encode_entry(
@@ -89,12 +102,16 @@ class AuditRecord:
 class AuditLog:
     """The manager's append-only decision log."""
 
-    __slots__ = ("_entries", "_hashes", "_unchained")
+    __slots__ = ("_decisions", "_kinds", "_times", "_hashes", "_unchained")
 
     def __init__(self) -> None:
-        #: (timestamp_us, subject, instance, operation, allowed, reason);
-        #: an entry's sequence number is its index
-        self._entries: List[tuple] = []
+        #: one (subject, instance, operation, allowed, reason) tuple per
+        #: distinct decision, mapped to itself
+        self._decisions: Dict[tuple, tuple] = {}
+        #: each entry's interned field tuple; its sequence number is its index
+        self._kinds: List[tuple] = []
+        #: each entry's virtual timestamp (us)
+        self._times = array("d")
         #: chain hash of each chained entry, ``_HASH`` bytes apiece
         self._hashes = bytearray()
         #: encoded bytes of the entries appended since the last chaining
@@ -113,19 +130,39 @@ class AuditLog:
         """Record a decision without extending the hash chain yet.
 
         The encoded bytes (and therefore the eventual chain hash) are fully
-        determined here; only the SHA-256 work is deferred to the next read.
+        determined here; the SHA-256 work waits for the next read or a full
+        batch.
+
+        Interning is exact: a stored tuple is shared only when it encodes
+        like the new fields.  ``1``, ``1.0`` and ``True`` compare equal, so
+        a hit is reused only if its ``allowed`` is the very object passed
+        and its instance is too, or is an equal ``int`` or ``str``;
+        otherwise the entry keeps its own tuple.  Subject, operation and
+        reason are ``str``, whose equal values encode the same.
         """
-        entries = self._entries
+        kinds = self._kinds
         timestamp_us = _timing._current_context.clock._now_us
         encoded = encode_entry(
-            len(entries), timestamp_us, subject, instance, operation,
+            len(kinds), timestamp_us, subject, instance, operation,
             allowed, reason,
         )
         charge("ac.audit.append", len(encoded))
-        entries.append(
-            (timestamp_us, subject, instance, operation, allowed, reason)
-        )
-        self._unchained.append(encoded)
+        fields = (subject, instance, operation, allowed, reason)
+        kind = self._decisions.setdefault(fields, fields)
+        if kind is not fields and not (
+            kind[3] is allowed and (
+                kind[1] is instance
+                or (type(kind[1]) is type(instance)
+                    and type(instance) in _EXACT_TYPES)
+            )
+        ):
+            kind = fields
+        kinds.append(kind)
+        self._times.append(timestamp_us)
+        unchained = self._unchained
+        unchained.append(encoded)
+        if len(unchained) >= _CHAIN_BATCH:
+            self.chain_head()
 
     def append(
         self,
@@ -138,12 +175,12 @@ class AuditLog:
         """Append and chain immediately; returns the finished record."""
         self.append_buffered(subject, instance, operation, allowed, reason)
         self.chain_head()
-        return self._record(len(self._entries) - 1)
+        return self._record(len(self._kinds) - 1)
 
     def _record(self, sequence: int) -> AuditRecord:
         start = sequence * _HASH
         return AuditRecord(
-            sequence, *self._entries[sequence],
+            sequence, self._times[sequence], *self._kinds[sequence],
             bytes(self._hashes[start:start + _HASH]),
         )
 
@@ -183,24 +220,27 @@ class AuditLog:
         """
         head = GENESIS
         sha256 = hashlib.sha256
-        for sequence, (_, subject, instance, operation, allowed,
-                       reason) in enumerate(self._entries):
-            head = sha256(head + encode_decision(
-                sequence, subject, instance, operation, allowed, reason,
-            )).digest()
+        for sequence, fields in enumerate(self._kinds):
+            head = sha256(head + encode_decision(sequence, *fields)).digest()
         return head
 
     def verify_chain(self) -> bool:
         """Re-encode every entry from its fields and recompute the chain
         against the stored hashes; False means tampering."""
         self.chain_head()
+        kinds = self._kinds
         hashes = self._hashes
-        if len(hashes) != len(self._entries) * _HASH:
+        if (len(hashes) != len(kinds) * _HASH
+                or len(self._times) != len(kinds)):
             return False
         head = GENESIS
         sha256 = hashlib.sha256
-        for sequence, entry in enumerate(self._entries):
-            head = sha256(head + encode_entry(sequence, *entry)).digest()
+        for sequence, (timestamp_us, fields) in enumerate(
+            zip(self._times, kinds)
+        ):
+            head = sha256(
+                head + encode_entry(sequence, timestamp_us, *fields)
+            ).digest()
             start = sequence * _HASH
             if head != hashes[start:start + _HASH]:
                 return False
@@ -209,33 +249,33 @@ class AuditLog:
     # -- queries (each builds records only for what it returns) ------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._kinds)
 
     def _select(self, keep: Callable[[tuple], bool]) -> List[AuditRecord]:
         self.chain_head()
         return [
             self._record(sequence)
-            for sequence, entry in enumerate(self._entries)
-            if keep(entry)
+            for sequence, fields in enumerate(self._kinds)
+            if keep(fields)
         ]
 
     def records(self) -> List[AuditRecord]:
         self.chain_head()
-        return [self._record(i) for i in range(len(self._entries))]
+        return [self._record(i) for i in range(len(self._kinds))]
 
     def denials(self) -> List[AuditRecord]:
-        return self._select(lambda entry: not entry[4])
+        return self._select(lambda fields: not fields[3])
 
     def for_subject(self, subject: str) -> List[AuditRecord]:
-        return self._select(lambda entry: entry[1] == subject)
+        return self._select(lambda fields: fields[0] == subject)
 
     def for_instance(self, instance: object) -> List[AuditRecord]:
-        return self._select(lambda entry: entry[2] == instance)
+        return self._select(lambda fields: fields[1] == instance)
 
     def tail(self, count: int = 10) -> List[AuditRecord]:
         """The last ``count`` records (fewer if the log is shorter)."""
         if count < 0:
             raise ValueError(f"tail count must be >= 0, got {count}")
         self.chain_head()
-        size = len(self._entries)
+        size = len(self._kinds)
         return [self._record(i) for i in range(max(0, size - count), size)]

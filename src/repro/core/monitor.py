@@ -240,6 +240,9 @@ class AccessControlMonitor(Monitor):
                     caller, instance_id, bound_identity_hex, wire, span,
                     tracer,
                 )
+                if self.config.audit:
+                    # every allow and deny path appends exactly one record
+                    span.set("audit_seq", len(self.audit) - 1)
         if obs_counters._current_registry is not None:
             parsed = result.parsed
             _ac_commands(

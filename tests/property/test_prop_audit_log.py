@@ -1,13 +1,17 @@
 """Oracle property test: the audit log against the eager-record reference.
 
-``AuditLog`` keeps entry field tuples plus stored chain hashes and builds
-``AuditRecord`` objects only for readers.  The reference below is the
-earlier implementation, copied verbatim: it built one record per entry
-whenever the chain was read.  Hypothesis drives both through the same
-interleavings of ``append``, ``append_buffered``, clock advances and every
-reader; each reader, ``len``, ``chain_head``, ``decision_chain_hash`` and
-``verify_chain`` must agree.  The tamper scenarios then check that both
-``verify_chain`` and ``AuditAnchor.verify`` catch what they caught before.
+``AuditLog`` keeps interned field tuples, timestamps and stored chain
+hashes, chains in bounded batches and builds ``AuditRecord`` objects only
+for readers.  The reference below is the earlier implementation, copied
+verbatim: it built one record per entry whenever the chain was read.
+Hypothesis drives both through the same interleavings of ``append``,
+``append_buffered``, clock advances and every reader, with the chaining
+batch shrunk to a few entries as well as at its real size; each reader,
+``len``, ``chain_head``, ``decision_chain_hash`` and ``verify_chain`` must
+agree.  ``1``, ``True`` and ``1.0`` are all instances, so a field tuple
+shared between entries that encode differently shows up as a difference.
+The tamper scenarios then check that both ``verify_chain`` and
+``AuditAnchor.verify`` catch what they caught before.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import List
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,7 +228,7 @@ class AuditLog:
 # -- driving both logs ---------------------------------------------------------------
 
 SUBJECTS = ["dom0", "dom3", "a1b2c3d4", "ünïcode"]
-INSTANCES = [0, 1, 7, "vtpm-2", None]
+INSTANCES = [0, 1, True, 1.0, 7, "vtpm-2", None]
 fields = st.tuples(
     st.sampled_from(SUBJECTS),
     st.sampled_from(INSTANCES),
@@ -244,8 +249,10 @@ step = st.one_of(
 
 
 def _fields(record) -> tuple:
-    """A record of either implementation as a plain field tuple."""
-    return dataclasses.astuple(record)
+    """A record of either implementation as a plain field tuple, with each
+    field's type so that ``1`` and ``True`` do not compare equal."""
+    fields = dataclasses.astuple(record)
+    return fields, tuple(type(field) for field in fields)
 
 
 def _head_at(log, sequence: int) -> bytes:
@@ -262,7 +269,8 @@ def _read(log, name: str, arg: int):
     if name == "for_subject":
         return [_fields(r) for r in log.for_subject(SUBJECTS[arg % 4])]
     if name == "for_instance":
-        return [_fields(r) for r in log.for_instance(INSTANCES[arg % 5])]
+        return [_fields(r)
+                for r in log.for_instance(INSTANCES[arg % len(INSTANCES)])]
     if name == "head_at":
         return _head_at(log, arg)
     if name == "len":
@@ -294,9 +302,11 @@ def _run(log, steps) -> list:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(step, max_size=40))
-def test_every_reader_matches_the_reference(steps):
-    assert _run(audit.AuditLog(), steps) == _run(AuditLog(), steps)
+@given(st.lists(step, max_size=40),
+       st.sampled_from([1, 2, 3, audit._CHAIN_BATCH]))
+def test_every_reader_matches_the_reference(steps, batch):
+    with mock.patch.object(audit, "_CHAIN_BATCH", batch):
+        assert _run(audit.AuditLog(), steps) == _run(AuditLog(), steps)
 
 
 # -- tampering -----------------------------------------------------------------------
@@ -313,8 +323,8 @@ def _anchor() -> AuditAnchor:
 
 def _edit_reason(log, victim: int) -> None:
     if isinstance(log, audit.AuditLog):
-        entry = log._entries[victim]
-        log._entries[victim] = entry[:5] + (entry[5] + "-edited",)
+        fields = log._kinds[victim]
+        log._kinds[victim] = fields[:4] + (fields[4] + "-edited",)
     else:
         log._records[victim] = dataclasses.replace(
             log._records[victim], reason=log._records[victim].reason + "-edited"
@@ -323,7 +333,8 @@ def _edit_reason(log, victim: int) -> None:
 
 def _drop_last(log, _victim: int) -> None:
     if isinstance(log, audit.AuditLog):
-        log._entries.pop()
+        log._kinds.pop()
+        log._times.pop()
     else:
         log._records.pop()
 
@@ -332,7 +343,8 @@ def _truncate(log, keep: int) -> None:
     """Cut the log to ``keep`` entries with a matching head: the chain is
     self-consistent again, which is what the hardware anchor is for."""
     if isinstance(log, audit.AuditLog):
-        del log._entries[keep:]
+        del log._kinds[keep:]
+        del log._times[keep:]
         del log._hashes[keep * 32:]
     else:
         log._records = log._records[:keep]

@@ -128,6 +128,6 @@ def test_audit_any_edit_detected(entries, data):
     for subject, instance, op, allowed, reason in entries:
         log.append(subject, instance, op, allowed, reason)
     victim = data.draw(st.integers(0, len(entries) - 1))
-    entry = log._entries[victim]
-    log._entries[victim] = entry[:5] + (entry[5] + "-edited",)
+    fields = log._kinds[victim]
+    log._kinds[victim] = fields[:4] + (fields[4] + "-edited",)
     assert not log.verify_chain()

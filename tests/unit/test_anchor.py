@@ -51,7 +51,8 @@ class TestAnchoring:
         log = _filled_log()
         anchor_client.anchor(log)
         # Truncate to three entries; the head is the third entry's hash.
-        del log._entries[3:]
+        del log._kinds[3:]
+        del log._times[3:]
         del log._hashes[3 * 32:]
         assert log.verify_chain()
         ok, reason = anchor_client.verify(log)
@@ -72,14 +73,15 @@ class TestAnchoring:
     def test_edited_record_detected(self, anchor_client):
         log = _filled_log()
         anchor_client.anchor(log)
-        log._entries[2] = log._entries[2][:5] + ("edited",)
+        log._kinds[2] = log._kinds[2][:4] + ("edited",)
         ok, reason = anchor_client.verify(log)
         assert not ok and "chain broken" in reason
 
     def test_dropped_last_entry_detected(self, anchor_client):
         log = _filled_log()
         anchor_client.anchor(log)
-        log._entries.pop()
+        log._kinds.pop()
+        log._times.pop()
         ok, reason = anchor_client.verify(log)
         assert not ok and "chain broken" in reason
 

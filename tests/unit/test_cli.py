@@ -153,6 +153,8 @@ class TestCommands:
         ["cluster", "--steps", "0"],
         ["trace", "pcrread", "--count", "-1"],
         ["trace", "pcrread", "--guests", "0"],
+        ["verify", "--target", "0"],
+        ["verify", "--target", "-3"],
     ])
     def test_count_below_one_is_a_usage_error(self, capsys, argv):
         self._assert_usage_error(capsys, argv)
@@ -174,6 +176,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Domain-0" in out
         assert "guest" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["xm", "vcpu-list", "--domid", "99"],
+        ["xm", "dump-core", "--domid", "3"],
+    ])
+    def test_xm_unknown_domid_is_one_line_and_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"no domain with id {argv[-1]}\n"
+        assert captured.out == ""
 
     @staticmethod
     def _assert_usage_error(capsys, argv,

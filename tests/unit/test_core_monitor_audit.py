@@ -1,8 +1,12 @@
 """Unit tests for the audit log, reference monitor and memory protector."""
 
+import tracemalloc
+
 import pytest
 
-from repro.core.audit import GENESIS, AuditLog, AuditRecord, encode_entry
+from repro.core.audit import (
+    _CHAIN_BATCH, GENESIS, AuditLog, AuditRecord, encode_entry,
+)
 from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
 from repro.core.monitor import AccessControlMonitor, BaselineMonitor
@@ -61,14 +65,15 @@ class TestAuditLog:
         for i in range(5):
             log.append(f"s{i}", i, "op", True, "r")
         # In-place edit of a past entry's reason.
-        log._entries[2] = log._entries[2][:5] + ("edited",)
+        log._kinds[2] = log._kinds[2][:4] + ("edited",)
         assert not log.verify_chain()
 
     def test_truncation_breaks_chain(self):
         log = AuditLog()
         for i in range(5):
             log.append(f"s{i}", i, "op", True, "r")
-        log._entries.pop()
+        log._kinds.pop()
+        log._times.pop()
         assert not log.verify_chain()
 
     def test_edit_of_unchained_entry_breaks_chain(self):
@@ -78,7 +83,7 @@ class TestAuditLog:
         log = AuditLog()
         for i in range(5):
             log.append_buffered(f"s{i}", i, "op", True, "r")
-        log._entries[4] = log._entries[4][:5] + ("edited",)
+        log._kinds[4] = log._kinds[4][:4] + ("edited",)
         assert not log.verify_chain()
 
     def test_tail_edges(self):
@@ -168,6 +173,44 @@ class TestAuditRecordBuilds:
         assert builds == [r.sequence for r in denials] == list(range(0, 100, 5))
 
 
+class TestAuditFootprint:
+    """What an entry leaves behind: one reference to an interned field
+    tuple, one timestamp and one chain hash, plus at most one batch of
+    encoded bytes waiting to be chained."""
+
+    ENTRIES = 100_000
+    MAX_BYTES_PER_ENTRY = 64
+
+    def test_entry_residue_is_bounded(self, timing_context):
+        # 8 guests x 4 instances x 2 operations x 2 verdicts, the shape of
+        # a supervised batch run; built before tracing starts.
+        decisions = [
+            (f"{guest:02x}" * 32, instance, operation, allowed,
+             "granted:3" if allowed else "no-grant")
+            for guest in range(8) for instance in range(4)
+            for operation in ("TPM_Extend", "TPM_PCRRead")
+            for allowed in (True, False)
+        ]
+        log = AuditLog()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(self.ENTRIES):
+                log.append_buffered(*decisions[i % len(decisions)])
+            buffered = tracemalloc.get_traced_memory()[0] - before
+            held = len(log._unchained)
+            log.chain_head()
+            chained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == self.ENTRIES
+        assert held < _CHAIN_BATCH
+        assert len(log._decisions) == len(decisions)
+        for residue in (buffered, chained):
+            assert residue / self.ENTRIES <= self.MAX_BYTES_PER_ENTRY, residue
+        assert log.verify_chain()
+
+
 class TestBaselineMonitor:
     def test_allows_everything_for_free(self, xen, timing_context):
         monitor = BaselineMonitor()
@@ -249,6 +292,55 @@ class TestAccessControlMonitor:
         identities.register(guest)
         monitor.authorize(guest, 1, None, _extend_wire())
         assert len(audit) == 0
+
+    def test_authz_span_names_its_audit_record(self, xen, plumbing):
+        """Traced, each ``authz`` span carries the sequence number of the
+        record its decision appended, on allows and on every deny path."""
+        from repro.core.policy import CommandClass
+        from repro.obs import InMemorySink, Tracer, tracer_scope
+
+        identities, policy, audit, monitor = plumbing
+        owner = xen.create_domain("owner", b"k")
+        reader = xen.create_domain("reader", b"r")
+        stranger = xen.create_domain("stranger", b"s")
+        owner_id = identities.register(owner)
+        reader_id = identities.register(reader)
+        monitor.on_instance_created(1, owner_id.hex)
+        policy.add_rule(reader_id.hex, 2, CommandClass.READ)
+        read = marshal.build_command(TPM_ORD_PcrRead, b"\x00\x00\x00\x00")
+        clear = marshal.build_command(TPM_ORD_OwnerClear, b"")
+        frames = [
+            (owner, 1, owner_id.hex, _extend_wire(), "TPM_Extend", True),
+            (owner, 1, owner_id.hex, _extend_wire(), "TPM_Extend", True),
+            (reader, 2, None, read, "TPM_PCRRead", True),
+            (reader, 2, None, clear, "TPM_OwnerClear", False),
+            (reader, 1, owner_id.hex, read, "TPM_PCRRead", False),
+            (stranger, 1, None, read, "TPM_PCRRead", False),
+            (owner, 1, owner_id.hex, b"\xff\xff", "malformed", False),
+            (owner, 3, owner_id.hex, read, "TPM_PCRRead", False),
+        ]
+        sink = InMemorySink()
+        with tracer_scope(Tracer(sink)):
+            for number, (caller, instance, bound, wire, _, _) in enumerate(
+                frames
+            ):
+                # records the monitor did not append move the numbering
+                audit.append("fault-injector", instance, "FAULT:x", True,
+                             f"site#{number}")
+                if number == len(frames) - 1:
+                    monitor.health_gate = lambda *_: Reason.HEALTH_GATE
+                monitor.authorize(caller, instance, bound, wire)
+        spans = sink.spans_named("authz")
+        assert len(spans) == len(frames)
+        records = audit.records()
+        for span, (_, instance, _, _, operation, allowed) in zip(
+            spans, frames
+        ):
+            record = records[span.attrs["audit_seq"]]
+            assert record.instance == span.attrs["instance"] == instance
+            assert record.subject != "fault-injector"
+            assert (record.operation, record.allowed) == (operation, allowed)
+        assert records[spans[-1].attrs["audit_seq"]].reason == "health-gate"
 
 
 class TestMemoryProtector:
