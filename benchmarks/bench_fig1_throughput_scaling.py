@@ -13,11 +13,9 @@ from repro.harness.experiments import run_throughput_scaling
 
 
 def test_fig1_throughput_scaling(run_once):
-    result = run_once(
-        run_throughput_scaling, vm_counts=(1, 2, 4, 8, 16), ops_per_vm=40
-    )
+    result = run_once(run_throughput_scaling)
     emit(result)
-    for vms, baseline_tput, improved_tput, loss_pct in result.rows():
+    for vms, baseline_tput, improved_tput, loss_pct in result.rows:
         assert improved_tput <= baseline_tput, f"improved faster at {vms} VMs?"
         assert loss_pct < 10.0, (
             f"access control costs {loss_pct:.1f}% at {vms} VMs; expected <10%"

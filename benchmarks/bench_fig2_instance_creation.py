@@ -14,11 +14,9 @@ from repro.harness.experiments import run_instance_creation
 
 
 def test_fig2_instance_creation(run_once):
-    result = run_once(
-        run_instance_creation, populations=(0, 1, 2, 4, 8, 16, 32)
-    )
+    result = run_once(run_instance_creation)
     emit(result)
-    rows = result.rows()
+    rows = result.rows
     base_first = rows[0][1]
     for population, baseline_ms, improved_ms in rows:
         # Flat in population: within 8% of the first point.  (RSA prime

@@ -14,9 +14,9 @@ from repro.harness.experiments import run_migration_sweep
 
 
 def test_fig3_migration(run_once):
-    result = run_once(run_migration_sweep, nv_payload_kib=(0, 8, 32, 128))
+    result = run_once(run_migration_sweep)
     emit(result)
-    rows = result.rows()
+    rows = result.rows
     adders = [improved - baseline for _size, baseline, improved in rows]
     # The security adder is constant: spread under 10% of its mean.
     mean_adder = sum(adders) / len(adders)

@@ -14,7 +14,7 @@ from repro.harness.experiments import run_webapp_benchmark
 
 
 def test_fig4_application(run_once):
-    result = run_once(run_webapp_benchmark, requests=2_000)
+    result = run_once(run_webapp_benchmark)
     emit(result)
     rows = {row[0]: row for row in result.rows}
     assert rows["baseline"][2] < 1.0, "vTPM slowdown should be <1% here"

@@ -15,14 +15,9 @@ from repro.harness.loadtest import run_latency_under_load
 
 
 def test_fig5_latency_under_load(run_once):
-    result = run_once(
-        run_latency_under_load,
-        offered_rates=(5_000, 15_000, 25_000, 32_000),
-        guests=4,
-        duration_s=0.35,
-    )
+    result = run_once(run_latency_under_load)
     emit(result)
-    rows = result.rows()
+    rows = result.rows
     baseline_means = [row[1] for row in rows]
     improved_means = [row[2] for row in rows]
     # Latency grows with load (queueing is visible by the last point).

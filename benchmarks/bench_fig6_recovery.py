@@ -20,9 +20,9 @@ from repro.harness.experiments import run_faulted_recovery, run_recovery_sweep
 
 
 def test_fig6_recovery(run_once):
-    result = run_once(run_recovery_sweep, instance_counts=(1, 2, 4, 8))
+    result = run_once(run_recovery_sweep)
     emit(result)
-    rows = result.rows()
+    rows = result.rows
     # Linear: doubling instances roughly doubles recovery time.
     for (n1, b1, i1), (n2, b2, i2) in zip(rows, rows[1:]):
         assert 1.7 < b2 / b1 < 2.3
@@ -34,9 +34,9 @@ def test_fig6_recovery(run_once):
 
 
 def test_fig6b_faulted_recovery(run_once):
-    result = run_once(run_faulted_recovery, instance_counts=(1, 2, 4, 8))
+    result = run_once(run_faulted_recovery)
     emit(result)
-    for count, clean_ms, faulted_ms, faults, recoveries in result.rows():
+    for count, clean_ms, faulted_ms, faults, recoveries in result.rows:
         # Recovery still completes for every population, pays a measurable
         # premium for the injected faults, and actually recovered something.
         assert faulted_ms > clean_ms

@@ -17,14 +17,9 @@ from repro.harness.experiments import run_batching_sweep
 
 
 def test_fig7_batching(run_once):
-    result = run_once(
-        run_batching_sweep,
-        batch_sizes=(1, 2, 4, 8, 16),
-        vm_counts=(1, 2, 4),
-        commands_per_vm=64,
-    )
+    result = run_once(run_batching_sweep)
     emit(result)
-    rows = result.rows()
+    rows = result.rows
     assert rows, "sweep produced no points"
     for row in rows:
         vms, *latencies = row

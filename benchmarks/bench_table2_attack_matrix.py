@@ -19,7 +19,9 @@ BLOCKED_BY_TPM = {"replay"}
 def test_table2_attack_matrix(run_once):
     result = run_once(run_attack_matrix_experiment)
     emit(result)
-    assert result.improvement_blocks_all(), "improved regime leaked"
+    assert all(row[2] == "blocked" for row in result.rows), (
+        "improved regime leaked"
+    )
     for attack, baseline_outcome, improved_outcome in result.rows:
         if attack in BLOCKED_BY_TPM:
             assert baseline_outcome == "blocked"

@@ -13,8 +13,8 @@ from repro.harness.experiments import run_policy_scaling
 
 
 def test_table3_policy_scaling(run_once):
-    result = run_once(
-        run_policy_scaling, rule_counts=(10, 100, 1_000, 10_000), lookups=2_000
-    )
+    result = run_once(run_policy_scaling)
     emit(result)
-    assert result.is_flat(tolerance=0.10), result.rows
+    # Flat: mean decision cost at 10,000 rules within 10% of 10 rules.
+    first, last = result.rows[0][1], result.rows[-1][1]
+    assert abs(last - first) <= 0.10 * max(first, 1e-9), result.rows

@@ -43,12 +43,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform, fresh_timing_context
 
-EXPERIMENTS: Dict[str, Callable] = {}
+#: experiment id -> (runner, keyword overrides for ``--quick``); the full
+#: size is each runner's defaults.  Filled on first use.
+EXPERIMENTS: Dict[str, Tuple[Callable, Dict[str, object]]] = {}
 
 
 def _register_experiments() -> None:
@@ -57,45 +59,32 @@ def _register_experiments() -> None:
 
     EXPERIMENTS.update(
         {
-            "table1": lambda quick: ex.run_command_latency(reps=10 if quick else 50),
-            "fig1": lambda quick: ex.run_throughput_scaling(
-                vm_counts=(1, 2, 4) if quick else (1, 2, 4, 8, 16),
-                ops_per_vm=10 if quick else 40,
-            ),
-            "table2": lambda quick: ex.run_attack_matrix_experiment(),
-            "fig2": lambda quick: ex.run_instance_creation(
-                populations=(0, 2, 4) if quick else (0, 1, 2, 4, 8, 16, 32)
-            ),
-            "fig3": lambda quick: ex.run_migration_sweep(
-                nv_payload_kib=(0, 16) if quick else (0, 8, 32, 128)
-            ),
-            "table3": lambda quick: ex.run_policy_scaling(
-                rule_counts=(10, 1000) if quick else (10, 100, 1_000, 10_000),
-                lookups=300 if quick else 2_000,
-            ),
-            "fig4": lambda quick: ex.run_webapp_benchmark(
-                requests=300 if quick else 2_000
-            ),
-            "table4": lambda quick: ex.run_ablation(ops=40 if quick else 150),
-            "fig6": lambda quick: ex.run_recovery_sweep(
-                instance_counts=(1, 2) if quick else (1, 2, 4, 8)
-            ),
-            "fig6b": lambda quick: ex.run_faulted_recovery(
-                instance_counts=(1, 2) if quick else (1, 2, 4, 8)
-            ),
-            "fig5": lambda quick: run_latency_under_load(
-                offered_rates=(5_000, 25_000) if quick
-                else (5_000, 15_000, 25_000, 32_000),
-                guests=3 if quick else 4,
-                duration_s=0.2 if quick else 0.35,
-            ),
-            "fig7": lambda quick: ex.run_batching_sweep(
-                batch_sizes=(1, 4, 16) if quick else (1, 2, 4, 8, 16),
-                vm_counts=(1, 2) if quick else (1, 2, 4),
-                commands_per_vm=16 if quick else 64,
-            ),
+            "table1": (ex.run_command_latency, {"reps": 10}),
+            "fig1": (ex.run_throughput_scaling,
+                     {"vm_counts": (1, 2, 4), "ops_per_vm": 10}),
+            "table2": (ex.run_attack_matrix_experiment, {}),
+            "fig2": (ex.run_instance_creation, {"populations": (0, 2, 4)}),
+            "fig3": (ex.run_migration_sweep, {"nv_payload_kib": (0, 16)}),
+            "table3": (ex.run_policy_scaling,
+                       {"rule_counts": (10, 1000), "lookups": 300}),
+            "fig4": (ex.run_webapp_benchmark, {"requests": 300}),
+            "table4": (ex.run_ablation, {"ops": 40}),
+            "fig6": (ex.run_recovery_sweep, {"instance_counts": (1, 2)}),
+            "fig6b": (ex.run_faulted_recovery, {"instance_counts": (1, 2)}),
+            "fig5": (run_latency_under_load,
+                     {"offered_rates": (5_000, 25_000), "guests": 3,
+                      "duration_s": 0.2}),
+            "fig7": (ex.run_batching_sweep,
+                     {"batch_sizes": (1, 4, 16), "vm_counts": (1, 2),
+                      "commands_per_vm": 16}),
         }
     )
+
+
+def _run_experiment(name: str, quick: bool):
+    """Run one registered experiment at full or ``--quick`` size."""
+    runner, quick_kwargs = EXPERIMENTS[name]
+    return runner(**quick_kwargs) if quick else runner()
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -283,7 +272,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     with closer, observed(tracer):
         for name in names:
-            result = EXPERIMENTS[name](args.quick)
+            result = _run_experiment(name, args.quick)
             print(result.render())
             print()
     _print_trace_summary(getattr(args, "trace", None), tracer, None)
@@ -560,8 +549,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     _register_experiments()
     print("# vTPM access-control reproduction — evaluation report\n")
     print(f"(quick mode: {args.quick})\n")
-    for name, runner in EXPERIMENTS.items():
-        result = runner(args.quick)
+    for name in EXPERIMENTS:
+        result = _run_experiment(name, args.quick)
         print(f"## {name}\n")
         print("```")
         print(result.render())

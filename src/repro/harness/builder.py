@@ -62,7 +62,6 @@ class Platform:
         mode: AccessMode,
         seed: int = 2010,
         ac_config: Optional[AccessControlConfig] = None,
-        key_bits: int = SIM_KEY_BITS,
         name: str = "platform",
         nv_capacity: Optional[int] = None,
         stub_manager: bool = False,
@@ -89,7 +88,9 @@ class Platform:
         )
 
         # -- hardware TPM, owned by the platform administrator ---------------
-        self.hw_tpm = TpmDevice(self.rng.fork("hw-tpm"), key_bits=key_bits, name="hwtpm")
+        self.hw_tpm = TpmDevice(
+            self.rng.fork("hw-tpm"), key_bits=SIM_KEY_BITS, name="hwtpm"
+        )
         self.hw_tpm.power_on()
         self.hw_client = TpmClient(self.hw_tpm.execute, self.rng.fork("hw-client"))
         ek_pub = self.hw_client.read_pubek()
@@ -132,7 +133,7 @@ class Platform:
             mode=mode,
             identities=self.identities if mode is AccessMode.IMPROVED else None,
             protector=self.protector,
-            key_bits=key_bits,
+            key_bits=SIM_KEY_BITS,
             nv_capacity=nv_capacity,
             rng=self.rng.fork("manager"),
         )
@@ -153,7 +154,6 @@ class Platform:
                 aik_auth=b"certifier-aik-auth!!",
             )
         self.guests: Dict[str, GuestHandle] = {}
-        self._key_bits = key_bits
         #: the resilience supervisor, installed by :meth:`enable_supervision`
         self.supervisor = None
 
@@ -336,13 +336,13 @@ class Platform:
         return HypercallInterface(self.xen, domid)
 
 
-def fresh_timing_context(cpu_scale: float = 1.0) -> TimingContext:
+def fresh_timing_context() -> TimingContext:
     """Install a fresh clock+model; returns the new context.
 
     Experiments call this first so measurements start at t=0 with no
     charges leaked from module import or previous runs.
     """
-    ctx = TimingContext(model=CostModel(cpu_scale=cpu_scale), clock=VirtualClock())
+    ctx = TimingContext(model=CostModel(), clock=VirtualClock())
     set_context(ctx)
     return ctx
 

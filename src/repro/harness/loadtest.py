@@ -13,13 +13,13 @@ core table set, exercising the event engine's process machinery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.config import AccessMode
+from repro.crypto.random_source import RandomSource
 from repro.harness.builder import build_platform, fresh_timing_context
-from repro.metrics.stats import Summary, summarize
-from repro.metrics.tables import format_table
+from repro.metrics.stats import summarize
+from repro.metrics.tables import Table, pivot
 from repro.obs import trace as obs_trace
 from repro.sim.engine import Simulator
 from repro.sim.timing import get_context
@@ -27,68 +27,20 @@ from repro.workloads.mixes import MIX_MEASUREMENT, CommandMix, GuestSession
 from repro.workloads.traces import SyntheticTrace
 
 
-@dataclass
-class LoadPoint:
-    mode: str
-    offered_per_sec: float
-    completed: int
-    latency: Summary
-
-
-@dataclass
-class LatencyLoadResult:
-    points: List[LoadPoint]
-
-    def series(self, mode: str) -> List[LoadPoint]:
-        return sorted(
-            (p for p in self.points if p.mode == mode),
-            key=lambda p: p.offered_per_sec,
-        )
-
-    def rows(self) -> List[tuple]:
-        rows = []
-        for b, i in zip(self.series("baseline"), self.series("improved")):
-            rows.append(
-                (
-                    b.offered_per_sec,
-                    b.latency.mean,
-                    i.latency.mean,
-                    b.latency.p95,
-                    i.latency.p95,
-                )
-            )
-        return rows
-
-    def render(self) -> str:
-        return format_table(
-            [
-                "offered (cmds/s)",
-                "baseline mean (us)",
-                "improved mean (us)",
-                "baseline p95 (us)",
-                "improved p95 (us)",
-            ],
-            self.rows(),
-            title="Figure 5 — command latency vs offered load (open loop)",
-        )
-
-
 def run_latency_under_load(
     offered_rates: Sequence[float] = (5_000, 15_000, 25_000, 32_000),
     guests: int = 4,
-    duration_s: float = 0.4,
+    duration_s: float = 0.35,
     mix: CommandMix = MIX_MEASUREMENT,
     seed: int = 97,
-) -> LatencyLoadResult:
+) -> Table:
     """Sweep offered load in both regimes; measure per-command sojourn time.
 
     Uses the discrete-event engine: one generator process per guest walks
     the trace, queueing on the manager resource; service time is the real
     virtual-time cost of executing the command through the monitored path.
     """
-    from repro.crypto.random_source import RandomSource
-
-    points: List[LoadPoint] = []
+    points: List[tuple] = []  # (offered cmds/s, mode, mean us, p95 us)
     for mode in (AccessMode.BASELINE, AccessMode.IMPROVED):
         for rate in offered_rates:
             fresh_timing_context()
@@ -138,12 +90,16 @@ def run_latency_under_load(
             for i, session in enumerate(sessions):
                 sim.spawn(guest_proc(session, by_guest[i]), name=f"g{i}")
             sim.run()
-            points.append(
-                LoadPoint(
-                    mode=mode.value,
-                    offered_per_sec=rate,
-                    completed=len(latencies),
-                    latency=summarize(latencies),
-                )
-            )
-    return LatencyLoadResult(points=points)
+            latency = summarize(latencies)
+            points.append((rate, mode.value, latency.mean, latency.p95))
+    return Table(
+        "Figure 5 — command latency vs offered load (open loop)",
+        [
+            "offered (cmds/s)",
+            "baseline mean (us)",
+            "improved mean (us)",
+            "baseline p95 (us)",
+            "improved p95 (us)",
+        ],
+        pivot(points),
+    )

@@ -61,60 +61,60 @@ class TestReports:
         assert rows["y"] == ("blocked", "?")
 
 
-class TestExperimentRenders:
-    """Every result type renders without error and mentions its title."""
+class TestTable:
+    """The one result type of the evaluation runners."""
 
-    def test_all_render_titles(self):
-        from repro.harness.experiments import (
-            AblationResult,
-            AttackMatrixResult,
-            CreationLatencyResult,
-            MigrationResult,
-            PolicyScalingResult,
-            RecoveryResult,
-            ThroughputPoint,
-            ThroughputScalingResult,
-            WebAppBenchResult,
+    def test_render_is_format_table(self):
+        from repro.metrics.tables import Table, format_table
+
+        table = Table("Table 9 — t", ["a", "b (ms)"], [("x", 1.0), ("y", 1234.5)])
+        assert table.render() == format_table(
+            ["a", "b (ms)"], [("x", 1.0), ("y", 1234.5)], title="Table 9 — t"
         )
+        assert table.render().splitlines()[0] == "Table 9 — t"
+        assert "1,234.5" in table.render()
 
-        checks = [
-            (AttackMatrixResult(rows=[("a", "succeeded", "blocked")],
-                                details=[]), "Table 2"),
-            (CreationLatencyResult(points=[(0, "baseline", 1.0),
-                                           (0, "improved", 1.1)]), "Figure 2"),
-            (MigrationResult(points=[(1.0, "baseline", 2.0),
-                                     (1.0, "improved", 3.0)]), "Figure 3"),
-            (PolicyScalingResult(rows=[(10, 0.5, 0.6)]), "Table 3"),
-            (WebAppBenchResult(rows=[("no-vtpm", 100.0, 0.0)]), "Figure 4"),
-            (AblationResult(rows=[("all-off", 1.0, 0.0)],
-                            breakdown={"ac.audit.append": 1.0}), "Table 4"),
-            (RecoveryResult(points=[(1, "baseline", 5.0),
-                                    (1, "improved", 5.1)]), "Figure 6"),
-            (ThroughputScalingResult(points=[
-                ThroughputPoint(vms=1, mode="baseline", ops=10, elapsed_us=1e6),
-                ThroughputPoint(vms=1, mode="improved", ops=10, elapsed_us=1.1e6),
-            ]), "Figure 1"),
-        ]
-        for result, expected in checks:
-            assert expected in result.render()
+    def test_appendix_renders_below_after_a_blank_line(self):
+        from repro.metrics.tables import Table
 
-    def test_throughput_point_math(self):
-        from repro.harness.experiments import ThroughputPoint
+        appendix = Table("Breakdown", ["op", "us"], [("ac.audit.append", 1.0)])
+        table = Table("Table 4", ["config", "us"], [("all-off", 1.0)],
+                      appendix=appendix)
+        first = Table("Table 4", ["config", "us"], [("all-off", 1.0)])
+        assert table.render() == first.render() + "\n\n" + appendix.render()
 
-        point = ThroughputPoint(vms=2, mode="baseline", ops=500, elapsed_us=5e5)
-        assert point.ops_per_sec == pytest.approx(1000.0)
-        zero = ThroughputPoint(vms=1, mode="baseline", ops=0, elapsed_us=0.0)
-        assert zero.ops_per_sec == 0.0
 
-    def test_loadtest_render(self):
-        from repro.harness.loadtest import LatencyLoadResult, LoadPoint
-        from repro.metrics.stats import summarize
+class TestPivot:
+    def test_baseline_then_improved_per_x(self):
+        from repro.metrics.tables import pivot
 
-        result = LatencyLoadResult(points=[
-            LoadPoint(mode="baseline", offered_per_sec=100.0, completed=5,
-                      latency=summarize([1.0, 2.0])),
-            LoadPoint(mode="improved", offered_per_sec=100.0, completed=5,
-                      latency=summarize([1.5, 2.5])),
-        ])
-        assert "Figure 5" in result.render()
-        assert result.rows()[0][0] == 100.0
+        points = [(1, "baseline", 10.0), (2, "baseline", 20.0),
+                  (1, "improved", 11.0), (2, "improved", 22.0)]
+        assert pivot(points) == [(1, 10.0, 11.0), (2, 20.0, 22.0)]
+
+    def test_rows_follow_first_appearance(self):
+        from repro.metrics.tables import pivot
+
+        points = [("pcr_read", "baseline", 2.0), ("extend", "baseline", 1.0),
+                  ("extend", "improved", 1.5), ("pcr_read", "improved", 2.5)]
+        assert [row[0] for row in pivot(points)] == ["pcr_read", "extend"]
+
+    def test_several_values_group_by_value_then_mode(self):
+        from repro.metrics.tables import pivot
+
+        points = [(5000, "baseline", 25.0, 27.0),
+                  (5000, "improved", 28.0, 30.0)]
+        # (x, baseline mean, improved mean, baseline p95, improved p95)
+        assert pivot(points) == [(5000, 25.0, 28.0, 27.0, 30.0)]
+
+    def test_custom_columns(self):
+        from repro.metrics.tables import pivot
+
+        points = [(1, 1, 9.0), (1, 4, 5.0), (2, 4, 5.5), (2, 1, 9.5)]
+        assert pivot(points, columns=[1, 4]) == [(1, 9.0, 5.0), (2, 9.5, 5.5)]
+
+    def test_missing_regime_is_an_error_not_a_zero(self):
+        from repro.metrics.tables import pivot
+
+        with pytest.raises(KeyError):
+            pivot([(1, "baseline", 1.0)])

@@ -1,5 +1,6 @@
 """Unit tests for the CLI."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -74,6 +76,49 @@ class TestParser:
             ["cluster", "--single", "--conformance"]
         ).conformance
         assert not build_parser().parse_args(["chaos"]).conformance
+
+
+class TestExperimentRegistry:
+    """``cli.EXPERIMENTS``: the full size of each experiment is its
+    runner's defaults; ``--quick`` only overrides named parameters."""
+
+    def _record_runners(self, monkeypatch):
+        from repro.harness import experiments, loadtest
+        from repro.metrics.tables import Table
+
+        calls = []
+        for module in (experiments, loadtest):
+            for name in [n for n in vars(module) if n.startswith("run_")]:
+                def record(*args, _name=name, **kwargs):
+                    calls.append((_name, args, kwargs))
+                    return Table(_name, ["x"], [])
+
+                monkeypatch.setattr(module, name, record)
+        monkeypatch.setattr(cli, "EXPERIMENTS", {})
+        return calls
+
+    def test_full_mode_calls_every_runner_with_no_arguments(
+        self, monkeypatch, capsys
+    ):
+        calls = self._record_runners(monkeypatch)
+        assert main(["report"]) == 0
+        assert len(calls) == len(cli.EXPERIMENTS) == 12
+        assert len({name for name, _a, _k in calls}) == 12
+        for name, args, kwargs in calls:
+            assert (args, kwargs) == ((), {}), name
+
+    def test_quick_mode_passes_its_overrides(self, monkeypatch, capsys):
+        calls = self._record_runners(monkeypatch)
+        assert main(["experiment", "all", "--quick"]) == 0
+        assert [kwargs for _n, _a, kwargs in calls] == [
+            quick for _runner, quick in cli.EXPERIMENTS.values()
+        ]
+
+    def test_quick_overrides_name_real_parameters(self):
+        cli._register_experiments()
+        for name, (runner, quick) in cli.EXPERIMENTS.items():
+            inspect.signature(runner).bind(**quick)  # TypeError on a typo
+            assert quick or name == "table2", f"{name} has no quick size"
 
 
 class TestCommands:
