@@ -68,7 +68,7 @@ def main() -> None:
         print(f"  {name:8s} attestation {'PASS' if ok else 'FAIL'}")
 
     mover = "web01"
-    source = fleet.router.locate(mover).host_id
+    source = fleet.router.locate(mover)
     target = next(h for h in sorted(fleet.hosts)
                   if h != source and fleet.hosts[h].admissible())
     print(f"\nlive-migrating {mover}: {source} -> {target} "
@@ -77,7 +77,7 @@ def main() -> None:
     ok = workloads[mover].challenge_once(expected_values=references[mover])
     assert ok, "migration must be invisible to the challenger"
     print(f"  {mover:8s} attestation {'PASS' if ok else 'FAIL'} "
-          f"on {fleet.router.locate(mover).host_id} — same reference values")
+          f"on {fleet.router.locate(mover)} — same reference values")
 
     victim = "web02"
     print(f"\ncompromising guest {victim}: unexpected code measured into PCR 12")
@@ -96,7 +96,7 @@ def main() -> None:
           "signatures from the others still verify")
 
     stray = "cache01"
-    stray_home = fleet.router.locate(stray).host_id
+    stray_home = fleet.router.locate(stray)
     bad_host = next(h for h in sorted(fleet.hosts) if h != stray_home)
     print(f"\ncompromising host {bad_host}: boot chain re-measured "
           "after enrolment")
@@ -108,7 +108,7 @@ def main() -> None:
         raise AssertionError("migration to a tampered host must fail closed")
     except ClusterError as exc:
         print(f"  migration of {stray} refused: {exc}")
-    assert fleet.router.locate(stray).host_id == stray_home
+    assert fleet.router.locate(stray) == stray_home
     ok = workloads[stray].challenge_once(expected_values=references[stray])
     assert ok, "the refused guest must keep serving where it is"
     print(f"  {stray:8s} still serving and attesting on {stray_home}")

@@ -15,7 +15,6 @@ Usage:  python examples/live_migration.py
 
 from repro import AccessMode, build_platform, fresh_timing_context
 from repro.attacks.memdump import secrets_found
-from repro.tpm.client import TpmClient
 from repro.tpm.constants import TPM_KH_SRK
 from repro.util.errors import MigrationError
 from repro.vtpm.migration import Migration
@@ -65,15 +64,12 @@ def main() -> None:
     instance = move.run()
     package = move.package
     print(f"host B instantiated vTPM instance {instance.instance_id}")
+    host_a.remove_guest("tenant-vm")
+    moved = host_b.adopt_migrated("tenant-vm", target_vm, instance.instance_id)
 
-    # Continuity: the sealed blob made on host A opens on host B.
-    moved_client = TpmClient(
-        lambda wire: host_b.manager.handle_command(
-            target_vm.domid, instance.instance_id, wire
-        ),
-        host_b.rng.fork("moved-client"),
-    )
-    recovered = moved_client.unseal(TPM_KH_SRK, SRK_AUTH, sealed, DATA_AUTH)
+    # Continuity: the sealed blob made on host A opens on host B, through
+    # the guest's own ring there.
+    recovered = moved.client.unseal(TPM_KH_SRK, SRK_AUTH, sealed, DATA_AUTH)
     assert recovered == b"tenant-master-secret-42"
     print("sealed data unseals on host B — state continuity holds")
 

@@ -34,8 +34,8 @@ class CpuDumpAttack:
         from repro.tpm.marshal import get_random_wire
 
         guest_domid = self._victim_domid(victim.vm_uuid)
-        platform.manager.handle_command(
-            guest_domid, victim_instance_id, get_random_wire(8)
+        platform.manager.handle_batch(
+            guest_domid, victim_instance_id, [get_random_wire(8)]
         )
 
         hypercalls = HypercallInterface(platform.xen, self.attacker_domid)

@@ -59,8 +59,8 @@ class ReplayAttack:
         replay_wire = increments[-1]
         # Inject through the manager exactly as ring-injected bytes would
         # arrive: attributed to the victim front-end domain.
-        response = self.platform.manager.handle_command(
-            victim.domain.domid, victim.instance_id, replay_wire
+        [response] = self.platform.manager.handle_batch(
+            victim.domain.domid, victim.instance_id, [replay_wire]
         )
         code = marshal.parse_response(response).return_code
         now = victim.client.read_counter(handle)

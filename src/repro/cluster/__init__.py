@@ -29,7 +29,7 @@ from repro.cluster.fleet import Fleet, build_fleet
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.host import Host, HostState
 from repro.cluster.migrator import ClusterMigrator, MigrationRecord
-from repro.cluster.router import FleetRouter, GuestLocation
+from repro.cluster.router import FleetRouter
 from repro.cluster.scheduler import PlacementDecision, PlacementScheduler
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ConsistentHashRing",
     "Fleet",
     "FleetRouter",
-    "GuestLocation",
     "Host",
     "HostState",
     "MigrationRecord",

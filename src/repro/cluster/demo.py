@@ -132,17 +132,13 @@ def storm_moves(
     for position, name in enumerate(sorted(guest_names)):
         if position % STORM_STRIDE:
             continue
-        location = fleet.router.locate(name)
+        home = fleet.router.locate(name)
         candidates = fleet.ring.candidates(name)
-        start = (
-            candidates.index(location.host_id) + 1
-            if location.host_id in candidates
-            else 0
-        )
+        start = candidates.index(home) + 1 if home in candidates else 0
         for offset in range(len(candidates)):
             target = candidates[(start + offset) % len(candidates)]
-            if target != location.host_id and fleet.hosts[target].admissible():
-                moves.append((name, location.host_id, target))
+            if target != home and fleet.hosts[target].admissible():
+                moves.append((name, home, target))
                 break
     return moves
 

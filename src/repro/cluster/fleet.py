@@ -15,7 +15,7 @@ The fleet owns the pieces the tentpole names:
 * the :class:`ClusterMigrator` (attested cross-host movement);
 * host lifecycle — the ``cluster.host`` fault site is polled once per
   host per workload step, and a fired ``HOST_CRASH`` drives the
-  crash → hard-restart → re-route leg inline, exactly like the
+  crash → hard-restart leg inline, exactly like the
   supervisor drives instance restarts.
 
 Enrolment: at build time the fleet records every host's measured
@@ -102,18 +102,15 @@ class Fleet:
         """Place and create one guest; returns the chosen host id."""
         host_id = self.scheduler.place(name)
         host = self.hosts[host_id]
-        handle = host.platform.add_guest(name, **kwargs)
-        self.router.register(
-            name, host_id, handle.domain.domid, handle.instance_id,
-            handle.domain.uuid,
-        )
+        host.platform.add_guest(name, **kwargs)
+        self.router.register(name, host_id)
         return host_id
 
     def instance_for(self, name: str):
         """The live vTPM instance behind one guest name (any host)."""
-        location = self.router.locate(name)
-        return self.hosts[location.host_id].platform.manager.instance_for_vm(
-            location.vm_uuid
+        platform = self.hosts[self.router.locate(name)].platform
+        return platform.manager.instance_for_vm(
+            platform.guests[name].domain.uuid
         )
 
     # -- movement -----------------------------------------------------------------
@@ -136,8 +133,8 @@ class Fleet:
         Called once per workload step.  A fired ``HOST_CRASH`` drives the
         whole crash → recover leg inline: the host's volatile manager
         state dies, and the replacement daemon restores every instance
-        its manager held from the last committed checkpoint, then the
-        router is re-pointed.  The fault is *handled*, not raised —
+        its manager held from the last committed checkpoint and rebinds
+        its guests' back-ends.  The fault is *handled*, not raised —
         like the supervisor's restart leg, recovery is the behaviour
         under test.
         """
@@ -164,22 +161,13 @@ class Fleet:
         host.crash()
 
     def recover_host(self, host_id: str) -> int:
-        """Hard-restart a crashed host and re-point the router; returns
-        how many instances were restored."""
+        """Hard-restart a crashed host; returns how many instances were
+        restored.  The restart rebinds every resident's back-end, so the
+        router's name map needs no change."""
         host = self.hosts[host_id]
-        residents = {
-            name: location
-            for name, location in self.router.locations().items()
-            if location.host_id == host_id
-        }
-        with span("cluster.recover", host=host_id, residents=len(residents)):
-            restored = host.hard_restart()
-        manager = host.platform.manager
-        for name, location in residents.items():
-            self.router.rebind_instance(
-                name, manager.instance_for_vm(location.vm_uuid).instance_id
-            )
-        return restored
+        with span("cluster.recover", host=host_id,
+                  residents=len(host.platform.guests)):
+            return host.hard_restart()
 
     # -- exposition ---------------------------------------------------------------
 

@@ -16,8 +16,9 @@ One migration is a five-leg protocol, every cross-host leg passing the
 4. **transfer + import** — the package crosses the link (where a
    ``PARTITION`` may drop it); the target unbinds the session key in its
    hardware TPM, checks identity continuity, and instantiates;
-5. **commit** — only now does the source destroy its copy, tear down the
-   old domain, and re-point the router.
+5. **commit** — only now does the source destroy its copy and tear down
+   the old domain; the target connects the guest's ring (and supervises
+   it) and the router is re-pointed.
 
 Legs 3–5, their rollback (plus scrubbing the half-made target domain)
 and the bounded retry loop are the shared
@@ -117,11 +118,11 @@ class ClusterMigrator:
     def migrate(self, name: str, target_host_id: str):
         """Move guest ``name`` to ``target_host_id``; returns the new instance."""
         fleet = self.fleet
-        location = fleet.router.locate(name)
-        if location.host_id == target_host_id:
+        source_host_id = fleet.router.locate(name)
+        if source_host_id == target_host_id:
             raise ClusterError(f"guest {name!r} already lives on "
                                f"{target_host_id}")
-        source = fleet.hosts[location.host_id]
+        source = fleet.hosts[source_host_id]
         target = fleet.hosts[target_host_id]
         if not target.admissible():
             raise ClusterError(
@@ -130,7 +131,7 @@ class ClusterMigrator:
             )
         move = _AttestedMove(
             self, name, source, target,
-            source.platform.xen.domain(location.domid),
+            source.platform.guests[name].domain,
         )
         with span(
             "cluster.migrate", guest=name, source=source.host_id,
@@ -146,12 +147,13 @@ class ClusterMigrator:
                 ))
                 raise
             # Leg 5 tail: the source copy is gone (commit_export), so
-            # retire the guest there and re-point the router.
+            # retire the guest there, give it its ring on the target and
+            # re-point the router.
             source.platform.remove_guest(name)
-            fleet.router.relocate(
-                name, target.host_id, move.target_vm.domid,
-                instance.instance_id, move.target_vm.uuid,
+            target.platform.adopt_migrated(
+                name, move.target_vm, instance.instance_id
             )
+            fleet.router.relocate(name, target.host_id)
             inc("cluster.migrations", outcome="moved", target=target.host_id)
             self.trail.append(MigrationRecord(
                 guest=name, source=source.host_id, target=target.host_id,

@@ -25,7 +25,7 @@ from repro.sim.timing import CostModel, TimingContext, set_context
 from repro.tpm.client import TpmClient
 from repro.tpm.device import TpmDevice
 from repro.util.errors import ReproError
-from repro.vtpm.backend import VtpmBackend, attach_vtpm
+from repro.vtpm.backend import VtpmBackend
 from repro.vtpm.frontend import VtpmFrontend
 from repro.vtpm.manager import VtpmManager
 from repro.vtpm.migration import MigrationEndpoint
@@ -156,6 +156,8 @@ class Platform:
         self.guests: Dict[str, GuestHandle] = {}
         #: the resilience supervisor, installed by :meth:`enable_supervision`
         self.supervisor = None
+        #: the watch-driven attach agent, created by :meth:`hotplug_agent`
+        self._hotplug_agent = None
 
     # -- supervision ---------------------------------------------------------------
 
@@ -195,9 +197,27 @@ class Platform:
         see :mod:`repro.core.profiles`.
         """
         domain = self._create_domain(name, kernel_image, config)
-        frontend, backend = attach_vtpm(
-            self.xen, self.manager, domain, profile=profile
-        )
+        instance = self.manager.create_instance(domain, profile=profile)
+        return self._connect(name, domain, instance.instance_id)
+
+    def adopt_migrated(self, name: str, domain: Domain,
+                       instance_id: int) -> GuestHandle:
+        """Give a guest a migration just landed here its own ring.
+
+        ``domain`` is the landing domain and ``instance_id`` the instance
+        the migration imported for it; the guest then reaches its vTPM
+        through the same front-end, back-end and supervision as a guest
+        that started here.
+        """
+        if name in self.guests:
+            raise ReproError(f"guest {name!r} already exists on {self.name}")
+        return self._connect(name, domain, instance_id)
+
+    def _connect(self, name: str, domain: Domain,
+                 instance_id: int) -> GuestHandle:
+        """Front-end, back-end and handshake for one guest's instance."""
+        frontend = VtpmFrontend(self.xen, domain, DOM0_ID)
+        backend = VtpmBackend(self.xen, self.manager, frontend, instance_id)
         return self._adopt(name, domain, frontend, backend)
 
     def _create_domain(self, name: str, kernel_image: Optional[bytes],
@@ -231,19 +251,22 @@ class Platform:
     def remove_guest(self, name: str, persist_vtpm: bool = True) -> None:
         """Retire a guest that has left this platform: the one retire path.
 
-        Closes its front-end and detaches its supervision when the guest
-        has a handle here (a migrated-in guest has none), destroys its
-        vTPM unless a committed migration already took it, then forgets
-        its identity and destroys the domain.
+        Closes its front-end and detaches its supervision, destroys its
+        vTPM (persisting it only when ``persist_vtpm``) unless a committed
+        migration already took it, then forgets its identity and destroys
+        the domain.
         """
         handle = self.guests.pop(name, None)
         if handle is None:
-            domain = self.xen.domain_by_name(name)
-        else:
-            domain = handle.domain
-            handle.frontend.close()
-            if self.supervisor is not None:
-                self.supervisor.detach(handle.backend)
+            raise ReproError(f"no guest {name!r} on {self.name}")
+        domain = handle.domain
+        if self._hotplug_agent is not None:
+            # The watch would retire (and persist) the vTPM on close; the
+            # flag below decides instead.
+            self._hotplug_agent.release(domain.domid)
+        handle.frontend.close()
+        if self.supervisor is not None:
+            self.supervisor.detach(handle.backend)
         instance_id = self.manager._by_vm.get(domain.uuid)
         if instance_id is not None:
             self.manager.destroy_instance(instance_id, persist=persist_vtpm)
@@ -270,7 +293,7 @@ class Platform:
 
     def hotplug_agent(self):
         """The xend-style watch-driven device controller (created lazily)."""
-        if not hasattr(self, "_hotplug_agent"):
+        if self._hotplug_agent is None:
             from repro.vtpm.hotplug import VtpmHotplugAgent
 
             self._hotplug_agent = VtpmHotplugAgent(self.xen, self.manager)
@@ -297,8 +320,9 @@ class Platform:
         Every instance's volatile object is lost, migrated-in ones
         included; the new daemon reloads each, in instance-id order, from
         persistent storage (through the hardware-TPM-gated sealer in
-        improved mode) and the local guests' back-ends reconnect.  Returns
-        how many instances were recovered.
+        improved mode) and every guest's back-end, an adopted migrated
+        guest's included, is rebound to it.  Returns how many instances
+        were recovered.
 
         ``clean=True`` models an orderly shutdown (state flushed first);
         ``clean=False`` models a hard crash — whatever the last successful

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.config import AccessMode
 from repro.faults import FaultKind, FaultPlan, spec
-from repro.harness.builder import Platform, build_platform
+from repro.harness.builder import build_platform
 from repro.harness.scenario import (
     ResponseLedger,
     RunReport,
@@ -64,16 +64,6 @@ class ChaosReport(RunReport):
             f"audit fault records={self.audit_fault_records} "
             f"virtual time={self.elapsed_virtual_us / 1000.0:.2f} ms",
         ]
-
-
-def _direct_transport(manager, domid: int, instance_id: int):
-    """A backend-equivalent transport for a migrated guest: the ring
-    path's batch of one, retry envelope and degradation included."""
-
-    def transport(wire: bytes) -> bytes:
-        return manager.handle_batch(domid, instance_id, [wire])[0]
-
-    return transport
 
 
 @dataclass
@@ -146,11 +136,6 @@ class ChaosScenario(Scenario):
         self.clients: Dict[str, TpmClient] = {
             name: guest.client for name, guest in guests.items()
         }
-        #: where each guest's instance lives: (platform, vm uuid)
-        self.homes: Dict[str, Tuple[Platform, str]] = {
-            name: (self.platform_a, guest.domain.uuid)
-            for name, guest in guests.items()
-        }
         self.workload_rng = self.platform_a.rng.fork("chaos-workload")
 
     def step(self, step: int, ledger: ResponseLedger) -> None:
@@ -188,18 +173,17 @@ class ChaosScenario(Scenario):
             source.migration, target.migration, domain.uuid, target_vm
         )
         source.remove_guest("mover")
-        self.clients["mover"] = TpmClient(
-            _direct_transport(
-                target.manager, target_vm.domid, instance.instance_id
-            ),
-            target.rng.fork("chaos-mover"),
-        )
-        self.homes["mover"] = (target, target_vm.uuid)
+        self.clients["mover"] = target.adopt_migrated(
+            "mover", target_vm, instance.instance_id
+        ).client
 
     def finish(self) -> Dict[str, str]:
         return {
-            name: state_digest(platform.manager.instance_for_vm(uuid))
-            for name, (platform, uuid) in self.homes.items()
+            name: state_digest(platform.manager.instance_for_vm(
+                platform.guests[name].domain.uuid
+            ))
+            for platform in (self.platform_a, self.platform_b)
+            for name in platform.guests
         }
 
     def report(self, **shared) -> ChaosReport:

@@ -290,9 +290,9 @@ class Supervisor:
                 obs_trace.span_event("probe_flap", instance=instance_id)
                 return False
             try:
-                response = with_retry(
-                    self.manager.handle_command,
-                    vm.domid, instance_id, PROBE_WIRE, 0,
+                [response] = with_retry(
+                    self.manager.handle_batch,
+                    vm.domid, instance_id, [PROBE_WIRE],
                     site="vtpm.supervisor.probe",
                 )
             except RetryExhausted:

@@ -350,8 +350,8 @@ class ScheduleRunner:
             # A rogue backend claiming another guest's instance: hits the
             # manager directly with hypervisor-true caller domid but a
             # cross instance id — the binding check's exact threat model.
-            response = platform.manager.handle_command(
-                handle.domain.domid, handles[target].instance_id, wire
+            [response] = platform.manager.handle_batch(
+                handle.domain.domid, handles[target].instance_id, [wire]
             )
         else:
             response = handle.frontend.transport(wire)

@@ -6,7 +6,7 @@ persistent storage and live migration — runnable in two regimes:
 (with the :mod:`repro.core` access-control layer installed).
 """
 
-from repro.vtpm.backend import VtpmBackend, attach_vtpm
+from repro.vtpm.backend import VtpmBackend
 from repro.vtpm.frontend import VtpmFrontend
 from repro.vtpm.instance import VtpmInstance
 from repro.vtpm.manager import VtpmManager
@@ -15,7 +15,6 @@ from repro.vtpm.storage import DiskStore, VtpmStorage
 
 __all__ = [
     "VtpmBackend",
-    "attach_vtpm",
     "VtpmFrontend",
     "VtpmInstance",
     "VtpmManager",

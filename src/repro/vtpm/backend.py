@@ -177,13 +177,3 @@ class VtpmBackend:
     def disconnect(self) -> None:
         self.frontend.ring.disconnect_backend()
 
-
-def attach_vtpm(
-    xen: Xen, manager: VtpmManager, guest, backend_domid: int = 0,
-    profile=None,
-) -> tuple[VtpmFrontend, VtpmBackend]:
-    """Full attach path: create instance, front-end, back-end, handshake."""
-    instance = manager.create_instance(guest, profile=profile)
-    frontend = VtpmFrontend(xen, guest, backend_domid)
-    backend = VtpmBackend(xen, manager, frontend, instance.instance_id)
-    return frontend, backend

@@ -57,6 +57,12 @@ class VtpmHotplugAgent:
     def backend_for(self, domid: int) -> Optional[VtpmBackend]:
         return self._backends.get(domid)
 
+    def release(self, domid: int) -> None:
+        """Stop watching one guest whose vTPM its platform retires itself,
+        so closing the front-end does not retire it a second time."""
+        self._backends.pop(domid, None)
+        self._frontends.pop(domid, None)
+
     # -- the watch ------------------------------------------------------------------
 
     def _on_store_change(self, path: str, value: Optional[str]) -> None:

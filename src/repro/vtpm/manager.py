@@ -2,9 +2,9 @@
 
 Runs inside the manager domain (Dom0 in the stock design), owns every
 vTPM instance, and demultiplexes command packets arriving from back-end
-drivers.  :meth:`handle_command` is the paper's interposition point: the
-installed :class:`~repro.core.monitor.Monitor` sees every packet before
-an instance does.
+drivers.  :meth:`handle_batch` is its one entry point and the paper's
+interposition point: the installed :class:`~repro.core.monitor.Monitor`
+sees every packet before an instance does.
 """
 
 from __future__ import annotations
@@ -188,30 +188,6 @@ class VtpmManager:
 
     # -- the command path (where the monitor interposes) ----------------------------
 
-    def handle_command(
-        self, caller_domid: int, instance_id: int, wire: bytes, locality: int = 0
-    ) -> bytes:
-        """One raw packet: authorize, execute, respond — no retry, no
-        supervision.  For direct callers (router, probe, explorer,
-        attacks); the ring path goes through :meth:`handle_batch`.
-
-        ``caller_domid`` is hypervisor ground truth (the ring's front-end
-        domain), not a backend claim; ``instance_id`` *is* a backend claim,
-        which is exactly what the monitor's binding check validates.
-        """
-        charge("vtpm.dispatch")
-        tracer = obs_trace._current_tracer
-        caller, registers, scrub = self._notify_context(caller_domid)
-        with (NULL_SPAN if tracer is None else tracer.start_span(
-            "manager.dispatch", {"instance": instance_id}
-        )):
-            try:
-                return self._dispatch_frame(
-                    caller, registers, scrub, instance_id, wire, locality
-                )
-            finally:
-                self._flush_image(instance_id, tracer)
-
     def handle_batch(
         self,
         caller_domid: int,
@@ -221,6 +197,10 @@ class VtpmManager:
         observe=None,
     ) -> list:
         """The packets of one ring notify — a lone frame is a batch of one.
+
+        ``caller_domid`` is hypervisor ground truth (the ring's front-end
+        domain), not a backend claim; ``instance_id`` *is* a backend claim,
+        which is exactly what the monitor's binding check validates.
 
         The per-notify demux cost (``vtpm.dispatch``) is charged once for
         the whole batch — that amortization is the point of batching — but

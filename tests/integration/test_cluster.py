@@ -64,8 +64,9 @@ class TestCrossHostDifferentialOracle:
         fleet = build_fleet(num_hosts=2, seed=SEED, capacity=8, name="mig")
         source = fleet.add_guest("subject")
         target = "h1" if source == "h0" else "h0"
-        domid = fleet.router.locate("subject").domid
-        identity = fleet.hosts[source].platform.identities.lookup(domid)
+        platform = fleet.hosts[source].platform
+        domid = platform.guests["subject"].domain.domid
+        identity = platform.identities.lookup(domid)
         responses = []
         for step, wire in enumerate(wires):
             if step == MIGRATE_AT:
@@ -82,8 +83,9 @@ class TestCrossHostDifferentialOracle:
         fresh_timing_context()
         fleet = build_fleet(num_hosts=1, seed=SEED, capacity=8, name="sed")
         fleet.add_guest("subject")
-        domid = fleet.router.locate("subject").domid
-        identity = fleet.hosts["h0"].platform.identities.lookup(domid)
+        platform = fleet.hosts["h0"].platform
+        domid = platform.guests["subject"].domain.domid
+        identity = platform.identities.lookup(domid)
         responses = [fleet.router.send("subject", wire) for wire in wires]
         decisions = _audit_decisions(fleet.hosts["h0"].platform, identity.hex)
         return responses, state_digest(fleet.instance_for("subject")), \

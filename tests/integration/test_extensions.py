@@ -2,7 +2,6 @@
 manager, crash recovery."""
 
 import hashlib
-import struct
 
 import pytest
 
@@ -13,8 +12,6 @@ from repro.core.certification import (
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform
 from repro.harness.scenario import state_digest
-from repro.tpm import marshal
-from repro.tpm.constants import TPM_ORD_Extend
 from repro.util.errors import AccessControlError, AccessDenied, SealingError
 from repro.vtpm.migration import migrate_with_recovery
 from repro.workloads.mixes import KEY_AUTH, GuestSession
@@ -194,29 +191,38 @@ class TestManagerRestart:
             platform.restart_manager()
 
     def test_hard_restart_restores_migrated_in_instance(self):
-        """An instance that arrived by migration has no guest handle here;
-        a hard crash still loses its live object, and the restart brings
-        back its last checkpoint."""
+        """A guest adopted after a migration survives its new host's hard
+        restart: its ring is rebound to the restored instance, its client
+        reads the last checkpoint, and it retires through its handle."""
         source = build_platform(AccessMode.IMPROVED, seed=41, name="src")
         target = build_platform(AccessMode.IMPROVED, seed=42, name="dst")
         guest = source.add_guest("mover")
+        guest.client.extend(6, b"\x06" * 20)
+        moved_pcr = guest.client.pcr_read(6)
         target_vm = target.migration.landing_domain(guest.domain)
         moved = migrate_with_recovery(
             source.migration, target.migration, guest.domain.uuid, target_vm
         )
+        source.remove_guest("mover")
+        handle = target.adopt_migrated("mover", target_vm, moved.instance_id)
         target.manager.save_all()
         checkpoint = state_digest(moved)
-        extend = marshal.build_command(
-            TPM_ORD_Extend, struct.pack(">I", 7) + b"\x07" * 20
-        )
-        target.manager.handle_command(
-            target_vm.domid, moved.instance_id, extend
-        )
+        saved_pcr = handle.client.pcr_read(7)
+        handle.client.extend(7, b"\x07" * 20)
         assert state_digest(moved) != checkpoint
         assert target.restart_manager(clean=False) == 1
         restored = target.manager.instance_for_vm(target_vm.uuid)
         assert restored.instance_id != moved.instance_id
+        assert handle.instance_id == restored.instance_id
+        assert handle.backend.instance_id == restored.instance_id
         assert state_digest(restored) == checkpoint
+        assert handle.client.pcr_read(7) == saved_pcr
+        assert handle.client.pcr_read(6) == moved_pcr
+        target.remove_guest("mover")
+        assert "mover" not in target.guests
+        assert target.manager.instance_count == 0
+        assert not target_vm.is_alive
+        assert not handle.frontend.connected
 
     def test_instance_ids_rotate_but_bindings_hold(self, improved_platform):
         platform = improved_platform

@@ -313,14 +313,9 @@ class TestMigrationInterruption:
         )
 
     def _migrated_client(self, destination, target_vm, instance):
-        from repro.tpm.client import TpmClient
-
-        return TpmClient(
-            lambda wire: destination.manager.handle_command(
-                target_vm.domid, instance.instance_id, wire
-            ),
-            destination.rng.fork("mig-check"),
-        )
+        return destination.adopt_migrated(
+            target_vm.name, target_vm, instance.instance_id
+        ).client
 
     def test_net_drop_rolls_back_and_retries(self, pair_improved):
         from repro.vtpm.migration import migrate_with_recovery

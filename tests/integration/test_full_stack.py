@@ -88,14 +88,9 @@ class TestFullGuestLifecycle:
         if mode is AccessMode.IMPROVED:
             platform.identities.register(rebooted)
         instance = platform.manager.restore_instance(rebooted)
-        from repro.tpm.client import TpmClient
-
-        client = TpmClient(
-            lambda wire: platform.manager.handle_command(
-                rebooted.domid, instance.instance_id, wire
-            ),
-            platform.rng.fork("reboot-client"),
-        )
+        client = platform.adopt_migrated(
+            "rebooter", rebooted, instance.instance_id
+        ).client
         assert client.pcr_read(11) == expected_pcr
         assert client.unseal(TPM_KH_SRK, SRK, sealed, DATA) == b"survives-reboot"
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import AccessMode
 from repro.harness.builder import build_platform
+from repro.obs.counters import CounterRegistry, registry_scope
 from repro.util.errors import VtpmError
 
 
@@ -27,14 +28,31 @@ class TestHotplug:
         assert platform.storage.has_state(guest.domain.uuid)
 
     def test_remove_guest_retires_a_hotplugged_guest(self, improved_platform):
-        # Closing the front-end lets the watch retire the vTPM first;
-        # remove_guest then finishes the retire without a second destroy.
+        # remove_guest retires the vTPM itself (persisting it by default);
+        # closing the front-end does not retire it a second time.
         platform = improved_platform
         guest = platform.add_guest_hotplug("hp")
         platform.remove_guest("hp")
         assert platform.manager.instance_count == 0
         assert platform.storage.has_state(guest.domain.uuid)
         assert not guest.domain.is_alive
+
+    @pytest.mark.parametrize("add", ["add_guest", "add_guest_hotplug"])
+    def test_remove_guest_honours_persist_flag(self, improved_platform, add):
+        """``persist_vtpm=False`` leaves no state on either attach path,
+        and a clean retire is not a degraded one."""
+        platform = improved_platform
+        guest = getattr(platform, add)("leaver")
+        guest.client.extend(5, b"\x05" * 20)
+        registry = CounterRegistry()
+        with registry_scope(registry):
+            platform.remove_guest("leaver", persist_vtpm=False)
+        assert platform.manager.instance_count == 0
+        assert not platform.storage.has_state(guest.domain.uuid)
+        assert not guest.domain.is_alive
+        assert registry.value("vtpm.hotplug.error", op="disconnect") == 0
+        assert not [r for r in platform.audit.records()
+                    if r.operation.startswith("FAULT")]
 
     def test_many_hotplug_guests(self, baseline_platform):
         guests = [
@@ -67,8 +85,8 @@ class TestHotplug:
         from repro.tpm.marshal import build_command
 
         wire = build_command(TPM_ORD_PcrRead, (0).to_bytes(4, "big"))
-        resp = improved_platform.manager.handle_command(
-            attacker.domain.domid, victim.instance_id, wire
+        [resp] = improved_platform.manager.handle_batch(
+            attacker.domain.domid, victim.instance_id, [wire]
         )
         assert int.from_bytes(resp[6:10], "big") == TPM_AUTHFAIL
 

@@ -1,14 +1,14 @@
 """State-image oracle: the manager-domain frames hold the current state.
 
 Dump tooling reads an instance's state through its frames, so after every
-ring notify — and after every direct manager call — the whole region must
+ring notify — and after every direct ``handle_batch`` call — the whole region must
 be exactly ``len(blob) || blob`` followed by zeros, where ``blob`` is
 ``device.save_state_blob()``.  The manager refreshes it once per notify,
 after the notify's last frame and before the supervisor observes the
 outcomes, by applying the notify's strongest image effect: nothing, a
 patch of the dirty PCR slots, or a whole rewrite.  These tests pin that
-for every path shape (single frame, batch, supervised batch, the chaos
-harness's migrated-guest batch of one, direct ``handle_command``), for a
+for every path shape (single frame, batch, supervised batch, a migrated
+guest's ring on its new platform, a direct ``handle_batch`` call), for a
 batch mixing all three effects, for a batch that grows the image
 mid-batch, for an image that shrinks, for a supervised restart inside the
 observe hook, and for a batch that raises.
@@ -24,7 +24,6 @@ from repro.core.config import AccessMode
 from repro.crypto.random_source import RandomSource
 from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
 from repro.harness.builder import build_platform, fresh_timing_context
-from repro.harness.chaos import _direct_transport
 from repro.resilience import AdmissionConfig
 from repro.tpm import marshal
 from repro.tpm.client import TpmClient
@@ -85,7 +84,7 @@ _FRAME = st.tuples(st.sampled_from(["extend", "read", "random"]),
 _MIXED = ("extend", "reset", "nv-write", "increment", "seal", "unseal", "evict")
 _STEP = st.one_of(
     st.tuples(
-        st.sampled_from(["transport", "batch", "direct", "command"]),
+        st.sampled_from(["transport", "batch", "manager"]),
         st.lists(_FRAME, min_size=1, max_size=AdmissionConfig().max_depth),
     ),
     st.tuples(st.just("mixed"), st.permutations(_MIXED)),
@@ -157,7 +156,6 @@ def test_image_matches_blob_after_every_notify(supervised, steps, seed):
         platform.enable_supervision()
     manager, domid = platform.manager, guest.domain.domid
     instance_id = guest.backend.instance_id
-    direct = _direct_transport(manager, domid, instance_id)
     _assert_image_current(manager, instance_id)
     for step, (shape, frames) in enumerate(steps):
         if shape == "mixed":
@@ -177,8 +175,9 @@ def test_image_matches_blob_after_every_notify(supervised, steps, seed):
         else:
             send = {
                 "transport": guest.frontend.transport,
-                "direct": direct,
-                "command": lambda w: manager.handle_command(domid, instance_id, w),
+                "manager": lambda w: manager.handle_batch(
+                    domid, instance_id, [w]
+                )[0],
             }[shape]
             responses = []
             for wire in wires:
@@ -193,15 +192,14 @@ def test_migrated_guest_batch_of_one_keeps_the_image_current():
     destination = build_platform(AccessMode.IMPROVED, seed=5, name="img-dest")
     guest = source.add_guest("mover")
     guest.client.extend(3, b"\x11" * 20)
-    target_vm = destination.xen.create_domain(
-        guest.domain.name, kernel_image=guest.domain.kernel_image,
-        config=dict(guest.domain.config),
-    )
+    target_vm = destination.migration.landing_domain(guest.domain)
     instance = migrate_with_recovery(
         source.migration, destination.migration, guest.domain.uuid, target_vm
     )
+    source.remove_guest("mover")
+    moved = destination.adopt_migrated("mover", target_vm, instance.instance_id)
     manager, instance_id = destination.manager, instance.instance_id
-    transport = _direct_transport(manager, target_vm.domid, instance_id)
+    transport = moved.frontend.transport
     _assert_image_current(manager, instance_id)
     for kind, arg in (("extend", 4), ("read", 3), ("random", 7), ("extend", 3)):
         assert _ok(transport(_wire(kind, arg)))

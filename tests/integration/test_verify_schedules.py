@@ -102,11 +102,11 @@ class TestMigrationOfferVsRestart:
         instance = destination.migration.import_sealed(txn.package, target_vm)
         source.migration.commit_export(txn)
         # State moved; the source copy is gone.
-        response = destination.manager.handle_command(
-            target_vm.domid, instance.instance_id,
-            marshal.build_command(
-                0x15, (5).to_bytes(4, "big")  # TPM_ORD_PcrRead
-            ),
+        moved = destination.adopt_migrated(
+            guest.domain.name, target_vm, instance.instance_id
+        )
+        response = moved.frontend.transport(
+            marshal.build_command(0x15, (5).to_bytes(4, "big"))  # TPM_ORD_PcrRead
         )
         assert marshal.parse_response(response).return_code == TPM_SUCCESS
         with pytest.raises(VtpmError):

@@ -180,8 +180,51 @@ class TestSchedulerAndRouter:
         before = client.pcr_read(5)
         target = "h1" if source == "h0" else "h0"
         fleet.migrate("mobile", target)
-        assert fleet.router.locate("mobile").host_id == target
+        assert fleet.router.locate("mobile") == target
         assert client.pcr_read(5) == before
+
+
+class TestFleetSupervision:
+    """Routed frames cross the guest's ring, so its host's supervisor
+    admits and observes them, on the host it started on and on the one
+    it migrated to."""
+
+    @staticmethod
+    def _admitted(platform, name: str) -> int:
+        [entry] = [e for e in platform.supervisor.status()
+                   if e["guest"] == name]
+        return entry["admitted"]
+
+    def test_routed_frames_are_admitted_by_the_host_supervisor(self):
+        fleet = build_fleet(num_hosts=2, seed=340, capacity=8, name="fs")
+        names = [f"s{i}" for i in range(4)]
+        for name in names:
+            fleet.add_guest(name)
+        for i in range(60):
+            fleet.router.send(names[i % len(names)], _pcr_read(i % 8))
+        admitted = sum(
+            entry["admitted"]
+            for host in fleet.hosts.values()
+            for entry in host.platform.supervisor.status()
+        )
+        assert admitted == 60
+
+    def test_a_migrated_guest_is_supervised_on_its_target(self):
+        fleet = build_fleet(num_hosts=2, seed=341, capacity=8, name="fs2")
+        source = fleet.add_guest("mover")
+        target = "h1" if source == "h0" else "h0"
+        fleet.router.send("mover", _extend(4, b"\x44" * 20))
+        fleet.migrate("mover", target)
+        platform = fleet.hosts[target].platform
+        handle = platform.guests["mover"]
+        assert handle.instance_id == fleet.instance_for("mover").instance_id
+        assert handle.backend.supervision is platform.supervisor
+        assert self._admitted(platform, "mover") == 0
+        for i in range(5):
+            fleet.router.send("mover", _pcr_read(i))
+        assert self._admitted(platform, "mover") == 5
+        assert [e["guest"] for e in
+                fleet.hosts[source].platform.supervisor.status()] == []
 
 
 class TestMigrator:
@@ -216,7 +259,7 @@ class TestMigrator:
         with pytest.raises(ClusterError, match="identity"):
             fleet.migrate("victim", target)
         # fail closed: the guest keeps serving where it was
-        assert fleet.router.locate("victim").host_id == source
+        assert fleet.router.locate("victim") == source
         response = fleet.router.send("victim", _pcr_read())
         assert marshal.parse_response(response).return_code == 0
 
@@ -227,7 +270,7 @@ class TestMigrator:
         fleet.bump_policy_epoch(host_ids=[source])  # target left stale
         with pytest.raises(ClusterError, match="epoch"):
             fleet.migrate("victim", target)
-        assert fleet.router.locate("victim").host_id == source
+        assert fleet.router.locate("victim") == source
 
     def test_partition_mid_transfer_rolls_back_and_retries(self):
         fleet = build_fleet(num_hosts=2, seed=324, capacity=8, name="mp")
@@ -244,7 +287,7 @@ class TestMigrator:
             fleet.migrate("mover", target)
         record = fleet.migrator.trail[-1]
         assert record.outcome == "moved" and record.attempts == 2
-        assert fleet.router.locate("mover").host_id == target
+        assert fleet.router.locate("mover") == target
         assert state_digest(fleet.instance_for("mover")) == digest
 
     def test_persistent_partition_exhausts_and_guest_stays(self):
@@ -260,7 +303,7 @@ class TestMigrator:
             with pytest.raises(RetryExhausted):
                 fleet.migrate("stuck", target)
         assert fleet.migrator.trail[-1].outcome == "failed"
-        assert fleet.router.locate("stuck").host_id == source
+        assert fleet.router.locate("stuck") == source
         response = fleet.router.send("stuck", _pcr_read())
         assert marshal.parse_response(response).return_code == 0
 
@@ -317,11 +360,12 @@ class TestFleetLifecycle:
         assert platform.supervisor.status() == []
         assert host.health_penalty() == 0.0
         assert not platform.xen.domain(handle.domain.domid).is_alive
-        # A migrated-in guest has no handle where it lands; moving it on
-        # retires its landing domain there all the same.
-        landed = fleet.hosts[fleet.router.locate("leaver").host_id].platform
-        landing = landed.xen.domain_by_name("leaver")
+        # The guest lands with a handle; moving it on retires its landing
+        # domain through that handle.
+        landed = fleet.hosts[fleet.router.locate("leaver")].platform
+        landing = landed.guests["leaver"].domain
         fleet.migrate("leaver", source_id)
+        assert "leaver" not in landed.guests
         assert not landing.is_alive
         assert landed.identities.lookup(landing.domid) is None
 
@@ -336,4 +380,4 @@ class TestFleetLifecycle:
         moved = fleet.rebalance()
         assert all(r.source == skewed for r in moved)
         for record in moved:
-            assert fleet.router.locate(record.guest).host_id == record.target
+            assert fleet.router.locate(record.guest) == record.target

@@ -98,8 +98,8 @@ class TestUnknownInstance:
     ):
         manager = platform.manager
         denied_before = manager.commands_denied
-        response = manager.handle_command(
-            guest.domain.domid, 999, _pcr_read_wire()
+        [response] = manager.handle_batch(
+            guest.domain.domid, 999, [_pcr_read_wire()]
         )
         assert _rc(response) == TPM_AUTHFAIL
         assert manager.commands_denied == denied_before + 1
@@ -248,16 +248,22 @@ class TestPerFrameWorkGuard:
         assert name.calls == 0
         assert clock_reads.calls == 0
 
-    def test_handle_command_and_handle_batch_share_one_frame_function(
+    def test_frame_and_batch_share_one_frame_function(
         self, platform, guest, monkeypatch
     ):
+        """The one-frame ring layout, a batch and a direct manager call
+        all reach the manager's single entry point and its frame function."""
         manager = platform.manager
+        batch = _counted(manager.handle_batch)
         frame = _counted(manager._dispatch_frame)
+        monkeypatch.setattr(manager, "handle_batch", batch)
         monkeypatch.setattr(manager, "_dispatch_frame", frame)
         wire = _pcr_read_wire()
-        manager.handle_command(guest.domain.domid, guest.instance_id, wire)
-        manager.handle_batch(guest.domain.domid, guest.instance_id, [wire] * 2)
-        assert frame.calls == 3
+        guest.frontend.transport(wire)
+        guest.frontend.transport_batch([wire] * 2)
+        manager.handle_batch(guest.domain.domid, guest.instance_id, [wire])
+        assert batch.calls == 3
+        assert frame.calls == 4
 
 
 # -- the test-only stale-epoch bug keeps its exact shape ---------------------------

@@ -55,14 +55,9 @@ class TestPlaintextMigration:
         instance = migrate_with_recovery(
             source.migration, destination.migration, guest.domain.uuid, target_vm
         )
-        from repro.tpm.client import TpmClient
-
-        client = TpmClient(
-            lambda wire: destination.manager.handle_command(
-                target_vm.domid, instance.instance_id, wire
-            ),
-            destination.rng.fork("mc"),
-        )
+        client = destination.adopt_migrated(
+            "mover", target_vm, instance.instance_id
+        ).client
         assert client.pcr_read(6) == expected
 
     def test_source_instance_destroyed(self, pair_baseline):
@@ -111,14 +106,9 @@ class TestSealedMigration:
         assert not any(s in package.payload for s in secrets if len(s) >= 16)
         instance = destination.migration.import_sealed(package, target_vm)
         source.migration.commit_export(txn)
-        from repro.tpm.client import TpmClient
-
-        client = TpmClient(
-            lambda wire: destination.manager.handle_command(
-                target_vm.domid, instance.instance_id, wire
-            ),
-            destination.rng.fork("mc"),
-        )
+        client = destination.adopt_migrated(
+            "mover", target_vm, instance.instance_id
+        ).client
         assert client.pcr_read(6) == expected
 
     def test_offer_is_single_use(self, pair_improved):

@@ -111,8 +111,8 @@ class TestProfiledGuests:
         # ...and a forged packet at the victim's instance id is denied by
         # the monitor even though the watcher profile grants READ.
         wire = build_command(TPM_ORD_PcrRead, (0).to_bytes(4, "big"))
-        resp = platform.manager.handle_command(
-            watcher.domain.domid, victim.instance_id, wire
+        [resp] = platform.manager.handle_batch(
+            watcher.domain.domid, victim.instance_id, [wire]
         )
         assert parse_response(resp).return_code == TPM_AUTHFAIL
 

@@ -133,7 +133,9 @@ class TestManager:
             baseline_platform.manager.create_instance(guest.domain)
 
     def test_unknown_instance_answers_authfail(self, baseline_platform):
-        response = baseline_platform.manager.handle_command(0, 999, _get_random_wire())
+        [response] = baseline_platform.manager.handle_batch(
+            0, 999, [_get_random_wire()]
+        )
         assert marshal.parse_response(response).return_code == TPM_AUTHFAIL
 
     def test_instances_are_isolated(self, baseline_platform):
@@ -168,9 +170,9 @@ class TestManager:
         from repro.tpm.client import TpmClient
 
         client = TpmClient(
-            lambda wire: platform.manager.handle_command(
-                guest.domain.domid, restored.instance_id, wire
-            ),
+            lambda wire: platform.manager.handle_batch(
+                guest.domain.domid, restored.instance_id, [wire]
+            )[0],
             platform.rng.fork("restored"),
         )
         assert client.pcr_read(7) == expected
