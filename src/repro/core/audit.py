@@ -6,13 +6,15 @@ edits are detectable — the standard response to "the attacker owns the
 log file".
 
 The log stores entries as columns, in sequence order (the sequence number
-is the index): a list of references to interned field tuples, an
-``array('d')`` of timestamps and the concatenated 32-byte chain hashes of
-the entries chained so far.  Decisions repeat — the same guest, instance,
-operation, verdict and reason recur across thousands of commands — so the
-log keeps one ``(subject, instance, operation, allowed, reason)`` tuple per
-distinct decision and an entry costs 48 bytes: a reference, a timestamp
-and its hash.
+is the index): an ``array('I')`` of decision ids and an ``array('d')`` of
+timestamps.  Decisions repeat — the same guest, instance, operation,
+verdict and reason recur across thousands of commands — so a decision
+table holds one ``(subject, instance, operation, allowed, reason)`` tuple
+per distinct decision and an entry names its tuple by a 4-byte id.  Of the
+chain, the log keeps one 32-byte hash per ``_CHECKPOINT`` entries and the
+current head; a reader re-derives any other entry's hash from the nearest
+checkpoint below it.  An entry costs about 14 bytes: an id, a timestamp and
+a sixteenth of a hash.
 
 :meth:`AuditLog.append_buffered` encodes an entry and charges the modeled
 ``ac.audit.append`` cost at append time, but the SHA-256 link is deferred:
@@ -29,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from repro.sim import timing as _timing
 from repro.sim.timing import charge
@@ -39,6 +41,10 @@ _HASH = 32  # bytes per stored chain hash
 #: encoded entries buffered before an append chains them; a read chains
 #: sooner.  Bounds the unchained bytes at one batch (about 600 KB).
 _CHAIN_BATCH = 4096
+#: entries per stored chain hash: the log keeps the hash after every
+#: ``_CHECKPOINT``-th entry, and a reader re-encodes fewer than this many
+#: entries to reach any other hash
+_CHECKPOINT = 16
 #: instance types whose equal values always encode to the same text
 _EXACT_TYPES = (int, str)
 
@@ -102,18 +108,23 @@ class AuditRecord:
 class AuditLog:
     """The manager's append-only decision log."""
 
-    __slots__ = ("_decisions", "_kinds", "_times", "_hashes", "_unchained")
+    __slots__ = ("_index", "_table", "_ids", "_times", "_checkpoints",
+                 "_head", "_unchained")
 
     def __init__(self) -> None:
-        #: one (subject, instance, operation, allowed, reason) tuple per
-        #: distinct decision, mapped to itself
-        self._decisions: Dict[tuple, tuple] = {}
-        #: each entry's interned field tuple; its sequence number is its index
-        self._kinds: List[tuple] = []
+        #: each shared decision tuple, mapped to its id
+        self._index: Dict[tuple, int] = {}
+        #: the decision tuples, indexed by id
+        self._table: List[tuple] = []
+        #: each entry's decision id; its sequence number is its index
+        self._ids = array("I")
         #: each entry's virtual timestamp (us)
         self._times = array("d")
-        #: chain hash of each chained entry, ``_HASH`` bytes apiece
-        self._hashes = bytearray()
+        #: the chain hash after every ``_CHECKPOINT``-th chained entry,
+        #: ``_HASH`` bytes apiece
+        self._checkpoints = bytearray()
+        #: the chain hash after the last chained entry
+        self._head = GENESIS
         #: encoded bytes of the entries appended since the last chaining
         self._unchained: List[bytes] = []
 
@@ -133,31 +144,37 @@ class AuditLog:
         determined here; the SHA-256 work waits for the next read or a full
         batch.
 
-        Interning is exact: a stored tuple is shared only when it encodes
+        Interning is exact: a table tuple is shared only when it encodes
         like the new fields.  ``1``, ``1.0`` and ``True`` compare equal, so
         a hit is reused only if its ``allowed`` is the very object passed
         and its instance is too, or is an equal ``int`` or ``str``;
-        otherwise the entry keeps its own tuple.  Subject, operation and
-        reason are ``str``, whose equal values encode the same.
+        otherwise the entry gets a table tuple of its own.  Subject,
+        operation and reason are ``str``, whose equal values encode the
+        same.
         """
-        kinds = self._kinds
+        ids = self._ids
         timestamp_us = _timing._current_context.clock._now_us
         encoded = encode_entry(
-            len(kinds), timestamp_us, subject, instance, operation,
+            len(ids), timestamp_us, subject, instance, operation,
             allowed, reason,
         )
         charge("ac.audit.append", len(encoded))
         fields = (subject, instance, operation, allowed, reason)
-        kind = self._decisions.setdefault(fields, fields)
-        if kind is not fields and not (
-            kind[3] is allowed and (
+        table = self._table
+        ident = self._index.get(fields)
+        if ident is None:
+            ident = self._index[fields] = len(table)
+            table.append(fields)
+        else:
+            kind = table[ident]
+            if not (kind[3] is allowed and (
                 kind[1] is instance
                 or (type(kind[1]) is type(instance)
                     and type(instance) in _EXACT_TYPES)
-            )
-        ):
-            kind = fields
-        kinds.append(kind)
+            )):
+                ident = len(table)
+                table.append(fields)
+        ids.append(ident)
         self._times.append(timestamp_us)
         unchained = self._unchained
         unchained.append(encoded)
@@ -174,41 +191,82 @@ class AuditLog:
     ) -> AuditRecord:
         """Append and chain immediately; returns the finished record."""
         self.append_buffered(subject, instance, operation, allowed, reason)
-        self.chain_head()
-        return self._record(len(self._kinds) - 1)
+        [record] = self._records([len(self._ids) - 1])
+        return record
 
-    def _record(self, sequence: int) -> AuditRecord:
-        start = sequence * _HASH
-        return AuditRecord(
-            sequence, self._times[sequence], *self._kinds[sequence],
-            bytes(self._hashes[start:start + _HASH]),
-        )
+    def _records(self, sequences: Sequence[int]) -> List[AuditRecord]:
+        """The records of the ascending ``sequences``, chain hashes and all."""
+        times, ids, table = self._times, self._ids, self._table
+        return [
+            AuditRecord(sequence, times[sequence], *table[ids[sequence]], head)
+            for sequence, head in zip(
+                sequences, self._heads([s + 1 for s in sequences])
+            )
+        ]
 
     # -- the chain ---------------------------------------------------------------
 
     def chain_head(self) -> bytes:
         """The current chain head; chains the entries not yet chained."""
-        hashes = self._hashes
-        head = bytes(hashes[-_HASH:]) if hashes else GENESIS
-        if self._unchained:
+        unchained = self._unchained
+        if unchained:
+            head = self._head
+            checkpoints = self._checkpoints
+            every = _CHECKPOINT
+            count = len(self._ids) - len(unchained)
             sha256 = hashlib.sha256
-            for encoded in self._unchained:
+            for encoded in unchained:
                 head = sha256(head + encoded).digest()
-                hashes += head
-            self._unchained.clear()
-        return head
+                count += 1
+                if not count % every:
+                    checkpoints += head
+            self._head = head
+            unchained.clear()
+        return self._head
+
+    def _heads(self, counts: List[int]) -> Iterator[bytes]:
+        """The chain hash after the first ``n`` entries, for each ``n`` of
+        the ascending ``counts``.
+
+        Chains first.  Each hash is the stored head, or is re-derived from
+        the nearest checkpoint at or below it — or from the previous hash
+        yielded, when that is nearer — so reaching the first costs fewer
+        than ``_CHECKPOINT`` re-encodings and each later one costs its
+        distance from the one before.
+        """
+        self.chain_head()
+        last = len(self._ids)
+        every = _CHECKPOINT
+        checkpoints, times, ids, table = (
+            self._checkpoints, self._times, self._ids, self._table,
+        )
+        sha256 = hashlib.sha256
+        at, head = 0, GENESIS
+        for count in counts:
+            if count == last:
+                yield self._head
+                continue
+            base = count - count % every
+            if not base <= at <= count:
+                at = base
+                end = base // every * _HASH
+                head = bytes(checkpoints[end - _HASH:end]) if base else GENESIS
+            while at < count:
+                head = sha256(
+                    head + encode_entry(at, times[at], *table[ids[at]])
+                ).digest()
+                at += 1
+            yield head
 
     def head_at(self, sequence: int) -> bytes:
         """The chain hash after the first ``sequence`` entries."""
-        self.chain_head()
-        if not 0 <= sequence <= len(self._hashes) // _HASH:
+        size = len(self._ids)
+        if not 0 <= sequence <= size:
             raise ValueError(
-                f"sequence {sequence} outside the chained log "
-                f"(0..{len(self._hashes) // _HASH})"
+                f"sequence {sequence} outside the chained log (0..{size})"
             )
-        if sequence == 0:
-            return GENESIS
-        return bytes(self._hashes[(sequence - 1) * _HASH:sequence * _HASH])
+        [head] = self._heads([sequence])
+        return head
 
     def decision_chain_hash(self) -> bytes:
         """Chain hash over the timestamp-free decision encodings.
@@ -220,48 +278,53 @@ class AuditLog:
         """
         head = GENESIS
         sha256 = hashlib.sha256
-        for sequence, fields in enumerate(self._kinds):
-            head = sha256(head + encode_decision(sequence, *fields)).digest()
+        table = self._table
+        for sequence, ident in enumerate(self._ids):
+            head = sha256(
+                head + encode_decision(sequence, *table[ident])
+            ).digest()
         return head
 
     def verify_chain(self) -> bool:
         """Re-encode every entry from its fields and recompute the chain
-        against the stored hashes; False means tampering."""
+        from genesis against every stored checkpoint and the head; False
+        means tampering."""
         self.chain_head()
-        kinds = self._kinds
-        hashes = self._hashes
-        if (len(hashes) != len(kinds) * _HASH
-                or len(self._times) != len(kinds)):
+        ids, table = self._ids, self._table
+        checkpoints = self._checkpoints
+        every = _CHECKPOINT
+        if (len(checkpoints) != len(ids) // every * _HASH
+                or len(self._times) != len(ids)
+                or max(ids, default=-1) >= len(table)):
             return False
         head = GENESIS
         sha256 = hashlib.sha256
-        for sequence, (timestamp_us, fields) in enumerate(
-            zip(self._times, kinds)
+        for sequence, (timestamp_us, ident) in enumerate(
+            zip(self._times, ids)
         ):
             head = sha256(
-                head + encode_entry(sequence, timestamp_us, *fields)
+                head + encode_entry(sequence, timestamp_us, *table[ident])
             ).digest()
-            start = sequence * _HASH
-            if head != hashes[start:start + _HASH]:
-                return False
-        return True
+            if not (sequence + 1) % every:
+                end = (sequence + 1) // every * _HASH
+                if head != checkpoints[end - _HASH:end]:
+                    return False
+        return head == self._head
 
     # -- queries (each builds records only for what it returns) ------------------
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        return len(self._ids)
 
     def _select(self, keep: Callable[[tuple], bool]) -> List[AuditRecord]:
-        self.chain_head()
-        return [
-            self._record(sequence)
-            for sequence, fields in enumerate(self._kinds)
-            if keep(fields)
-        ]
+        kept = [keep(fields) for fields in self._table]
+        return self._records([
+            sequence for sequence, ident in enumerate(self._ids)
+            if kept[ident]
+        ])
 
     def records(self) -> List[AuditRecord]:
-        self.chain_head()
-        return [self._record(i) for i in range(len(self._kinds))]
+        return self._records(range(len(self._ids)))
 
     def denials(self) -> List[AuditRecord]:
         return self._select(lambda fields: not fields[3])
@@ -276,6 +339,5 @@ class AuditLog:
         """The last ``count`` records (fewer if the log is shorter)."""
         if count < 0:
             raise ValueError(f"tail count must be >= 0, got {count}")
-        self.chain_head()
-        size = len(self._kinds)
-        return [self._record(i) for i in range(max(0, size - count), size)]
+        size = len(self._ids)
+        return self._records(range(max(0, size - count), size))

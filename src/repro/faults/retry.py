@@ -2,8 +2,8 @@
 
 Every recovery path of the stack retries through this one loop: the
 front-end's ring kick (``xen.ring.notify``), back-end command forwarding
-(``vtpm.backend.forward``), instance restore, the supervisor's health
-probe, storage save and load (``vtpm.storage.save`` /
+(``vtpm.backend.forward``, which the supervisor's health probe crosses
+too), instance restore, storage save and load (``vtpm.storage.save`` /
 ``vtpm.storage.load``), the migration transaction (``vtpm.migration``,
 ``cluster.migrate``) and the fleet router's link forwarding
 (``cluster.link``).  It attempts the operation, catches the failures the

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from repro.core.policy import CommandClass
 from repro.core.reason import Reason
 from repro.crypto.random_source import RandomSource
-from repro.faults import FaultKind, fire, with_retry
+from repro.faults import FaultKind, fire
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.resilience.admission import AdmissionConfig, AdmissionController
@@ -50,7 +50,6 @@ from repro.tpm.marshal import build_command
 from repro.util.errors import (
     IdentityError,
     ReproError,
-    RetryExhausted,
     SupervisionError,
 )
 
@@ -289,14 +288,11 @@ class Supervisor:
             if event is not None and event.kind is FaultKind.FLAP:
                 obs_trace.span_event("probe_flap", instance=instance_id)
                 return False
-            try:
-                [response] = with_retry(
-                    self.manager.handle_batch,
-                    vm.domid, instance_id, [PROBE_WIRE],
-                    site="vtpm.supervisor.probe",
-                )
-            except RetryExhausted:
-                return False
+            # handle_batch retries device faults itself and degrades an
+            # exhausted one to TPM_FAIL, so the probe needs no retry loop.
+            [response] = self.manager.handle_batch(
+                vm.domid, instance_id, [PROBE_WIRE]
+            )
             return _return_code(response) == TPM_SUCCESS
 
     def _supervised_restart(self, backend) -> None:

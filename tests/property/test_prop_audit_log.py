@@ -1,14 +1,15 @@
 """Oracle property test: the audit log against the eager-record reference.
 
-``AuditLog`` keeps interned field tuples, timestamps and stored chain
-hashes, chains in bounded batches and builds ``AuditRecord`` objects only
-for readers.  The reference below is the earlier implementation, copied
-verbatim: it built one record per entry whenever the chain was read.
-Hypothesis drives both through the same interleavings of ``append``,
-``append_buffered``, clock advances and every reader, with the chaining
-batch shrunk to a few entries as well as at its real size; each reader,
-``len``, ``chain_head``, ``decision_chain_hash`` and ``verify_chain`` must
-agree.  ``1``, ``True`` and ``1.0`` are all instances, so a field tuple
+``AuditLog`` keeps decision ids into a table of interned field tuples,
+timestamps and one chain hash per ``_CHECKPOINT`` entries, chains in
+bounded batches and builds ``AuditRecord`` objects only for readers.  The
+reference below is the earlier implementation, copied verbatim: it built
+one record per entry whenever the chain was read.  Hypothesis drives both
+through the same interleavings of ``append``, ``append_buffered``, clock
+advances and every reader, with the chaining batch and the checkpoint
+interval shrunk to a few entries as well as at their real sizes; each
+reader, ``len``, ``chain_head``, ``decision_chain_hash`` and
+``verify_chain`` must agree.  ``1``, ``True`` and ``1.0`` are all instances, so a field tuple
 shared between entries that encode differently shows up as a difference.
 The tamper scenarios then check that both ``verify_chain`` and
 ``AuditAnchor.verify`` catch what they caught before.
@@ -301,11 +302,15 @@ def _run(log, steps) -> list:
     return seen
 
 
+CHECKPOINTS = st.sampled_from([1, 2, 3, audit._CHECKPOINT])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(step, max_size=40),
-       st.sampled_from([1, 2, 3, audit._CHAIN_BATCH]))
-def test_every_reader_matches_the_reference(steps, batch):
-    with mock.patch.object(audit, "_CHAIN_BATCH", batch):
+       st.sampled_from([1, 2, 3, audit._CHAIN_BATCH]), CHECKPOINTS)
+def test_every_reader_matches_the_reference(steps, batch, checkpoint):
+    with mock.patch.object(audit, "_CHAIN_BATCH", batch), \
+            mock.patch.object(audit, "_CHECKPOINT", checkpoint):
         assert _run(audit.AuditLog(), steps) == _run(AuditLog(), steps)
 
 
@@ -323,8 +328,9 @@ def _anchor() -> AuditAnchor:
 
 def _edit_reason(log, victim: int) -> None:
     if isinstance(log, audit.AuditLog):
-        fields = log._kinds[victim]
-        log._kinds[victim] = fields[:4] + (fields[4] + "-edited",)
+        fields = log._table[log._ids[victim]]
+        log._table.append(fields[:4] + (fields[4] + "-edited",))
+        log._ids[victim] = len(log._table) - 1
     else:
         log._records[victim] = dataclasses.replace(
             log._records[victim], reason=log._records[victim].reason + "-edited"
@@ -333,7 +339,7 @@ def _edit_reason(log, victim: int) -> None:
 
 def _drop_last(log, _victim: int) -> None:
     if isinstance(log, audit.AuditLog):
-        log._kinds.pop()
+        log._ids.pop()
         log._times.pop()
     else:
         log._records.pop()
@@ -343,9 +349,11 @@ def _truncate(log, keep: int) -> None:
     """Cut the log to ``keep`` entries with a matching head: the chain is
     self-consistent again, which is what the hardware anchor is for."""
     if isinstance(log, audit.AuditLog):
-        del log._kinds[keep:]
+        head = log.head_at(keep)
+        del log._ids[keep:]
         del log._times[keep:]
-        del log._hashes[keep * 32:]
+        del log._checkpoints[keep // audit._CHECKPOINT * 32:]
+        log._head = head
     else:
         log._records = log._records[:keep]
         log._head = log._records[-1].chain_hash if keep else GENESIS
@@ -356,15 +364,17 @@ def _truncate(log, keep: int) -> None:
     st.lists(fields, min_size=2, max_size=12),
     st.sampled_from(["edit", "drop-last", "truncate"]),
     st.booleans(),
+    CHECKPOINTS,
     st.data(),
 )
-def test_tampering_is_caught(entries, scenario, chained, data):
+def test_tampering_is_caught(entries, scenario, chained, checkpoint, data):
     victim = data.draw(st.integers(0, len(entries) - 2))
     tamper = {"edit": _edit_reason, "drop-last": _drop_last,
               "truncate": _truncate}[scenario]
     logs = (audit.AuditLog(), AuditLog())
     anchor = _anchor()
-    with context_scope(TimingContext(model=CostModel(), clock=VirtualClock())):
+    with context_scope(TimingContext(model=CostModel(), clock=VirtualClock())), \
+            mock.patch.object(audit, "_CHECKPOINT", checkpoint):
         for log in logs:
             for fields_ in entries:
                 if chained:
@@ -375,11 +385,12 @@ def test_tampering_is_caught(entries, scenario, chained, data):
         for log in logs:
             tamper(log, victim)
         ok, reason = anchor.verify(logs[0])
+        intact = [log.verify_chain() for log in logs]
     assert not ok, reason
     if scenario == "truncate":
         # A consistent shorter chain: only the anchor can tell.
-        assert [log.verify_chain() for log in logs] == [True, True]
+        assert intact == [True, True]
         assert "truncated" in reason
     else:
-        assert [log.verify_chain() for log in logs] == [False, False]
+        assert intact == [False, False]
         assert "chain broken" in reason

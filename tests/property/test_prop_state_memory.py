@@ -128,6 +128,7 @@ def test_audit_any_edit_detected(entries, data):
     for subject, instance, op, allowed, reason in entries:
         log.append(subject, instance, op, allowed, reason)
     victim = data.draw(st.integers(0, len(entries) - 1))
-    fields = log._kinds[victim]
-    log._kinds[victim] = fields[:4] + (fields[4] + "-edited",)
+    fields = log._table[log._ids[victim]]
+    log._table.append(fields[:4] + (fields[4] + "-edited",))
+    log._ids[victim] = len(log._table) - 1
     assert not log.verify_chain()

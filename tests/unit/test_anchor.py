@@ -51,9 +51,10 @@ class TestAnchoring:
         log = _filled_log()
         anchor_client.anchor(log)
         # Truncate to three entries; the head is the third entry's hash.
-        del log._kinds[3:]
+        head = log.head_at(3)
+        del log._ids[3:]
         del log._times[3:]
-        del log._hashes[3 * 32:]
+        log._head = head
         assert log.verify_chain()
         ok, reason = anchor_client.verify(log)
         assert not ok and "truncated" in reason
@@ -73,14 +74,15 @@ class TestAnchoring:
     def test_edited_record_detected(self, anchor_client):
         log = _filled_log()
         anchor_client.anchor(log)
-        log._kinds[2] = log._kinds[2][:4] + ("edited",)
+        log._table.append(log._table[log._ids[2]][:4] + ("edited",))
+        log._ids[2] = len(log._table) - 1
         ok, reason = anchor_client.verify(log)
         assert not ok and "chain broken" in reason
 
     def test_dropped_last_entry_detected(self, anchor_client):
         log = _filled_log()
         anchor_client.anchor(log)
-        log._kinds.pop()
+        log._ids.pop()
         log._times.pop()
         ok, reason = anchor_client.verify(log)
         assert not ok and "chain broken" in reason

@@ -1,5 +1,6 @@
 """Unit tests for the audit log, reference monitor and memory protector."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -34,6 +35,12 @@ def plumbing(xen):
     return identities, policy, audit, monitor
 
 
+def _edit_reason(log: AuditLog, sequence: int) -> None:
+    """Point one entry at an edited copy of its decision tuple."""
+    log._table.append(log._table[log._ids[sequence]][:4] + ("edited",))
+    log._ids[sequence] = len(log._table) - 1
+
+
 def _extend_wire() -> bytes:
     from repro.util.bytesio import ByteWriter
 
@@ -65,14 +72,14 @@ class TestAuditLog:
         for i in range(5):
             log.append(f"s{i}", i, "op", True, "r")
         # In-place edit of a past entry's reason.
-        log._kinds[2] = log._kinds[2][:4] + ("edited",)
+        _edit_reason(log, 2)
         assert not log.verify_chain()
 
     def test_truncation_breaks_chain(self):
         log = AuditLog()
         for i in range(5):
             log.append(f"s{i}", i, "op", True, "r")
-        log._kinds.pop()
+        log._ids.pop()
         log._times.pop()
         assert not log.verify_chain()
 
@@ -83,7 +90,7 @@ class TestAuditLog:
         log = AuditLog()
         for i in range(5):
             log.append_buffered(f"s{i}", i, "op", True, "r")
-        log._kinds[4] = log._kinds[4][:4] + ("edited",)
+        _edit_reason(log, 4)
         assert not log.verify_chain()
 
     def test_tail_edges(self):
@@ -174,12 +181,12 @@ class TestAuditRecordBuilds:
 
 
 class TestAuditFootprint:
-    """What an entry leaves behind: one reference to an interned field
-    tuple, one timestamp and one chain hash, plus at most one batch of
-    encoded bytes waiting to be chained."""
+    """What an entry leaves behind: a 4-byte decision id, one timestamp and
+    a ``_CHECKPOINT``-th of a chain hash, plus at most one batch of encoded
+    bytes waiting to be chained."""
 
     ENTRIES = 100_000
-    MAX_BYTES_PER_ENTRY = 64
+    MAX_BYTES_PER_ENTRY = 16
 
     def test_entry_residue_is_bounded(self, timing_context):
         # 8 guests x 4 instances x 2 operations x 2 verdicts, the shape of
@@ -199,14 +206,17 @@ class TestAuditFootprint:
                 log.append_buffered(*decisions[i % len(decisions)])
             buffered = tracemalloc.get_traced_memory()[0] - before
             held = len(log._unchained)
+            held_bytes = sum(
+                sys.getsizeof(encoded) + 8 for encoded in log._unchained
+            )
             log.chain_head()
             chained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(log) == self.ENTRIES
         assert held < _CHAIN_BATCH
-        assert len(log._decisions) == len(decisions)
-        for residue in (buffered, chained):
+        assert len(log._table) == len(decisions)
+        for residue in (buffered - held_bytes, chained):
             assert residue / self.ENTRIES <= self.MAX_BYTES_PER_ENTRY, residue
         assert log.verify_chain()
 

@@ -12,6 +12,7 @@ from repro.core.reason import Reason
 from repro.crypto.random_source import RandomSource
 from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
 from repro.harness.builder import build_platform
+from repro.obs import CounterRegistry, registry_scope
 from repro.resilience import (
     LEGAL_TRANSITIONS,
     AdmissionConfig,
@@ -588,6 +589,31 @@ class TestSupervisedRestart:
         assert supervisor.record_for(guest.domain.uuid).restarts == 1
         # A wedge charge (30ms each) plus the restart charge moved the clock.
         assert get_context().clock.now_us - before > 60_000.0
+
+
+class TestProbe:
+    """The health probe rides the manager's own retry envelope."""
+
+    def test_transient_device_faults_retry_in_the_forward_path(self):
+        platform = build_platform(AccessMode.IMPROVED, seed=17, name="probe")
+        guest = platform.add_guest("alice")
+        supervisor = platform.enable_supervision()
+        plan = FaultPlan(
+            name="unit-probe", seed=1,
+            specs=(spec(FaultKind.DEVICE_TRANSIENT, every=1, max_fires=2,
+                        match={"device": f"vtpm{guest.instance_id}"}),),
+        )
+        injector = FaultInjector(plan)
+        with registry_scope(CounterRegistry()) as counters, \
+                injector_scope(injector):
+            assert supervisor._run_probe(guest.frontend.guest,
+                                         guest.instance_id)
+        assert len(injector.events) == 2
+        assert counters.value("faults.retries",
+                              site="vtpm.backend.forward") == 2
+        assert counters.value("faults.retries",
+                              site="vtpm.supervisor.probe") == 0
+        assert counters.total("faults.retries") == 2
 
 
 class TestSupervisionNeutrality:
