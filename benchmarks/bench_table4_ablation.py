@@ -32,7 +32,7 @@ def test_table4_ablation(run_once):
     # allow reasons differing in size).
     assert abs(sum(singles) - uncached_delta) / uncached_delta < 0.5
     # The decision cache only removes cost — and never all of it (hits
-    # still pay the epoch check and the audit append).
+    # still pay the cache probe and the audit append).
     assert 0 < full_delta <= uncached_delta
     # Audit dominates the breakdown.
     breakdown = dict(result.appendix.rows)

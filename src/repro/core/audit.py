@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Sequence
 
@@ -322,6 +323,17 @@ class AuditLog:
             sequence for sequence, ident in enumerate(self._ids)
             if kept[ident]
         ])
+
+    def count(self, keep: Callable[[tuple], bool]) -> int:
+        """How many entries ``keep`` accepts, given each entry's
+        (subject, instance, operation, allowed, reason) tuple.  Builds no
+        record and hashes nothing: ``keep`` runs once per distinct
+        decision, the entries are counted per id."""
+        table = self._table
+        return sum(
+            entries for ident, entries in Counter(self._ids).items()
+            if keep(table[ident])
+        )
 
     def records(self) -> List[AuditRecord]:
         return self._records(range(len(self._ids)))

@@ -25,7 +25,7 @@ class AccessControlConfig:
 
     identity_check: bool = True     # verify caller measurement per command
     policy_check: bool = True       # per-ordinal policy decision
-    authz_cache: bool = True        # epoch-invalidated decision cache
+    authz_cache: bool = True        # writer-invalidated decision cache
     audit: bool = True              # append-only audit records
     protect_memory: bool = True     # hypervisor-protect vTPM secret pages
     seal_storage: bool = True       # encrypt state at rest, key sealed to hw TPM

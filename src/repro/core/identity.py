@@ -77,9 +77,9 @@ class IdentityRegistry:
 
     def __init__(self) -> None:
         self._by_domid: Dict[int, DomainIdentity] = {}
-        #: bumped on every mutation; cached authorization decisions made
-        #: against an older version are invalid (monitor epoch component)
-        self.version = 0
+        #: callables told of every registration and forgetting; the
+        #: monitor drops its whole decision cache on each
+        self.listeners: list = []
 
     def register(self, domain: Domain) -> DomainIdentity:
         measurement = measure_domain(domain)
@@ -88,12 +88,14 @@ class IdentityRegistry:
         )
         domain.measurement = measurement
         self._by_domid[domain.domid] = identity
-        self.version += 1
+        for listener in self.listeners:
+            listener()
         return identity
 
     def forget(self, domid: int) -> None:
         if self._by_domid.pop(domid, None) is not None:
-            self.version += 1
+            for listener in self.listeners:
+                listener()
 
     def lookup(self, domid: int) -> Optional[DomainIdentity]:
         return self._by_domid.get(domid)

@@ -22,16 +22,20 @@ argument is that these checks are a small per-command constant, and for
 the common case — the same bound guest re-issuing the same command class
 at the same instance — the full identity + policy walk is provably
 redundant.  A hit is keyed by (caller domid, *live* launch measurement,
-instance, ordinal class) and charges only ``ac.policy.cache_hit``.  Any
-event that could change a decision bumps the cache epoch, so revocation
-takes effect on the very next command:
+instance, ordinal class) and charges only ``ac.policy.cache_hit``.  The
+writers of every input to a decision invalidate the cache as they write,
+so revocation takes effect on the very next command and a hit compares
+nothing:
 
-* policy mutation (rule add/revoke — tracked via ``PolicyEngine.version``),
-* identity re-registration or forgetting (``IdentityRegistry.version``),
-* instance destruction or creation (the monitor's own epoch counter).
+* a rule add or revoke (``PolicyEngine.listeners``) drops only the
+  entries the rule's pattern matches: its class, its instance (or every
+  instance for ``ANY``) and its subject (or every subject for ``ANY``) —
+  exactly the lookups whose most specific rule it can change;
+* identity re-registration or forgetting (``IdentityRegistry.listeners``)
+  and instance creation or destruction drop the whole cache.
 
-A rebuilt domain under a recycled domid misses the cache even within an
-epoch because the key includes the live measurement, and only *allow*
+A rebuilt domain under a recycled domid misses the cache even without a
+drop because the key includes the live measurement, and only *allow*
 decisions are ever cached.  Audit records are still appended on every
 command, hit or miss, so the hash chain is complete either way.
 """
@@ -43,7 +47,9 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from repro.core.audit import AuditLog
 from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
-from repro.core.policy import CommandClass, PolicyEngine, classify_ordinal
+from repro.core.policy import (
+    ANY, CommandClass, PolicyEngine, PolicyRule, classify_ordinal,
+)
 from repro.core.reason import Reason
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
@@ -157,9 +163,9 @@ class BaselineMonitor(Monitor):
 
 
 #: TEST-ONLY fault-injection hook for the verification subsystem.  When
-#: true, the decision cache's composite epoch ignores policy-version
-#: bumps, so a cached *allow* survives a revocation — exactly the class
-#: of bug the conformance explorer exists to catch.  Never set outside
+#: true, the decision cache ignores rule adds and revokes, so a cached
+#: *allow* survives a revocation — exactly the class of bug the
+#: conformance explorer exists to catch.  Never set outside
 #: ``repro verify --inject-bug`` self-checks and tests.
 INJECT_STALE_POLICY_EPOCH = False
 
@@ -185,21 +191,38 @@ class AccessControlMonitor(Monitor):
         #: (subject, rule id)
         self._cache: Dict[Tuple, Tuple[str, Optional[int]]] = {}
         #: rule id -> its allow record's reason text, so every record of
-        #: one rule shares one string (emptied with the cache)
+        #: one rule shares one string (a revoked rule's text is dropped)
         self._allow_texts: Dict[Optional[int], str] = {None: "unchecked"}
-        #: monitor-local epoch component (instance lifecycle events)
-        self._epoch = 0
-        #: the (monitor epoch, policy version, identity version) the
-        #: current cache contents were built under
-        self._cache_local = self._cache_policy = self._cache_identity = -1
         self.cache_hits = 0
         self.cache_misses = 0
+        policy.listeners.append(self._drop_rule)
+        identities.listeners.append(self.invalidate_cache)
 
     # -- cache plumbing ----------------------------------------------------------
 
     def invalidate_cache(self) -> None:
-        """Force every cached decision to be re-derived (new epoch)."""
-        self._epoch += 1
+        """Drop every cached decision, so the next command of every caller
+        re-derives its decision."""
+        self._cache.clear()
+
+    def _drop_rule(self, rule: PolicyRule) -> None:
+        """Drop the cached allows whose decision ``rule`` (just added or
+        revoked) can change: same class, instance equal or the rule's is
+        ``ANY``, cached subject equal or the rule's is ``ANY``."""
+        self._allow_texts.pop(rule.rule_id, None)
+        if INJECT_STALE_POLICY_EPOCH:  # test-only, see its comment
+            return
+        cls, instance, subject = (
+            rule.command_class.value, rule.instance, rule.subject,
+        )
+        cache = self._cache
+        for key in [
+            key for key, (cached_subject, _) in cache.items()
+            if key[3] == cls
+            and (instance == ANY or key[2] == instance)
+            and (subject == ANY or cached_subject == subject)
+        ]:
+            del cache[key]
 
     # -- lifecycle hooks ---------------------------------------------------------
 
@@ -211,7 +234,7 @@ class AccessControlMonitor(Monitor):
         ``profile`` (a :class:`~repro.core.profiles.PolicyProfile`) narrows
         the grant; the default is the full owner profile.
         """
-        self._epoch += 1
+        self.invalidate_cache()
         if self.config.policy_check:
             if profile is None:
                 self.policy.grant_owner(identity_hex, instance_id)
@@ -219,7 +242,7 @@ class AccessControlMonitor(Monitor):
                 profile.apply(self.policy, identity_hex, instance_id)
 
     def on_instance_destroyed(self, instance_id: int) -> None:
-        self._epoch += 1
+        self.invalidate_cache()
         for rule in self.policy.rules_for_instance(instance_id):
             self.policy.revoke_rule(rule.rule_id)
 
@@ -281,8 +304,8 @@ class AccessControlMonitor(Monitor):
         )
 
         # Resilience gating runs before the decision cache: health state
-        # changes without bumping any cache epoch, so a cached allow must
-        # never bypass a quarantine.  The gate itself is charge-free.
+        # changes drop no cached decision, so a cached allow must never
+        # bypass a quarantine.  The gate itself is charge-free.
         # With the supervisor's unhealthy-instance index installed, the
         # steady-state cost is one membership test; the full gate walk
         # runs only while this instance is actually unhealthy.
@@ -299,21 +322,6 @@ class AccessControlMonitor(Monitor):
 
         cache_key: Optional[Tuple] = None
         if config.authz_cache:
-            local = self._epoch
-            policy_version = self.policy.version
-            identity_version = self.identities.version
-            if INJECT_STALE_POLICY_EPOCH:  # test-only, see module docstring
-                policy_version = self._cache_policy
-            if (
-                local != self._cache_local
-                or policy_version != self._cache_policy
-                or identity_version != self._cache_identity
-            ):
-                self._cache.clear()
-                self._allow_texts = {None: "unchecked"}
-                self._cache_local = local
-                self._cache_policy = policy_version
-                self._cache_identity = identity_version
             cache_key = (
                 caller.domid, caller.measurement, instance_id, class_value,
             )

@@ -134,9 +134,10 @@ class PolicyEngine:
         self._by_subject: Dict[str, set] = {}
         self._by_instance: Dict[object, set] = {}
         self._ids = itertools.count(1)
-        #: bumped on every rule add/revoke; the monitor's decision cache
-        #: treats any change as a new epoch, so revocation is immediate
-        self.version = 0
+        #: callables told of every rule added or revoked; the monitor's
+        #: decision cache drops the entries the rule can change, so a
+        #: revocation takes effect on the very next command
+        self.listeners: list = []
 
     # -- administration ------------------------------------------------------
 
@@ -167,7 +168,8 @@ class PolicyEngine:
             self._index[rule.key()] = rule.rule_id
             self._by_subject.setdefault(rule.subject, set()).add(rule.rule_id)
             self._by_instance.setdefault(rule.instance, set()).add(rule.rule_id)
-            self.version += 1
+            for listener in self.listeners:
+                listener(rule)
             created.append(rule)
         return created
 
@@ -179,11 +181,21 @@ class PolicyEngine:
         rule = self._rules.pop(rule_id, None)
         if rule is None:
             raise AccessControlError(f"no policy rule {rule_id}")
-        if self._index.get(rule.key()) == rule_id:
-            del self._index[rule.key()]
         self._discard_from(self._by_subject, rule.subject, rule_id)
         self._discard_from(self._by_instance, rule.instance, rule_id)
-        self.version += 1
+        key = rule.key()
+        if self._index.get(key) == rule_id:
+            # the newest surviving same-key rule takes over the key
+            survivors = [
+                other for other in self._by_subject.get(rule.subject, ())
+                if self._rules[other].key() == key
+            ]
+            if survivors:
+                self._index[key] = max(survivors)
+            else:
+                del self._index[key]
+        for listener in self.listeners:
+            listener(rule)
 
     @staticmethod
     def _discard_from(index: Dict[object, set], key: object, rule_id: int) -> None:

@@ -192,9 +192,8 @@ def run_once(
             event_signature=injector.event_signature(),
             retries=injector.retries,
             recoveries=injector.recoveries,
-            audit_fault_records=sum(
-                1 for r in scenario.audit.records()
-                if r.operation.startswith("FAULT")
+            audit_fault_records=scenario.audit.count(
+                lambda fields: fields[2].startswith("FAULT")
             ),
             mean_recovery_us=(injector.recovery_us / injector.recoveries
                               if injector.recoveries else 0.0),

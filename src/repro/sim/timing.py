@@ -68,7 +68,7 @@ _DEFAULT_COSTS: Dict[str, Tuple[float, float]] = {
     "ac.identity.check": (0.35, 0.0),      # cached measurement compare
     "ac.identity.measure": (2.0, 0.0),     # plus explicit hash charges
     "ac.policy.lookup": (0.55, 0.0),       # hash-table rule match
-    "ac.policy.cache_hit": (0.08, 0.0),    # epoch check + decision-cache hit
+    "ac.policy.cache_hit": (0.08, 0.0),    # decision-cache probe and hit
     "ac.policy.compile": (2.5, 0.9),       # per rule, build-time only
     "ac.audit.append": (1.4, 0.0008),      # buffered append per byte
     "ac.seal.derive": (3.0, 0.0),          # KDF invocation bookkeeping

@@ -54,11 +54,11 @@ class TestRevocationVsCachedAllow:
     def test_stale_epoch_bug_is_order_sensitive(self):
         """The injected cache bug fails exactly the warm-first order.
 
-        With the policy component of the cache epoch frozen, a verdict
-        cached *before* the revocation survives it — so warm-first
-        produces an oracle mismatch while revoke-first (nothing cached
-        to go stale) still conforms.  This is the asymmetry that makes
-        the race worth exploring.
+        With the cache ignoring rule writes, a verdict cached *before*
+        the revocation survives it — so warm-first produces an oracle
+        mismatch while revoke-first (nothing cached to go stale) still
+        conforms.  This is the asymmetry that makes the race worth
+        exploring.
         """
         from repro.core import monitor as monitor_mod
 

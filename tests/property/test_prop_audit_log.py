@@ -239,7 +239,7 @@ fields = st.tuples(
 )
 READERS = [
     "records", "tail", "denials", "for_subject", "for_instance", "len",
-    "chain_head", "decision_chain_hash", "verify_chain", "head_at",
+    "chain_head", "decision_chain_hash", "verify_chain", "head_at", "count",
 ]
 step = st.one_of(
     st.tuples(st.just("append"), fields),
@@ -274,6 +274,20 @@ def _read(log, name: str, arg: int):
                 for r in log.for_instance(INSTANCES[arg % len(INSTANCES)])]
     if name == "head_at":
         return _head_at(log, arg)
+    if name == "count":
+        # one subject's entries and every denial, read off the
+        # (subject, instance, operation, allowed, reason) tuple
+        subject = SUBJECTS[arg % 4]
+
+        def keep(decision):
+            return decision[0] == subject or not decision[3]
+
+        if isinstance(log, audit.AuditLog):
+            return log.count(keep)
+        return sum(
+            1 for r in log.records()
+            if keep(dataclasses.astuple(r)[2:7])
+        )
     if name == "len":
         return len(log)
     result = getattr(log, name)()

@@ -1,11 +1,12 @@
 """Safety tests for the monitor's authorization decision cache.
 
-The cache trades repeated policy walks for an epoch check, so the one
-property that matters is that it can never serve a *stale allow*: every
-mutation that could change a decision — rule revocation, identity
-re-registration, instance churn, an explicit flush — must take effect on
-the very next command even when the cache is hot.  Batched submission
-gets the same scrutiny: a rogue re-bind must be caught mid-stream, not
+The cache trades repeated policy walks for drops made by the writers,
+so the one property that matters is that it can never serve a *stale
+allow*: every mutation that could change a decision — rule revocation, a
+more specific rule, identity re-registration, instance churn, an explicit
+flush — must take effect on the very next command even when the cache is
+hot.  A rule nobody runs under must not cost anybody a hit.  Batched
+submission gets the same scrutiny: a rogue re-bind must be caught mid-stream, not
 once per kick.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import AccessMode
+from repro.core.policy import ANY, CommandClass
+from repro.core.reason import Reason
 from repro.harness.builder import build_platform
 from repro.sim.timing import get_context
 from repro.tpm import marshal
@@ -96,7 +99,7 @@ class TestStaleAllowImpossible:
         guest.frontend.transport(wire)
         guest.frontend.transport(wire)
         misses = monitor.cache_misses
-        # Any instance lifecycle event is a new epoch for everybody.
+        # Any instance lifecycle event drops every caller's decisions.
         platform.add_guest("bob")
         guest.frontend.transport(wire)
         assert monitor.cache_misses > misses
@@ -104,9 +107,9 @@ class TestStaleAllowImpossible:
     def test_recycled_domid_cannot_reuse_stale_allows(self, platform, guest):
         """A domain rebuilt under the same domid is a different principal.
 
-        The cache key carries the caller's live measurement and the
-        registry version is an epoch component, so the rebuilt domain can
-        neither replay the old domain's cached allows nor seed new ones.
+        The cache key carries the caller's live measurement and every
+        registry write drops the cache, so the rebuilt domain can neither
+        replay the old domain's cached allows nor seed new ones.
         """
         wire = _pcr_read_wire()
         assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS
@@ -120,6 +123,63 @@ class TestStaleAllowImpossible:
         # And an unregistered rebuild (stale live measurement) also fails.
         platform.identities.forget(guest.domain.domid)
         assert _rc(guest.frontend.transport(wire)) == TPM_AUTHFAIL
+
+
+def _read_rule(platform, guest):
+    """The owner rule granting ``guest`` the read class on its instance."""
+    [rule] = [
+        rule for rule in platform.policy.rules_for_subject(
+            guest.domain.measurement.hex()
+        )
+        if rule.instance == guest.instance_id
+        and rule.command_class is CommandClass.READ
+    ]
+    return rule
+
+
+class TestRuleWrites:
+    """A rule add or revoke drops only the cached decisions it can change."""
+
+    def test_bystander_rule_costs_no_hit(self, platform, guest):
+        monitor = platform.monitor
+        wire = _pcr_read_wire()
+        guest.frontend.transport(wire)  # warm
+        misses, hits = monitor.cache_misses, monitor.cache_hits
+        for rule in platform.policy.add_rule("ee" * 32, ANY, CommandClass.READ):
+            platform.policy.revoke_rule(rule.rule_id)
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS
+        assert monitor.cache_misses == misses
+        assert monitor.cache_hits == hits + 1
+
+    def test_revoking_the_granting_rule_denies_the_next_frame(
+        self, platform, guest
+    ):
+        wire = _pcr_read_wire()
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS  # hot
+        platform.policy.revoke_rule(_read_rule(platform, guest).rule_id)
+        assert _rc(guest.frontend.transport(wire)) == TPM_AUTHFAIL
+        assert platform.audit.tail(1)[0].reason == Reason.NO_GRANT.value
+
+    def test_more_specific_rule_names_itself_on_the_next_allow(
+        self, platform, guest
+    ):
+        policy, wire = platform.policy, _pcr_read_wire()
+        subject = guest.domain.measurement.hex()
+        policy.revoke_rule(_read_rule(platform, guest).rule_id)
+        [wildcard] = policy.add_rule(ANY, guest.instance_id, CommandClass.READ)
+        guest.frontend.transport(wire)
+        guest.frontend.transport(wire)  # hot, under the wildcard
+        assert platform.audit.tail(1)[0].reason == f"granted:{wildcard.rule_id}"
+        [specific] = policy.add_rule(
+            subject, guest.instance_id, CommandClass.READ
+        )
+        assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS
+        assert platform.audit.tail(1)[0].reason == f"granted:{specific.rule_id}"
+        # a same-key re-add takes over the key as well
+        [again] = policy.add_rule(subject, guest.instance_id, CommandClass.READ)
+        guest.frontend.transport(wire)
+        assert platform.audit.tail(1)[0].reason == f"granted:{again.rule_id}"
 
 
 class TestBatchedSubmission:

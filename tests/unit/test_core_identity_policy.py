@@ -165,6 +165,72 @@ class TestPolicyEngine:
         engine.grant_owner(SUBJ_A, 1)
         assert engine.rule_count == 6
 
+    def test_revoking_newer_same_key_rule_keeps_the_older(self):
+        engine = PolicyEngine()
+        [first] = engine.add_rule(SUBJ_A, 1, CommandClass.READ)
+        [second] = engine.add_rule(SUBJ_A, 1, CommandClass.READ)
+        assert engine.decide(SUBJ_A, 1, tc.TPM_ORD_PcrRead).rule_id == (
+            second.rule_id
+        )
+        engine.revoke_rule(second.rule_id)
+        assert engine.decide(SUBJ_A, 1, tc.TPM_ORD_PcrRead).rule_id == (
+            first.rule_id
+        )
+
+    def test_revoking_older_same_key_rule_keeps_the_newer(self):
+        engine = PolicyEngine()
+        [first] = engine.add_rule(SUBJ_A, 1, CommandClass.READ)
+        [second] = engine.add_rule(SUBJ_A, 1, CommandClass.READ)
+        engine.revoke_rule(first.rule_id)
+        assert engine.decide(SUBJ_A, 1, tc.TPM_ORD_PcrRead).rule_id == (
+            second.rule_id
+        )
+
+    def test_every_revoke_agrees_with_a_round_trip(self):
+        """After each revoke, the live engine decides as one rebuilt from
+        its own serialization (rule ids mapped by rank) and grants the
+        classes :meth:`granted_classes` lists."""
+        import random
+
+        subjects, instances = (SUBJ_A, SUBJ_B, ANY), (1, 2, ANY)
+        classes = (CommandClass.READ, CommandClass.MEASURE)
+        ordinals = {
+            CommandClass.READ: tc.TPM_ORD_PcrRead,
+            CommandClass.MEASURE: tc.TPM_ORD_Extend,
+        }
+        engine = PolicyEngine()
+        rules = []
+        for subject in subjects:
+            for instance in instances:
+                for cls in classes:
+                    for _ in range(2):  # every key held by two rules
+                        rules += engine.add_rule(subject, instance, cls)
+        random.Random(7).shuffle(rules)
+        for rule in rules:
+            engine.revoke_rule(rule.rule_id)
+            rebuilt = PolicyEngine.deserialize(engine.serialize())
+            live_ids = sorted(
+                r.rule_id for subject in subjects
+                for r in engine.rules_for_subject(subject)
+            )
+            rank = {rule_id: n for n, rule_id in enumerate(live_ids, 1)}
+            rank[None] = None
+            for subject in (SUBJ_A, SUBJ_B):
+                for instance in (1, 2):
+                    granted = engine.granted_classes(subject, instance)
+                    assert granted == rebuilt.granted_classes(
+                        subject, instance
+                    )
+                    for cls in classes:
+                        live = engine.decide(subject, instance, ordinals[cls])
+                        again = rebuilt.decide(
+                            subject, instance, ordinals[cls]
+                        )
+                        assert live.reason is again.reason
+                        assert rank[live.rule_id] == again.rule_id
+                        assert live.allowed == (cls in granted)
+        assert engine.rule_count == 0
+
 
 class TestClassification:
     def test_every_implemented_ordinal_classified(self):
