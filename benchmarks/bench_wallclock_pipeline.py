@@ -154,7 +154,7 @@ def time_slice(commands: int, batch_size: int = 1, tracer=None,
 
 
 def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
-                 repeats: int = 24) -> dict:
+                 repeats: int = 40) -> dict:
     """Measure the pipeline at each batch size; returns the JSON payload.
 
     Alongside the bare batch-size runs, one unbatched variant runs with a

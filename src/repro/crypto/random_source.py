@@ -52,6 +52,10 @@ class RandomSource:
         if count < 0:
             raise CryptoError(f"cannot draw {count} bytes")
         charge("rng.bytes", count)
+        return self._draw(count)
+
+    def _draw(self, count: int) -> bytes:
+        """``count`` bytes off the stream, uncharged."""
         while len(self._pool) < count:
             block = hashlib.sha256(
                 self._state + struct.pack(">Q", self._counter)
@@ -61,6 +65,15 @@ class RandomSource:
         out, self._pool = self._pool[:count], self._pool[count:]
         self.bytes_generated += count
         return out
+
+    def position(self) -> tuple:
+        """Everything the next draw reads: ``(state, counter, pool)``."""
+        return self._state, self._counter, self._pool
+
+    def seek(self, position: tuple, drawn: int = 0) -> None:
+        """Jump to ``position``, counting ``drawn`` bytes as generated."""
+        self._state, self._counter, self._pool = position
+        self.bytes_generated += drawn
 
     def nonce(self) -> bytes:
         """A 20-byte TPM nonce."""

@@ -9,10 +9,23 @@ seals/binds use).
 Virtual-time cost is charged by the key's *declared* size class, so
 experiments can simulate 2048-bit timing even when tests run small keys for
 host speed.
+
+Key generation is a pure function of ``bits`` and the RNG's position, and a
+platform rebuilt from the same seed asks for the same keys again, so
+:func:`generate_keypair` runs Miller-Rabin once per ``(bits, position)``.
+The generator draws uncharged from a copy of the RNG and logs each draw's
+size; every call, first or repeated, then charges ``rsa.keygen.2048`` and
+one ``rng.bytes`` per logged draw in the original order and moves the RNG
+to the recorded end position.  Ledgers, the clock's float sum and the RNG's
+continuation are the same as a fresh run's.  The memo holds key pairs, draw
+sizes and RNG positions in the simulator's own heap, never in simulated
+frames, and is bounded at :data:`KEYGEN_MEMO_SIZE` entries.
 """
 
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 
 from repro.crypto.random_source import RandomSource
@@ -31,6 +44,7 @@ _SMALL_PRIMES = [
 ]
 
 PUBLIC_EXPONENT = 65537
+KEYGEN_MEMO_SIZE = 256
 
 
 def _is_probable_prime(n: int, rng: RandomSource, rounds: int = 24) -> bool:
@@ -243,20 +257,28 @@ def _emsa_pkcs1_v15(digest: bytes, em_len: int) -> bytes:
     return b"\x00\x01" + ps + b"\x00" + t
 
 
-def generate_keypair(bits: int, rng: RandomSource) -> RsaKeyPair:
-    """Generate an RSA key pair of ``bits`` modulus bits.
+class _DrawLog(RandomSource):
+    """A copy of an RNG at ``position`` that draws uncharged and logs each
+    draw's byte count."""
 
-    ``bits`` ≥ 512; tests use small keys for host speed, while virtual-time
-    cost is charged for the declared size class regardless.
-    """
-    if bits < 512:
-        raise CryptoError(f"refusing to generate RSA keys under 512 bits ({bits})")
-    if bits % 2 != 0:
-        raise CryptoError(f"key size must be even, got {bits}")
-    charge("rsa.keygen.2048")
+    def __init__(self, position: tuple) -> None:
+        super().__init__()
+        self.seek(position)
+        self.draws = array("H")
+
+    def bytes(self, count: int) -> bytes:
+        self.draws.append(count)
+        return self._draw(count)
+
+
+@functools.lru_cache(maxsize=KEYGEN_MEMO_SIZE)
+def _recorded_keygen(bits: int, position: tuple) -> tuple:
+    """The key pair grown from ``position``, each draw's size and the end
+    position, computed once per ``(bits, position)``."""
+    log = _DrawLog(position)
     while True:
-        p = _generate_prime(bits // 2, rng)
-        q = _generate_prime(bits - bits // 2, rng)
+        p = _generate_prime(bits // 2, log)
+        q = _generate_prime(bits - bits // 2, log)
         if p == q:
             continue
         n = p * q
@@ -268,4 +290,23 @@ def generate_keypair(bits: int, rng: RandomSource) -> RsaKeyPair:
         except ValueError:
             continue  # e not invertible; pick new primes
         public = RsaPublicKey(n=n, e=PUBLIC_EXPONENT, bits=bits)
-        return RsaKeyPair(public=public, d=d, p=p, q=q)
+        pair = RsaKeyPair(public=public, d=d, p=p, q=q)
+        return pair, log.draws, log.position()
+
+
+def generate_keypair(bits: int, rng: RandomSource) -> RsaKeyPair:
+    """Generate an RSA key pair of ``bits`` modulus bits.
+
+    ``bits`` ≥ 512; tests use small keys for host speed, while virtual-time
+    cost is charged for the declared size class regardless.
+    """
+    if bits < 512:
+        raise CryptoError(f"refusing to generate RSA keys under 512 bits ({bits})")
+    if bits % 2 != 0:
+        raise CryptoError(f"key size must be even, got {bits}")
+    pair, draws, end = _recorded_keygen(bits, rng.position())
+    charge("rsa.keygen.2048")
+    for count in draws:
+        charge("rng.bytes", count)
+    rng.seek(end, sum(draws))
+    return pair

@@ -5,6 +5,8 @@ One ``seal``, one ``unseal`` and one authorized ``nv_read`` on a fresh
 improved platform are pinned here: per-operation call counts and costs,
 a digest of the ordered ``(op, cost)`` stream, and the clock's final
 value, all recorded from the code before those kernels were rewritten.
+One RSA key generation is pinned the same way, recorded before keygen was
+memoized, both on a memo miss and on the hit that repeats it.
 """
 
 import hashlib
@@ -12,6 +14,8 @@ import hashlib
 import pytest
 
 from repro.core.config import AccessMode
+from repro.crypto.random_source import RandomSource
+from repro.crypto.rsa import _recorded_keygen, generate_keypair
 from repro.harness.builder import build_platform, fresh_timing_context
 from repro.sim.timing import CostLedger, ledger_scope
 from repro.tpm.constants import TPM_KH_SRK
@@ -136,3 +140,34 @@ def test_clock_ends_on_the_recorded_float(ledgers):
     before, after, _ = ledgers
     assert before == CLOCK_BEFORE_US
     assert after == CLOCK_AFTER_US
+
+
+KEYGEN_CALLS = {"rsa.keygen.2048": 1, "rng.bytes": 151}
+KEYGEN_COST_BY_OP = {"rsa.keygen.2048": 165000.0, "rng.bytes": 332.1999999999991}
+KEYGEN_STREAM_DIGEST = "e2fcae216d0cffcf"
+KEYGEN_CLOCK_AFTER_US = 165333.05000000176
+KEYGEN_BYTES_GENERATED = 4837
+KEYGEN_NEXT_BYTES = "2b2c17405147bf0f"
+
+
+def _pinned_keygen():
+    ctx = fresh_timing_context()
+    rng = RandomSource(b"keygen-pin")
+    rng.bytes(5)  # start mid-block, with a partial pool
+    with ledger_scope(OrderedLedger()) as ledger:
+        generate_keypair(512, rng)
+    digest = hashlib.sha256("\n".join(ledger.stream).encode()).hexdigest()[:16]
+    return ledger, digest, ctx.clock.now_us, rng
+
+
+def test_keygen_miss_and_hit_match_the_recorded_stream():
+    _recorded_keygen.cache_clear()
+    for expected_hits in (0, 1):
+        ledger, digest, clock, rng = _pinned_keygen()
+        assert _recorded_keygen.cache_info().hits == expected_hits
+        assert ledger.calls == KEYGEN_CALLS
+        assert ledger.cost_by_op == KEYGEN_COST_BY_OP
+        assert digest == KEYGEN_STREAM_DIGEST
+        assert clock == KEYGEN_CLOCK_AFTER_US
+        assert rng.bytes_generated == KEYGEN_BYTES_GENERATED
+        assert rng.bytes(8).hex() == KEYGEN_NEXT_BYTES

@@ -227,6 +227,31 @@ def test_rule_writes_on_a_hot_cache(actions, seed):
     _assert_equal(cached, uncached)
 
 
+#: :func:`test_identity_writes_on_a_hot_cache`: a grant after a patched
+#: re-registration lets the new identity warm the cache again
+_IDENTITY_ACTION = st.one_of(
+    st.tuples(st.just("forget"), st.just(0)),
+    st.tuples(st.just("reregister"), st.just(0), st.booleans()),
+    st.tuples(st.just("grant"), st.just(0)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_IDENTITY_ACTION, min_size=2, max_size=12), st.integers(0, 2**16))
+def test_identity_writes_on_a_hot_cache(actions, seed):
+    """One guest, a read before and after every identity write: each
+    forget or re-registration meets a hot cache, and a write that fails to
+    drop the caller's cached allow shows on the very next read."""
+    cached = _World(cache_on=True, seed=seed, names=_GUEST_NAMES[:1])
+    uncached = _World(cache_on=False, seed=seed, names=_GUEST_NAMES[:1])
+    for action in actions:
+        for world in (cached, uncached):
+            world.apply(("cmd", 0, 0, 0))
+            world.apply(action)
+            world.apply(("cmd", 0, 0, 0))
+    _assert_equal(cached, uncached)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**16))
 def test_hot_cache_diff_on_pure_command_streams(seed):

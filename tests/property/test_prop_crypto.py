@@ -9,8 +9,22 @@ from hypothesis import strategies as st
 from repro.crypto.hmac_util import mac
 from repro.crypto.kdf import derive_key
 from repro.crypto.random_source import RandomSource
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import (
+    PUBLIC_EXPONENT,
+    RsaKeyPair,
+    RsaPublicKey,
+    _generate_prime,
+    _recorded_keygen,
+    generate_keypair,
+)
 from repro.crypto.symmetric import SymmetricKey
+from repro.sim.timing import (
+    CostLedger,
+    TimingContext,
+    charge,
+    context_scope,
+    ledger_scope,
+)
 from repro.util.errors import CryptoError
 
 # One key pair for the whole module: keygen is the expensive part and the
@@ -110,3 +124,72 @@ def test_shuffle_is_permutation(seed, items):
        st.sampled_from(["sha1", "sha256"]))
 def test_mac_equals_stdlib_hmac(key, data, name):
     assert mac(key, data, name) == hmac.digest(key, data, name)
+
+
+def _reference_keygen(bits, rng):
+    """The generator before keygen was memoized: it charges each draw as it
+    makes it, straight through ``rng``."""
+    charge("rsa.keygen.2048")
+    while True:
+        p = _generate_prime(bits // 2, rng)
+        q = _generate_prime(bits - bits // 2, rng)
+        if p == q:
+            continue
+        n = p * q
+        if n.bit_length() != bits:
+            continue
+        phi = (p - 1) * (q - 1)
+        try:
+            d = pow(PUBLIC_EXPONENT, -1, phi)
+        except ValueError:
+            continue
+        public = RsaPublicKey(n=n, e=PUBLIC_EXPONENT, bits=bits)
+        return RsaKeyPair(public=public, d=d, p=p, q=q)
+
+
+class _OrderedLedger(CostLedger):
+    def __init__(self):
+        super().__init__()
+        self.stream = []
+
+    def record(self, op, cost_us):
+        super().record(op, cost_us)
+        self.stream.append((op, cost_us))
+
+
+def _observe(keygen, seed, predrawn):
+    """Everything a keygen call can show: the pair, the charges in order,
+    the clock delta and the RNG's continuation."""
+    ctx = TimingContext()
+    with context_scope(ctx):
+        rng = RandomSource(seed)
+        rng.bytes(predrawn)
+        before = ctx.clock.now_us
+        with ledger_scope(_OrderedLedger()) as ledger:
+            pair = keygen(512, rng)
+        delta = ctx.clock.now_us - before
+    return {
+        "pair": pair,
+        "stream": ledger.stream,
+        "calls": ledger.calls,
+        "cost_by_op": ledger.cost_by_op,
+        "total_us": ledger.total_us,
+        "delta": delta,
+        "bytes_generated": rng.bytes_generated,
+        "next": rng.bytes(64),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_keygen_memo_hit_equals_miss_equals_reference(seed, predrawn):
+    """A memo miss and the hit that repeats it are both indistinguishable
+    from the unmemoized generator."""
+    _recorded_keygen.cache_clear()
+    miss = _observe(generate_keypair, seed, predrawn)
+    hits = _recorded_keygen.cache_info().hits
+    hit = _observe(generate_keypair, seed, predrawn)
+    assert _recorded_keygen.cache_info().hits == hits + 1
+    reference = _observe(_reference_keygen, seed, predrawn)
+    assert miss == reference
+    assert hit == reference

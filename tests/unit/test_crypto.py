@@ -6,7 +6,12 @@ from repro.crypto.hashes import sha1, sha256
 from repro.crypto.hmac_util import constant_time_equal, hmac_sha1, hmac_sha256
 from repro.crypto.kdf import derive_key
 from repro.crypto.random_source import RandomSource
-from repro.crypto.rsa import RsaKeyPair, generate_keypair
+from repro.crypto.rsa import (
+    KEYGEN_MEMO_SIZE,
+    RsaKeyPair,
+    _recorded_keygen,
+    generate_keypair,
+)
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
 from repro.util.errors import CryptoError
 
@@ -160,17 +165,25 @@ class TestRsa:
         assert keypair.public.verify_sha1(digest, restored.sign_sha1(digest))
 
     def test_keygen_deterministic(self):
+        _recorded_keygen.cache_clear()
         a = generate_keypair(512, RandomSource(b"det"))
+        _recorded_keygen.cache_clear()
         b = generate_keypair(512, RandomSource(b"det"))
         assert a.public.n == b.public.n
 
     def test_keygen_rejects_tiny_keys(self):
+        # A memo entry for the very same input must not bypass the check.
+        _recorded_keygen(256, RandomSource(b"x").position())
         with pytest.raises(CryptoError):
             generate_keypair(256, RandomSource(b"x"))
 
     def test_keygen_rejects_odd_bits(self):
+        _recorded_keygen(513, RandomSource(b"x").position())
         with pytest.raises(CryptoError):
             generate_keypair(513, RandomSource(b"x"))
+
+    def test_keygen_memo_is_bounded(self):
+        assert _recorded_keygen.cache_info().maxsize == KEYGEN_MEMO_SIZE
 
     def test_modulus_has_declared_bits(self, keypair):
         assert keypair.public.n.bit_length() == 512
