@@ -735,9 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "violation reproduces")
     p_verify.add_argument("--inject-bug", choices=["cache-epoch"],
                           default=None,
-                          help="self-check: plant a stale-cache-epoch authz "
-                               "bug behind the test-only hook and require "
-                               "the explorer to catch and shrink it")
+                          help="self-check: plant an authz bug behind the "
+                               "test-only hook (a rule write that drops no "
+                               "cached decision) and require the explorer "
+                               "to catch and shrink it")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_analyze = sub.add_parser(

@@ -16,14 +16,18 @@ current head; a reader re-derives any other entry's hash from the nearest
 checkpoint below it.  An entry costs about 14 bytes: an id, a timestamp and
 a sixteenth of a hash.
 
-:meth:`AuditLog.append_buffered` encodes an entry and charges the modeled
-``ac.audit.append`` cost at append time, but the SHA-256 link is deferred:
-the encoded bytes wait until the chain is next read, or until
-``_CHAIN_BATCH`` of them are buffered, and are then hashed in one tight
-loop and dropped.  The final chain hash is identical to eager chaining —
-the encoded bytes and their order are fixed at append time.
-:class:`AuditRecord` objects are built only for the readers that return
-them; chaining and verification never build one.
+:meth:`AuditLog.intern` gives a decision its table id, encoding a new
+id's :func:`encode_suffix` once; :meth:`AuditLog.append_id` puts the
+entry's ``sequence|timestamp`` in front of that suffix (the bytes of
+:func:`encode_entry`) and charges the modeled ``ac.audit.append`` cost, so
+a caller that keeps an id (the monitor's cached allows) appends by it.
+Readers and verification re-encode from the table, never from a suffix.
+The SHA-256 link is deferred: the encoded bytes wait until the chain is
+next read, or until ``_CHAIN_BATCH`` of them are buffered, and are then
+hashed in one tight loop and dropped.  The final chain hash is identical
+to eager chaining — the encoded bytes and their order are fixed at append
+time.  :class:`AuditRecord` objects are built only for the readers that
+return them; chaining and verification never build one.
 """
 
 from __future__ import annotations
@@ -48,6 +52,22 @@ _CHAIN_BATCH = 4096
 _CHECKPOINT = 16
 #: instance types whose equal values always encode to the same text
 _EXACT_TYPES = (int, str)
+#: an entry's ``sequence|timestamp`` prefix, which its suffix follows
+_STAMP = b"%d|%.3f"
+
+
+def encode_suffix(
+    subject: str,
+    instance: object,
+    operation: str,
+    allowed: bool,
+    reason: str,
+) -> bytes:
+    """The bytes of an entry after its sequence number and timestamp."""
+    return (
+        f"|{subject}|{instance}|{operation}|"
+        f"{'ALLOW' if allowed else 'DENY'}|{reason}"
+    ).encode("utf-8")
 
 
 def encode_entry(
@@ -60,10 +80,9 @@ def encode_entry(
     reason: str,
 ) -> bytes:
     """The bytes one entry contributes to the chain."""
-    return (
-        f"{sequence}|{timestamp_us:.3f}|{subject}|{instance}|{operation}|"
-        f"{'ALLOW' if allowed else 'DENY'}|{reason}"
-    ).encode("utf-8")
+    return _STAMP % (sequence, timestamp_us) + encode_suffix(
+        subject, instance, operation, allowed, reason
+    )
 
 
 def encode_decision(
@@ -80,10 +99,9 @@ def encode_decision(
     same decisions (e.g. authz cache on vs off) agree on this encoding
     while their full chains legitimately differ.
     """
-    return (
-        f"{sequence}|{subject}|{instance}|{operation}|"
-        f"{'ALLOW' if allowed else 'DENY'}|{reason}"
-    ).encode("utf-8")
+    return b"%d" % sequence + encode_suffix(
+        subject, instance, operation, allowed, reason
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +127,16 @@ class AuditRecord:
 class AuditLog:
     """The manager's append-only decision log."""
 
-    __slots__ = ("_index", "_table", "_ids", "_times", "_checkpoints",
-                 "_head", "_unchained")
+    __slots__ = ("_index", "_table", "_suffixes", "_ids", "_times",
+                 "_checkpoints", "_head", "_unchained")
 
     def __init__(self) -> None:
         #: each shared decision tuple, mapped to its id
         self._index: Dict[tuple, int] = {}
         #: the decision tuples, indexed by id
         self._table: List[tuple] = []
+        #: each id's :func:`encode_suffix`, encoded when it was interned
+        self._suffixes: List[bytes] = []
         #: each entry's decision id; its sequence number is its index
         self._ids = array("I")
         #: each entry's virtual timestamp (us)
@@ -131,6 +151,61 @@ class AuditLog:
 
     # -- the write path ----------------------------------------------------------
 
+    def intern(
+        self,
+        subject: str,
+        instance: object,
+        operation: str,
+        allowed: bool,
+        reason: str,
+    ) -> int:
+        """The table id of a decision, added (with its encoded suffix) if
+        new.  Appends no entry and charges nothing.
+
+        Interning is exact: a table tuple is shared only when it encodes
+        like the new fields.  ``1``, ``1.0`` and ``True`` compare equal, so
+        a hit is reused only if its ``allowed`` is the very object passed
+        and its instance is too, or is an equal ``int`` or ``str``;
+        otherwise the decision gets a table tuple of its own.  Subject,
+        operation and reason are ``str``, whose equal values encode the
+        same.
+        """
+        fields = (subject, instance, operation, allowed, reason)
+        table = self._table
+        ident = self._index.get(fields)
+        if ident is not None:
+            kind = table[ident]
+            if kind[3] is allowed and (
+                kind[1] is instance
+                or (type(kind[1]) is type(instance)
+                    and type(instance) in _EXACT_TYPES)
+            ):
+                return ident
+        else:
+            self._index[fields] = len(table)
+        table.append(fields)
+        self._suffixes.append(encode_suffix(*fields))
+        return len(table) - 1
+
+    def append_id(self, ident: int) -> None:
+        """Record the decision ``ident`` (from :meth:`intern`) without
+        extending the hash chain yet.
+
+        The encoded bytes (and therefore the eventual chain hash) are fully
+        determined here; the SHA-256 work waits for the next read or a full
+        batch.
+        """
+        ids = self._ids
+        timestamp_us = _timing._current_context.clock._now_us
+        encoded = _STAMP % (len(ids), timestamp_us) + self._suffixes[ident]
+        charge("ac.audit.append", len(encoded))
+        ids.append(ident)
+        self._times.append(timestamp_us)
+        unchained = self._unchained
+        unchained.append(encoded)
+        if len(unchained) >= _CHAIN_BATCH:
+            self.chain_head()
+
     def append_buffered(
         self,
         subject: str,
@@ -139,48 +214,11 @@ class AuditLog:
         allowed: bool,
         reason: str,
     ) -> None:
-        """Record a decision without extending the hash chain yet.
-
-        The encoded bytes (and therefore the eventual chain hash) are fully
-        determined here; the SHA-256 work waits for the next read or a full
-        batch.
-
-        Interning is exact: a table tuple is shared only when it encodes
-        like the new fields.  ``1``, ``1.0`` and ``True`` compare equal, so
-        a hit is reused only if its ``allowed`` is the very object passed
-        and its instance is too, or is an equal ``int`` or ``str``;
-        otherwise the entry gets a table tuple of its own.  Subject,
-        operation and reason are ``str``, whose equal values encode the
-        same.
-        """
-        ids = self._ids
-        timestamp_us = _timing._current_context.clock._now_us
-        encoded = encode_entry(
-            len(ids), timestamp_us, subject, instance, operation,
-            allowed, reason,
+        """Record a decision given by its fields: :meth:`append_id` of its
+        :meth:`intern` id."""
+        self.append_id(
+            self.intern(subject, instance, operation, allowed, reason)
         )
-        charge("ac.audit.append", len(encoded))
-        fields = (subject, instance, operation, allowed, reason)
-        table = self._table
-        ident = self._index.get(fields)
-        if ident is None:
-            ident = self._index[fields] = len(table)
-            table.append(fields)
-        else:
-            kind = table[ident]
-            if not (kind[3] is allowed and (
-                kind[1] is instance
-                or (type(kind[1]) is type(instance)
-                    and type(instance) in _EXACT_TYPES)
-            )):
-                ident = len(table)
-                table.append(fields)
-        ids.append(ident)
-        self._times.append(timestamp_us)
-        unchained = self._unchained
-        unchained.append(encoded)
-        if len(unchained) >= _CHAIN_BATCH:
-            self.chain_head()
 
     def append(
         self,

@@ -188,8 +188,8 @@ class AccessControlMonitor(Monitor):
         self.denials = 0
         # -- decision cache ------------------------------------------------
         #: (domid, live measurement, instance, class value) ->
-        #: (subject, rule id)
-        self._cache: Dict[Tuple, Tuple[str, Optional[int]]] = {}
+        #: (subject, rule id, {operation: audit id of its allow})
+        self._cache: Dict[Tuple, Tuple[str, Optional[int], Dict[str, int]]] = {}
         #: rule id -> its allow record's reason text, so every record of
         #: one rule shares one string (a revoked rule's text is dropped)
         self._allow_texts: Dict[Optional[int], str] = {None: "unchecked"}
@@ -217,7 +217,7 @@ class AccessControlMonitor(Monitor):
         )
         cache = self._cache
         for key in [
-            key for key, (cached_subject, _) in cache.items()
+            key for key, (cached_subject, _, _) in cache.items()
             if key[3] == cls
             and (instance == ANY or key[2] == instance)
             and (subject == ANY or cached_subject == subject)
@@ -332,9 +332,10 @@ class AccessControlMonitor(Monitor):
                 charge("ac.policy.cache_hit")
                 if tracer is not None:
                     span.set("cache", "hit")
-                subject, rule_id = hit
+                subject, rule_id, audit_ids = hit
                 return self._allow(
-                    subject, instance_id, operation, rule_id, parsed, tracer,
+                    subject, instance_id, operation, rule_id, audit_ids,
+                    parsed, tracer,
                 )
             self.cache_misses += 1
             span.set("cache", "miss")
@@ -374,12 +375,14 @@ class AccessControlMonitor(Monitor):
 
         # Only allows are cached; denials always re-derive so a fixed
         # policy or repaired identity takes effect immediately.
+        audit_ids: Dict[str, int] = {}
         if cache_key is not None:
-            self._cache[cache_key] = (subject, rule_id)
+            self._cache[cache_key] = (subject, rule_id, audit_ids)
 
         # 3. audit the allow
         return self._allow(
-            subject, instance_id, operation, rule_id, parsed, tracer
+            subject, instance_id, operation, rule_id, audit_ids, parsed,
+            tracer,
         )
 
     def on_fault(self, instance_id: int, exc: Exception) -> None:
@@ -410,23 +413,31 @@ class AccessControlMonitor(Monitor):
 
     def _allow(
         self, subject: str, instance_id: int, operation: str,
-        rule_id: Optional[int], parsed: ParsedCommand, tracer,
+        rule_id: Optional[int], audit_ids: Dict[str, int],
+        parsed: ParsedCommand, tracer,
     ) -> AuthorizationResult:
         """Audit an allow as ``granted:<rule id>`` (or ``unchecked`` when
-        no policy rule was consulted)."""
+        no policy rule was consulted).
+
+        ``audit_ids`` maps an operation to its allow's audit id (a cached
+        decision's map, so a hit appends by id).  Instance ids are
+        ``int``, so a kept id records the instance as its fields would.
+        """
         if self.config.audit:
-            text = self._allow_texts.get(rule_id)
-            if text is None:
-                text = self._allow_texts[rule_id] = f"granted:{rule_id}"
-            if tracer is None:
-                self.audit.append_buffered(
+            audit = self.audit
+            ident = audit_ids.get(operation)
+            if ident is None:
+                text = self._allow_texts.get(rule_id)
+                if text is None:
+                    text = self._allow_texts[rule_id] = f"granted:{rule_id}"
+                ident = audit_ids[operation] = audit.intern(
                     subject, instance_id, operation, True, text
                 )
+            if tracer is None:
+                audit.append_id(ident)
             else:
                 with tracer.start_span("audit"):
-                    self.audit.append_buffered(
-                        subject, instance_id, operation, True, text
-                    )
+                    audit.append_id(ident)
         return AuthorizationResult(
             Reason.UNCHECKED if rule_id is None else Reason.GRANTED, parsed
         )

@@ -219,11 +219,11 @@ class VtpmManager:
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
         caller, registers, scrub = self._notify_context(caller_domid)
-        # The injector cannot be (un)installed mid-notify — the ring is
-        # serviced synchronously — so one check covers the whole batch.
-        # Without an injector, _dispatch_frame can never raise an injected
-        # fault and the retry envelope is pure overhead.
-        retrying = _injector._current_injector is not None
+        # Neither a tracer nor the injector can be (un)installed mid-notify
+        # — the ring is serviced synchronously — so one check covers the
+        # whole batch.  Without either, a frame needs no span and can never
+        # raise an injected fault, so it skips the envelope.
+        enveloped = tracer is not None or _injector._current_injector is not None
         clock = None if observe is None else _timing._current_context.clock
         responses = []
         outcomes = []
@@ -231,26 +231,16 @@ class VtpmManager:
             for wire in wires:
                 if clock is not None:
                     start_us = clock._now_us
-                exhausted = None
-                with (NULL_SPAN if tracer is None else tracer.start_span(
-                    "manager.dispatch", {"instance": instance_id}
-                )):
-                    if not retrying:
-                        response = self._dispatch_frame(
-                            caller, registers, scrub, instance_id, wire,
-                            locality,
-                        )
-                    else:
-                        try:
-                            response = with_retry(
-                                self._dispatch_frame, caller, registers,
-                                scrub, instance_id, wire, locality,
-                                site="vtpm.backend.forward",
-                                jitter_token=instance_id,
-                            )
-                        except RetryExhausted as exc:
-                            exhausted = exc
-                            response = self.fault_response(instance_id, exc)
+                if not enveloped:
+                    response = self._dispatch_frame(
+                        caller, registers, scrub, instance_id, wire, locality,
+                    )
+                    exhausted = None
+                else:
+                    response, exhausted = self._dispatch_enveloped(
+                        tracer, caller, registers, scrub, instance_id, wire,
+                        locality,
+                    )
                 responses.append(response)
                 if clock is not None:
                     outcomes.append(
@@ -261,6 +251,28 @@ class VtpmManager:
         if clock is not None:
             observe(outcomes)
         return responses
+
+    def _dispatch_enveloped(
+        self, tracer, caller: Domain, registers: dict, scrub: bool,
+        instance_id: int, wire: bytes, locality: int,
+    ):
+        """``(response, exhausted)`` of one frame inside its span and retry
+        envelope; an exhausted frame degrades to a fault response."""
+        with (NULL_SPAN if tracer is None else tracer.start_span(
+            "manager.dispatch", {"instance": instance_id}
+        )):
+            if _injector._current_injector is None:
+                return self._dispatch_frame(
+                    caller, registers, scrub, instance_id, wire, locality,
+                ), None
+            try:
+                return with_retry(
+                    self._dispatch_frame, caller, registers, scrub,
+                    instance_id, wire, locality,
+                    site="vtpm.backend.forward", jitter_token=instance_id,
+                ), None
+            except RetryExhausted as exc:
+                return self.fault_response(instance_id, exc), exc
 
     def _flush_image(self, instance_id: int, tracer) -> None:
         """Apply the notify's strongest image effect to the instance's
@@ -302,9 +314,9 @@ class VtpmManager:
         while the command runs, and are zeroed after it when ``scrub``.
         """
         self.commands_dispatched += 1
-        try:
-            instance = self.instance(instance_id)
-        except VtpmError:
+        charge("vtpm.instance.lookup")
+        instance = self._instances.get(instance_id)
+        if instance is None:
             # A backend pointed at no instance: a denial like any other.
             self.commands_denied += 1
             _VTPM_UNKNOWN_INSTANCE.inc()

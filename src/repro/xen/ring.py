@@ -21,7 +21,7 @@ command is still individually authorized.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.faults import FaultKind, fire, with_retry
 from repro.faults import injector as _injector
@@ -42,6 +42,7 @@ STATUS_BATCH = 3
 STATUS_BATCH_RESPONSE = 4
 
 _HEADER = struct.Struct(">II")
+_WORD = struct.Struct(">I")
 MAX_PAYLOAD = PAGE_SIZE - _HEADER.size
 
 #: how many times tpmfront re-kicks a silent back-end before giving up
@@ -56,11 +57,29 @@ Admission = Callable[[list], list]
 
 def _pack_vector(status: int, frames: list) -> bytes:
     """Serialize a frame vector into the batched page layout."""
-    buf = bytearray(_HEADER.pack(status, len(frames)))
+    parts = [_HEADER.pack(status, len(frames))]
     for frame in frames:
-        buf += len(frame).to_bytes(4, "big")
-        buf += frame
-    return bytes(buf)
+        parts += (_WORD.pack(len(frame)), frame)
+    return b"".join(parts)
+
+
+def _unpack_vector(page: bytes, count: int) -> Tuple[list, int]:
+    """The ``count`` frames of a batched page and the offset just past the
+    last one; a length word or frame that overruns the page raises
+    :class:`RingError`."""
+    frames = []
+    offset = _HEADER.size
+    end = len(page)
+    for _ in range(count):
+        if offset + 4 > end:
+            raise RingError("batch vector overruns the page")
+        [length] = _WORD.unpack_from(page, offset)
+        offset += 4
+        if offset + length > end:
+            raise RingError("batched frame overruns the page")
+        frames.append(page[offset : offset + length])
+        offset += length
+    return frames, offset
 
 
 def max_batch_frames(frame_size: int) -> int:
@@ -193,51 +212,45 @@ class TpmRing:
         page = self._memory.read(
             self.back_domid, self._mapped_frame, 0, PAGE_SIZE
         )
-        commands = []
-        offset = _HEADER.size
-        for _ in range(count):
-            if offset + 4 > PAGE_SIZE:
-                raise RingError("batch vector overruns the page")
-            length = int.from_bytes(page[offset : offset + 4], "big")
-            offset += 4
-            if offset + length > PAGE_SIZE:
-                raise RingError("batched command overruns the page")
-            commands.append(page[offset : offset + length])
-            offset += length
+        commands, offset = _unpack_vector(page, count)
         charge("xen.ring.transfer", offset - _HEADER.size)
         verdicts = (
-            self._admission(commands)
-            if self._admission is not None
-            else [None] * count
+            None if self._admission is None else self._admission(commands)
         )
-        admitted = [c for c, v in zip(commands, verdicts) if v is None]
-        shed = count - len(admitted)
-        if shed:
-            _RING_SHED.add(shed)
-        if not admitted:
-            executed = []
-        elif self._batch_backend is not None:
-            executed = self._batch_backend(admitted)
+        shed = 0 if verdicts is None else count - verdicts.count(None)
+        if not shed:
+            responses = self._execute(commands)
         else:
-            executed = [self._backend(command) for command in admitted]
-        if len(executed) != len(admitted):
-            raise RingError(
-                f"back-end answered {len(executed)} frames for "
-                f"{len(admitted)} admitted"
-            )
-        # Re-merge in submission order: every frame — admitted or shed —
-        # gets exactly one response slot.
-        executed = iter(executed)
-        responses = [
-            next(executed) if verdict is None else verdict
-            for verdict in verdicts
-        ]
+            _RING_SHED.add(shed)
+            admitted = [c for c, v in zip(commands, verdicts) if v is None]
+            executed = iter(self._execute(admitted))
+            # Re-merge in submission order: every frame — admitted or
+            # shed — gets exactly one response slot.
+            responses = [
+                next(executed) if verdict is None else verdict
+                for verdict in verdicts
+            ]
         reply = _pack_vector(STATUS_BATCH_RESPONSE, responses)
         if len(reply) > PAGE_SIZE:
             raise RingError("batched responses exceed the page window")
         charge("xen.ring.transfer", len(reply) - _HEADER.size)
         self._memory.write(self.back_domid, self._mapped_frame, 0, reply)
         self._events.notify(self.port, self.back_domid)
+
+    def _execute(self, commands: list) -> list:
+        """The back-end's responses to ``commands``, one per frame."""
+        if not commands:
+            return []
+        if self._batch_backend is not None:
+            executed = self._batch_backend(commands)
+        else:
+            executed = [self._backend(command) for command in commands]
+        if len(executed) != len(commands):
+            raise RingError(
+                f"back-end answered {len(executed)} frames for "
+                f"{len(commands)} admitted"
+            )
+        return executed
 
     # -- front-end side ------------------------------------------------------------
 
@@ -311,7 +324,7 @@ class TpmRing:
         if not self._response_ready:
             raise RingError("back-end did not produce a response")
         page = self._memory.read(self.front_domid, self.frame, 0, PAGE_SIZE)
-        status, count = _HEADER.unpack(page[: _HEADER.size])
+        status, count = _HEADER.unpack_from(page)
         if status != STATUS_BATCH_RESPONSE:
             raise RingError(
                 f"front-end woke with status {status}, not BATCH_RESPONSE"
@@ -320,15 +333,7 @@ class TpmRing:
             raise RingError(
                 f"back-end answered {count} frames for a batch of {len(commands)}"
             )
-        responses = []
-        offset = _HEADER.size
-        for _ in range(count):
-            length = int.from_bytes(page[offset : offset + 4], "big")
-            offset += 4
-            if offset + length > PAGE_SIZE:
-                raise RingError("batched response overruns the page")
-            responses.append(page[offset : offset + length])
-            offset += length
+        responses, _ = _unpack_vector(page, count)
         self.commands_carried += count
         return responses
 

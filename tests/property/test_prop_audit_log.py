@@ -12,7 +12,12 @@ reader, ``len``, ``chain_head``, ``decision_chain_hash`` and
 ``verify_chain`` must agree.  ``1``, ``True`` and ``1.0`` are all instances, so a field tuple
 shared between entries that encode differently shows up as a difference.
 The tamper scenarios then check that both ``verify_chain`` and
-``AuditAnchor.verify`` catch what they caught before.
+``AuditAnchor.verify`` catch what they caught before.  Last, the two-call
+write path (``intern`` then ``append_id``, with the caller keeping ids the
+way the monitor's cached allows do) must append the same bytes, charge
+the same cost and read back the same as ``append_buffered`` and the
+reference, and a table tuple edited after its entries were appended must
+fail ``verify_chain``.
 """
 
 from __future__ import annotations
@@ -408,3 +413,96 @@ def test_tampering_is_caught(entries, scenario, chained, checkpoint, data):
     else:
         assert intact == [False, False]
         assert "chain broken" in reason
+
+
+# -- the two-call write path ----------------------------------------------------------
+
+#: ``1``, ``1.0`` and ``True`` encode differently but compare equal, as do
+#: the verdicts ``True`` and ``1``; ``"1"`` is a ``str`` beside the ints
+DECISIONS = st.tuples(
+    st.sampled_from(SUBJECTS),
+    st.sampled_from([1, 1.0, True, 2, "1", "vtpm-2"]),
+    st.sampled_from(["TPM_Extend", "TPM_PCRRead"]),
+    st.sampled_from([True, False, 1, 0]),
+    st.sampled_from(["granted:r1", "no-grant", "a|b"]),
+)
+#: (decision, virtual us before it, whether the caller re-interns it
+#: rather than reusing the id it kept)
+WRITES = st.lists(
+    st.tuples(DECISIONS, st.floats(0.0, 5_000.0), st.booleans()),
+    max_size=50,
+)
+
+
+def _typed(fields: tuple) -> tuple:
+    return fields, tuple(type(field) for field in fields)
+
+
+def _write(log, writes) -> tuple:
+    """Append ``writes`` on a fresh clock, by fields or (for ``by_id``) by
+    interned id; returns the encoded entries and the final clock."""
+    ctx = TimingContext(model=CostModel(), clock=VirtualClock())
+    kept = {}
+    with context_scope(ctx):
+        for fields_, advance, reintern in writes:
+            ctx.clock.advance(advance)
+            if isinstance(log, AuditLog):
+                log.append_buffered(*fields_)
+                continue
+            key = _typed(fields_)
+            ident = kept.get(key)
+            if ident is None or reintern:
+                ident = kept[key] = log.intern(*fields_)
+            log.append_id(ident)
+        encoded = (
+            [pending[7] for pending in log._pending]
+            if isinstance(log, AuditLog) else list(log._unchained)
+        )
+        return encoded, ctx.clock.now_us
+
+
+def _observe(log) -> tuple:
+    return (
+        [_fields(r) for r in log.records()], log.chain_head(),
+        log.decision_chain_hash(), log.verify_chain(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(WRITES, CHECKPOINTS)
+def test_intern_and_append_id_match_append_buffered(writes, checkpoint):
+    by_fields, by_id, reference = audit.AuditLog(), audit.AuditLog(), AuditLog()
+    with mock.patch.object(audit, "_CHECKPOINT", checkpoint):
+        # every entry stays buffered, so the encoded bytes can be compared
+        assert len(writes) < audit._CHAIN_BATCH
+        written = [_write(log, writes) for log in (by_fields, by_id, reference)]
+        assert written[0] == written[1] == written[2]
+        seen = [_observe(log) for log in (by_fields, by_id, reference)]
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[1][3] is True
+
+
+def _retyped(fields: tuple) -> tuple:
+    """``fields`` with a change that alters its encoding."""
+    subject, instance, operation, allowed, reason = fields
+    if isinstance(instance, bool):
+        return (subject, int(instance) + 1, operation, allowed, reason)
+    if isinstance(instance, (int, float)):
+        return (subject, True, operation, allowed, reason)
+    return (subject, instance, operation, not allowed, reason)
+
+
+@settings(max_examples=60, deadline=None)
+@given(WRITES.filter(bool), st.booleans(), CHECKPOINTS, st.data())
+def test_a_table_edited_after_append_id_fails_verification(
+    writes, chained, checkpoint, data
+):
+    log = audit.AuditLog()
+    with mock.patch.object(audit, "_CHECKPOINT", checkpoint):
+        _write(log, writes)
+        if chained:
+            log.chain_head()
+        assert log.verify_chain()
+        ident = log._ids[data.draw(st.integers(0, len(log) - 1))]
+        log._table[ident] = _retyped(log._table[ident])
+        assert not log.verify_chain()

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.audit as audit_mod
 import repro.core.monitor as monitor_mod
 import repro.core.policy as policy_mod
 import repro.tpm.constants as constants_mod
+import repro.xen.ring as ring_mod
 from repro.core.config import AccessMode
 from repro.core.reason import Reason
 from repro.harness.builder import build_platform
@@ -92,6 +94,10 @@ class TestUnknownInstance:
         assert [_rc(r) for r in responses] == [TPM_AUTHFAIL] * 3
         assert manager.commands_denied == denied_before + 3
         assert registry.value("vtpm.unknown_instance") == 3
+
+    def test_lookup_of_a_missing_instance_raises(self, platform):
+        with pytest.raises(VtpmError, match="no vTPM instance 999"):
+            platform.manager.instance(999)
 
     def test_direct_command_for_unknown_instance_is_counted(
         self, platform, guest
@@ -248,6 +254,32 @@ class TestPerFrameWorkGuard:
         assert name.calls == 0
         assert clock_reads.calls == 0
 
+    def test_warm_notify_appends_by_audit_id(
+        self, platform, guest, monkeypatch
+    ):
+        """A cached allow keeps its audit id: no decision is interned and
+        no entry is encoded from its fields, yet every frame is logged."""
+        wire = _pcr_read_wire()
+        guest.frontend.transport_batch([wire] * self.FRAMES)  # warm
+        audit_before = len(platform.audit)
+
+        intern = _counted(audit_mod.AuditLog.intern)
+        monkeypatch.setattr(audit_mod.AuditLog, "intern", intern)
+        encode = _counted(audit_mod.encode_entry)
+        monkeypatch.setattr(audit_mod, "encode_entry", encode)
+        suffix = _counted(audit_mod.encode_suffix)
+        monkeypatch.setattr(audit_mod, "encode_suffix", suffix)
+
+        responses = guest.frontend.transport_batch([wire] * self.FRAMES)
+
+        assert [_rc(r) for r in responses] == [TPM_SUCCESS] * self.FRAMES
+        assert len(platform.audit) == audit_before + self.FRAMES
+        assert intern.calls == 0
+        assert encode.calls == 0
+        assert suffix.calls == 0
+        monkeypatch.undo()
+        assert platform.audit.verify_chain()
+
     def test_frame_and_batch_share_one_frame_function(
         self, platform, guest, monkeypatch
     ):
@@ -266,7 +298,87 @@ class TestPerFrameWorkGuard:
         assert frame.calls == 4
 
 
-# -- the test-only stale-epoch bug keeps its exact shape ---------------------------
+# -- the ring's shed handling ------------------------------------------------------
+
+
+class TestShedMerge:
+    """The back-end answers only admitted frames; the ring merges shed
+    verdicts back in, and skips the merge when nothing was shed."""
+
+    FRAMES = 6
+
+    def _spy(self, ring, monkeypatch):
+        """Record the frame lists the ring decodes, its back-end receives
+        and returns, and the response list the ring packs."""
+        seen = {"decoded": [], "received": [], "returned": [], "packed": []}
+        backend = ring._batch_backend
+
+        def batch_backend(wires):
+            seen["received"].append(wires)
+            seen["returned"].append(backend(wires))
+            return seen["returned"][-1]
+
+        monkeypatch.setattr(ring, "_batch_backend", batch_backend)
+        pack, unpack = ring_mod._pack_vector, ring_mod._unpack_vector
+
+        def packing(status, frames):
+            if status == ring_mod.STATUS_BATCH_RESPONSE:
+                seen["packed"].append(frames)
+            return pack(status, frames)
+
+        def unpacking(page, count):
+            frames, offset = unpack(page, count)
+            seen["decoded"].append(frames)
+            return frames, offset
+
+        monkeypatch.setattr(ring_mod, "_pack_vector", packing)
+        monkeypatch.setattr(ring_mod, "_unpack_vector", unpacking)
+        return seen
+
+    def _wires(self):
+        return [_pcr_read_wire(i % 4) for i in range(self.FRAMES)]
+
+    def test_all_admitted_passes_the_lists_through(
+        self, platform, guest, monkeypatch
+    ):
+        ring = guest.frontend.ring
+        ring.set_admission(lambda wires: [None] * len(wires))
+        seen = self._spy(ring, monkeypatch)
+        responses = guest.frontend.transport_batch(self._wires())
+        assert [_rc(r) for r in responses] == [TPM_SUCCESS] * self.FRAMES
+        [received], [returned], [packed] = (
+            seen["received"], seen["returned"], seen["packed"],
+        )
+        # the back-end got the decoded submission, and its answer was
+        # packed, each list as is
+        assert received is seen["decoded"][0]  # [1] is the front-end's
+        assert packed is returned
+        assert responses == returned
+
+    def test_partly_shed_answers_every_frame_in_order(
+        self, platform, guest, monkeypatch
+    ):
+        ring = guest.frontend.ring
+        shed = {1: b"shed-1", 4: b"shed-4", 5: b"shed-5"}
+        ring.set_admission(
+            lambda wires: [shed.get(i) for i in range(len(wires))]
+        )
+        seen = self._spy(ring, monkeypatch)
+        wires = self._wires()
+        responses = guest.frontend.transport_batch(wires)
+        [received], [returned] = seen["received"], seen["returned"]
+        assert received == [w for i, w in enumerate(wires) if i not in shed]
+        answers = iter(returned)
+        assert responses == [
+            shed[i] if i in shed else next(answers)
+            for i in range(self.FRAMES)
+        ]
+        assert [_rc(r) for i, r in enumerate(responses) if i not in shed] == (
+            [TPM_SUCCESS] * (self.FRAMES - len(shed))
+        )
+
+
+# -- the test-only stale-cache bug keeps its exact shape ---------------------------
 
 
 class TestInjectedStaleEpoch:
@@ -277,8 +389,10 @@ class TestInjectedStaleEpoch:
         wire = _pcr_read_wire()
         assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS  # hot
         platform.policy.revoke_subject(guest.domain.measurement.hex())
-        # The injected bug: the policy bump is ignored, the allow survives.
+        # The injected bug: the revoke drops no cached decision, so the
+        # allow survives.
         assert _rc(guest.frontend.transport(wire)) == TPM_SUCCESS
-        # Any other epoch component still flushes the cache.
+        # Only rule writes drop no cached decision; a whole-cache drop
+        # (as an identity write makes) still ends the allow.
         platform.monitor.invalidate_cache()
         assert _rc(guest.frontend.transport(wire)) == TPM_AUTHFAIL
