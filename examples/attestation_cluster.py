@@ -100,7 +100,7 @@ def main() -> None:
     bad_host = next(h for h in sorted(fleet.hosts) if h != stray_home)
     print(f"\ncompromising host {bad_host}: boot chain re-measured "
           "after enrolment")
-    fleet.hosts[bad_host].platform.hw_client.extend(
+    fleet.hosts[bad_host].platform.hw.client.extend(
         0, hashlib.sha1(b"evil-bootloader").digest()
     )
     try:

@@ -58,14 +58,14 @@ def main() -> None:
         cert,
         platform.certifier.aik_public,
         expected_identity_hex=identity.hex,
-        expected_platform_composite=platform.certifier.platform_composite(),
+        expected_platform_composite=platform.hw.composite(),
     )
     print(f"quote verifies: {quote_ok}; endorsement chain verifies: {chain_ok}")
     assert quote_ok and chain_ok
 
     # A firmware change breaks newly issued chains against the old reference.
-    reference = platform.certifier.platform_composite()
-    platform.hw_client.extend(1, hashlib.sha1(b"unsigned-firmware").digest())
+    reference = platform.hw.composite()
+    platform.hw.client.extend(1, hashlib.sha1(b"unsigned-firmware").digest())
     cert2 = platform.certifier.endorse(
         platform.manager, guest.domain.domid, guest.instance_id, vtpm_key
     )

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.attacks.memdump import secrets_found
 from repro.core.config import AccessMode
 from repro.core.sealing import StateSealer
-from repro.harness.builder import GuestHandle, Platform, SRK_AUTH
+from repro.harness.builder import GuestHandle, Platform
 from repro.tpm.state import TpmState
 from repro.util.errors import MarshalError, SealingError
 from repro.vtpm.migration import Migration, MigrationPackage
@@ -130,9 +130,7 @@ class ForeignRestoreAttack:
         )
         if sealed_root is None:
             return False, "state file is ciphertext and no sealed root exists"
-        foreign_sealer = StateSealer(
-            attacker.hw_client, SRK_AUTH, attacker.rng.fork("thief")
-        )
+        foreign_sealer = StateSealer(attacker.hw, attacker.rng.fork("thief"))
         try:
             foreign_sealer.unlock(sealed_root)
         except SealingError as exc:

@@ -14,11 +14,7 @@ fail-closed attestation handshake.
 integration suites exercise every piece in isolation.
 """
 
-from repro.cluster.attestation import (
-    AttestationReport,
-    measure_host,
-    verify_report,
-)
+from repro.cluster.attestation import AttestationReport, verify_report
 from repro.cluster.demo import (
     ClusterReport,
     ClusterScenario,
@@ -47,7 +43,6 @@ __all__ = [
     "PlacementScheduler",
     "build_fleet",
     "default_cluster_plan",
-    "measure_host",
     "storm_moves",
     "verify_report",
 ]

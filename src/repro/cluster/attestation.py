@@ -3,7 +3,7 @@
 Before a sealed vTPM export ever leaves a source host, the target must
 prove two things about itself:
 
-1. **Measured identity** — a digest over its hardware TPM's boot PCRs
+1. **Measured identity** — its hardware root's boot-PCR composite
    (the BIOS → bootloader → xen+dom0 chain measured at platform build).
    The fleet recorded this at enrolment; a host whose boot measurements
    moved since (compromised loader, different hypervisor) produces a
@@ -23,10 +23,8 @@ vouch for a later, different migration.  Verification failures raise
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-from repro.core.sealing import PLATFORM_PCRS
 from repro.obs import inc
 
 
@@ -36,16 +34,8 @@ class AttestationReport:
 
     host_id: str
     nonce: bytes
-    measured_identity: str  # hex digest over PLATFORM_PCRS
+    measured_identity: str  # hex of the hardware root's boot-PCR composite
     policy_epoch: int
-
-
-def measure_host(hw_client) -> str:
-    """Digest the host's boot-measurement PCR chain (live read)."""
-    h = hashlib.sha256()
-    for index in PLATFORM_PCRS:
-        h.update(hw_client.pcr_read(index))
-    return h.hexdigest()
 
 
 def verify_report(

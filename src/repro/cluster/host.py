@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Dict
 
-from repro.cluster.attestation import AttestationReport, measure_host
+from repro.cluster.attestation import AttestationReport
 from repro.obs import inc
 from repro.resilience.admission import AdmissionController
 from repro.resilience.health import HealthState
@@ -61,7 +61,7 @@ class Host:
         self.admission = AdmissionController(f"host:{host_id}")
         #: measured at enrolment; attestation re-reads the PCRs live, so
         #: a host whose boot chain moved after enrolment fails to verify
-        self.enrolled_identity = measure_host(platform.hw_client)
+        self.enrolled_identity = platform.hw.composite().hex()
 
     # -- signals the scheduler consumes --------------------------------------------
 
@@ -105,7 +105,7 @@ class Host:
         return AttestationReport(
             host_id=self.host_id,
             nonce=nonce,
-            measured_identity=measure_host(self.platform.hw_client),
+            measured_identity=self.platform.hw.composite().hex(),
             policy_epoch=self.policy_epoch,
         )
 

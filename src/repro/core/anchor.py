@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.audit import AuditLog
-from repro.tpm.client import TpmClient
+from repro.core.hwroot import HardwareRoot
 from repro.tpm.nvram import NV_PER_AUTHREAD, NV_PER_AUTHWRITE
 from repro.util.bytesio import ByteReader, ByteWriter
 from repro.util.errors import AccessControlError
@@ -60,20 +60,19 @@ class AuditAnchor:
 
     def __init__(
         self,
-        hw_client: TpmClient,
-        owner_auth: bytes,
+        hw: HardwareRoot,
         area_auth: bytes,
         counter_auth: bytes,
     ) -> None:
-        self._hw = hw_client
+        self._client = hw.client
         self._area_auth = area_auth
         self._counter_auth = counter_auth
-        hw_client.nv_define(
-            owner_auth, ANCHOR_NV_INDEX, ANCHOR_SIZE,
+        hw.nv_define(
+            ANCHOR_NV_INDEX, ANCHOR_SIZE,
             NV_PER_AUTHREAD | NV_PER_AUTHWRITE, area_auth,
         )
-        self._counter_handle, self._counter_base = hw_client.create_counter(
-            owner_auth, counter_auth, b"audt"
+        self._counter_handle, self._counter_base = hw.create_counter(
+            counter_auth, b"audt"
         )
         self.anchors_written = 0
 
@@ -83,13 +82,13 @@ class AuditAnchor:
         """Checkpoint the log's current head into hardware."""
         if len(log) == 0:
             raise AccessControlError("refusing to anchor an empty log")
-        value = self._hw.increment_counter(self._counter_auth, self._counter_handle)
+        value = self._client.increment_counter(self._counter_auth, self._counter_handle)
         anchor = Anchor(
             count=value - self._counter_base,
             sequence=len(log),
             chain_head=log.chain_head(),
         )
-        self._hw.nv_write(self._area_auth, ANCHOR_NV_INDEX, 0, anchor.serialize())
+        self._client.nv_write(self._area_auth, ANCHOR_NV_INDEX, 0, anchor.serialize())
         self.anchors_written += 1
         return anchor
 
@@ -97,7 +96,7 @@ class AuditAnchor:
 
     def read_anchor(self) -> Optional[Anchor]:
         """The latest hardware-held checkpoint (None before first anchor)."""
-        data = self._hw.nv_read(
+        data = self._client.nv_read(
             ANCHOR_NV_INDEX, 0, ANCHOR_SIZE, auth=self._area_auth
         )
         if data == b"\xff" * ANCHOR_SIZE:
@@ -106,7 +105,7 @@ class AuditAnchor:
 
     def counter_anchor_count(self) -> int:
         """How many anchors the hardware counter has witnessed."""
-        return self._hw.read_counter(self._counter_handle) - self._counter_base
+        return self._client.read_counter(self._counter_handle) - self._counter_base
 
     def verify(self, log: AuditLog) -> tuple[bool, str]:
         """Check a presented log against the hardware state.

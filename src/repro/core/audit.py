@@ -131,7 +131,8 @@ class AuditLog:
                  "_checkpoints", "_head", "_unchained")
 
     def __init__(self) -> None:
-        #: each shared decision tuple, mapped to its id
+        #: ``(decision tuple, instance type, allowed type)`` mapped to the
+        #: id of the latest tuple interned under it
         self._index: Dict[tuple, int] = {}
         #: the decision tuples, indexed by id
         self._table: List[tuple] = []
@@ -164,28 +165,27 @@ class AuditLog:
 
         Interning is exact: a table tuple is shared only when it encodes
         like the new fields.  ``1``, ``1.0`` and ``True`` compare equal, so
-        a hit is reused only if its ``allowed`` is the very object passed
-        and its instance is too, or is an equal ``int`` or ``str``;
-        otherwise the decision gets a table tuple of its own.  Subject,
-        operation and reason are ``str``, whose equal values encode the
-        same.
+        the index is keyed by the types of ``instance`` and ``allowed`` as
+        well, and a hit is reused only if its ``allowed`` is the very
+        object passed and its instance is too, or is an ``int`` or
+        ``str``; otherwise the decision gets a table tuple of its own,
+        which the index then names.  Subject, operation and reason are
+        ``str``, whose equal values encode the same.
         """
         fields = (subject, instance, operation, allowed, reason)
+        key = (fields, type(instance), type(allowed))
         table = self._table
-        ident = self._index.get(fields)
+        ident = self._index.get(key)
         if ident is not None:
             kind = table[ident]
             if kind[3] is allowed and (
-                kind[1] is instance
-                or (type(kind[1]) is type(instance)
-                    and type(instance) in _EXACT_TYPES)
+                kind[1] is instance or type(instance) in _EXACT_TYPES
             ):
                 return ident
-        else:
-            self._index[fields] = len(table)
+        ident = self._index[key] = len(table)
         table.append(fields)
         self._suffixes.append(encode_suffix(*fields))
-        return len(table) - 1
+        return ident
 
     def append_id(self, ident: int) -> None:
         """Record the decision ``ident`` (from :meth:`intern`) without

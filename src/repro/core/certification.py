@@ -21,11 +21,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.core.sealing import PLATFORM_PCRS
+from repro.core.hwroot import HardwareRoot
 from repro.crypto.rsa import RsaPublicKey
-from repro.tpm.client import TpmClient
-from repro.tpm.constants import TPM_KH_SRK
-from repro.tpm.pcr import PcrBank, PcrSelection
 from repro.util.bytesio import ByteReader, ByteWriter
 from repro.util.errors import AccessControlError, AccessDenied
 
@@ -78,29 +75,13 @@ class EndorsementCertificate:
 class VtpmCertifier:
     """Manager-side endorsement issuer backed by a hardware AIK."""
 
-    def __init__(
-        self,
-        hw_client: TpmClient,
-        owner_auth: bytes,
-        srk_auth: bytes,
-        aik_auth: bytes,
-    ) -> None:
-        self._hw = hw_client
+    def __init__(self, hw: HardwareRoot, aik_auth: bytes) -> None:
+        self._hw = hw
         self._aik_auth = aik_auth
-        aik_blob, _binding = hw_client.make_identity(
-            owner_auth, aik_auth, b"vtpm-certifier"
-        )
-        self._aik_handle = hw_client.load_key2(TPM_KH_SRK, srk_auth, aik_blob)
-        self.aik_public: RsaPublicKey = hw_client.get_pub_key(
-            self._aik_handle, aik_auth
+        self._aik_handle, self.aik_public = hw.load_new_aik(
+            aik_auth, b"vtpm-certifier"
         )
         self.certificates_issued = 0
-
-    def platform_composite(self) -> bytes:
-        """Composite of the platform boot PCRs, read live from hardware."""
-        selection = PcrSelection(PLATFORM_PCRS)
-        values = [self._hw.pcr_read(i) for i in PLATFORM_PCRS]
-        return PcrBank.composite_of(selection, values)
 
     def endorse(
         self,
@@ -135,11 +116,11 @@ class VtpmCertifier:
         cert = EndorsementCertificate(
             vtpm_key_modulus=vtpm_key_public.modulus_bytes(),
             identity_hex=identity_hex,
-            platform_composite=self.platform_composite(),
+            platform_composite=self._hw.composite(),
             signature=b"",
         )
         digest = hashlib.sha1(cert.statement()).digest()
-        signature = self._hw.sign(self._aik_handle, self._aik_auth, digest)
+        signature = self._hw.client.sign(self._aik_handle, self._aik_auth, digest)
         self.certificates_issued += 1
         return EndorsementCertificate(
             vtpm_key_modulus=cert.vtpm_key_modulus,

@@ -14,34 +14,22 @@ platform's boot PCRs, so:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
+from repro.core.hwroot import HardwareRoot
 from repro.crypto.kdf import derive_key
 from repro.crypto.random_source import RandomSource
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
-from repro.tpm.client import TpmClient
-from repro.tpm.constants import TPM_KH_SRK
-from repro.tpm.pcr import PcrSelection
 from repro.util.errors import SealingError, TpmError
 
 ROOT_SECRET_SIZE = 32
-#: the hardware PCRs the platform's boot chain (BIOS, loader, xen+dom0) is
-#: measured into: the sealed root, vTPM endorsements and a fleet host's
-#: measured identity all bind to them
-PLATFORM_PCRS = (0, 1, 2)
 
 
 class StateSealer:
     """Encrypts/decrypts vTPM instance state under a TPM-sealed root."""
 
-    def __init__(
-        self,
-        hw_client: TpmClient,
-        srk_auth: bytes,
-        rng: RandomSource,
-    ) -> None:
-        self._hw = hw_client
-        self._srk_auth = srk_auth
+    def __init__(self, hw: HardwareRoot, rng: RandomSource) -> None:
+        self._hw = hw
         self._rng = rng
         self._root: Optional[bytes] = None
         self._blob_auth = rng.bytes(20)
@@ -49,30 +37,14 @@ class StateSealer:
 
     # -- root lifecycle --------------------------------------------------------
 
-    def initialize(self, pcr_indices: Iterable[int] = PLATFORM_PCRS) -> bytes:
-        """Generate the root secret and seal it to the hardware TPM.
+    def initialize(self) -> bytes:
+        """Generate the root secret and seal it to the hardware TPM, bound
+        to the platform's current boot measurements.
 
         Returns the sealed blob (safe to persist next to the state files).
         """
-        indices = list(pcr_indices)
         self._root = self._rng.bytes(ROOT_SECRET_SIZE)
-        selection = PcrSelection(indices)
-        digest = None
-        if indices:
-            # Bind to the *current* platform state: read live PCRs through
-            # the hardware TPM and compute the composite the verifier way.
-            from repro.tpm.pcr import PcrBank
-
-            values = [self._hw.pcr_read(i) for i in indices]
-            digest = PcrBank.composite_of(selection, values)
-        self.sealed_root_blob = self._hw.seal(
-            TPM_KH_SRK,
-            self._srk_auth,
-            self._root,
-            self._blob_auth,
-            pcr_selection=selection if indices else None,
-            digest_at_release=digest,
-        )
+        self.sealed_root_blob = self._hw.seal(self._root, self._blob_auth)
         return self.sealed_root_blob
 
     def lock(self) -> None:
@@ -85,11 +57,11 @@ class StateSealer:
         Fails with :class:`SealingError` if the platform PCRs moved or the
         blob belongs to a different machine.
         """
-        blob = sealed_blob or self.sealed_root_blob
+        blob = self.sealed_root_blob if sealed_blob is None else sealed_blob
         if blob is None:
             raise SealingError("no sealed root blob to unlock from")
         try:
-            self._root = self._hw.unseal(TPM_KH_SRK, self._srk_auth, blob, self._blob_auth)
+            self._root = self._hw.unseal(blob, self._blob_auth)
         except TpmError as exc:
             raise SealingError(
                 f"hardware TPM refused to unseal the root (code {exc.code:#x}); "

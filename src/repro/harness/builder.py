@@ -14,6 +14,7 @@ from typing import Dict, Optional
 
 from repro.core.audit import AuditLog
 from repro.core.config import AccessControlConfig, AccessMode
+from repro.core.hwroot import SIM_KEY_BITS, HardwareRoot
 from repro.core.identity import IdentityRegistry
 from repro.core.monitor import AccessControlMonitor, BaselineMonitor, Monitor
 from repro.core.policy import PolicyEngine
@@ -23,7 +24,6 @@ from repro.crypto.random_source import RandomSource
 from repro.sim.clock import VirtualClock
 from repro.sim.timing import CostModel, TimingContext, set_context
 from repro.tpm.client import TpmClient
-from repro.tpm.device import TpmDevice
 from repro.util.errors import ReproError
 from repro.vtpm.backend import VtpmBackend
 from repro.vtpm.frontend import VtpmFrontend
@@ -33,14 +33,6 @@ from repro.vtpm.storage import DiskStore, VtpmStorage
 from repro.xen.domain import Domain
 from repro.xen.hypercall import HypercallInterface
 from repro.xen.hypervisor import DOM0_ID, Xen
-
-#: key size used throughout simulations; virtual-time cost is billed at the
-#: declared size class, so small real keys keep host time low without
-#: touching results.
-SIM_KEY_BITS = 512
-
-OWNER_AUTH = b"platform-owner-auth!"  # 20 bytes
-SRK_AUTH = b"platform-srk-auth!!!"    # 20 bytes
 
 
 @dataclass
@@ -88,18 +80,7 @@ class Platform:
         )
 
         # -- hardware TPM, owned by the platform administrator ---------------
-        self.hw_tpm = TpmDevice(
-            self.rng.fork("hw-tpm"), key_bits=SIM_KEY_BITS, name="hwtpm"
-        )
-        self.hw_tpm.power_on()
-        self.hw_client = TpmClient(self.hw_tpm.execute, self.rng.fork("hw-client"))
-        ek_pub = self.hw_client.read_pubek()
-        self.hw_client.take_ownership(OWNER_AUTH, SRK_AUTH, ek_pub)
-        # Boot measurements into the hardware PCRs (BIOS/loader/dom0 chain).
-        for index, stage in enumerate((b"bios", b"bootloader", b"xen+dom0")):
-            import hashlib
-
-            self.hw_client.extend(index, hashlib.sha1(stage).digest())
+        self.hw = HardwareRoot(self.rng)
 
         # -- access-control plumbing ------------------------------------------
         self.identities = IdentityRegistry()
@@ -114,9 +95,7 @@ class Platform:
                 self.identities, self.policy, self.audit, self.ac_config
             )
             if self.ac_config.seal_storage:
-                self.sealer = StateSealer(
-                    self.hw_client, SRK_AUTH, self.rng.fork("sealer")
-                )
+                self.sealer = StateSealer(self.hw, self.rng.fork("sealer"))
                 self.sealer.initialize()
             self.protector = MemoryProtector(
                 self.xen.memory, enabled=self.ac_config.protect_memory
@@ -138,10 +117,7 @@ class Platform:
             rng=self.rng.fork("manager"),
         )
         self.migration = MigrationEndpoint(
-            self.manager,
-            self.rng.fork("migration"),
-            hw_client=self.hw_client,
-            srk_auth=SRK_AUTH,
+            self.manager, self.rng.fork("migration"), self.hw
         )
         # Deep-attestation certifier (improved mode): endorses vTPM keys
         # with a hardware-TPM AIK.
@@ -150,8 +126,7 @@ class Platform:
             from repro.core.certification import VtpmCertifier
 
             self.certifier = VtpmCertifier(
-                self.hw_client, OWNER_AUTH, SRK_AUTH,
-                aik_auth=b"certifier-aik-auth!!",
+                self.hw, aik_auth=b"certifier-aik-auth!!"
             )
         self.guests: Dict[str, GuestHandle] = {}
         #: the resilience supervisor, installed by :meth:`enable_supervision`
@@ -282,8 +257,7 @@ class Platform:
             from repro.core.anchor import AuditAnchor
 
             self._audit_anchor = AuditAnchor(
-                self.hw_client,
-                OWNER_AUTH,
+                self.hw,
                 area_auth=b"platform-anchor-a!!!",
                 counter_auth=b"platform-anchor-c!!!",
             )

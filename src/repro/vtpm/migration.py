@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.config import AccessMode
+from repro.core.hwroot import HardwareRoot
 from repro.crypto.random_source import RandomSource
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
 from repro.faults import FaultKind, fire, with_retry
 from repro.obs import inc, span
 from repro.sim.timing import charge, get_context
-from repro.tpm.client import TpmClient
-from repro.tpm.constants import TPM_KEY_BIND, TPM_KH_SRK
+from repro.tpm.constants import TPM_KEY_BIND
 from repro.util.bytesio import ByteReader, ByteWriter
 from repro.util.errors import FaultInjected, MigrationError
 from repro.vtpm.manager import VtpmManager
@@ -108,13 +108,11 @@ class MigrationEndpoint:
         self,
         manager: VtpmManager,
         rng: RandomSource,
-        hw_client: Optional[TpmClient] = None,
-        srk_auth: Optional[bytes] = None,
+        hw: HardwareRoot,
     ) -> None:
         self.manager = manager
         self._rng = rng
-        self._hw = hw_client
-        self._srk_auth = srk_auth
+        self._hw = hw
         self._offers: Dict[int, MigrationOffer] = {}
         self._offer_ids = itertools.count(1)
         self._seen_nonces: set[bytes] = set()
@@ -132,14 +130,10 @@ class MigrationEndpoint:
 
     def prepare_target(self, ttl_us: float = DEFAULT_OFFER_TTL_US) -> MigrationOffer:
         """Mint a hardware-TPM bind key + nonce for one incoming migration."""
-        if self._hw is None or self._srk_auth is None:
-            raise MigrationError("improved migration needs a hardware TPM client")
         bind_auth = self._rng.bytes(20)
-        blob = self._hw.create_wrap_key(
-            TPM_KH_SRK, self._srk_auth, bind_auth, TPM_KEY_BIND, BIND_KEY_BITS
+        handle, public = self._hw.load_new_key(
+            bind_auth, TPM_KEY_BIND, BIND_KEY_BITS
         )
-        handle = self._hw.load_key2(TPM_KH_SRK, self._srk_auth, blob)
-        public = self._hw.get_pub_key(handle, bind_auth)
         now_us = get_context().clock.now_us
         offer = MigrationOffer(
             offer_id=next(self._offer_ids),
@@ -187,7 +181,7 @@ class MigrationEndpoint:
         offer = self._offers.get(offer_id)
         if offer is not None and not offer.consumed:
             del self._offers[offer_id]
-            self._hw.evict_key(offer.bind_key_handle)
+            self._hw.client.evict_key(offer.bind_key_handle)
 
     def crash(self) -> None:
         """Model a destination crash: all in-memory offers are lost.
@@ -303,7 +297,7 @@ class MigrationEndpoint:
             # imports included — else refusals exhaust the hardware TPM's
             # key slots.
             try:
-                session_key = self._hw.unbind(
+                session_key = self._hw.client.unbind(
                     offer.bind_key_handle, offer.bind_key_auth, enc_session
                 )
                 if len(session_key) != SESSION_KEY_SIZE:
@@ -322,7 +316,7 @@ class MigrationEndpoint:
                             "target VM identity does not match the migrated instance"
                         )
             finally:
-                self._hw.evict_key(offer.bind_key_handle)
+                self._hw.client.evict_key(offer.bind_key_handle)
             return state
 
         return self._import(package, target_vm, "sealed", MAGIC_SEALED, decode)

@@ -35,7 +35,7 @@ class TestDeepAttestation:
             cert,
             platform.certifier.aik_public,
             expected_identity_hex=identity.hex,
-            expected_platform_composite=platform.certifier.platform_composite(),
+            expected_platform_composite=platform.hw.composite(),
         )
 
     def test_certificate_serialization_roundtrip(self, setup):
@@ -70,12 +70,12 @@ class TestDeepAttestation:
 
     def test_platform_drift_detected_by_challenger(self, setup):
         platform, guest, _session, public = setup
-        reference = platform.certifier.platform_composite()
+        reference = platform.hw.composite()
         cert = platform.certifier.endorse(
             platform.manager, guest.domain.domid, guest.instance_id, public
         )
         # Platform firmware changes: new certs carry a different composite.
-        platform.hw_client.extend(1, hashlib.sha1(b"new-firmware").digest())
+        platform.hw.client.extend(1, hashlib.sha1(b"new-firmware").digest())
         cert2 = platform.certifier.endorse(
             platform.manager, guest.domain.domid, guest.instance_id, public
         )
@@ -186,7 +186,7 @@ class TestManagerRestart:
         platform.add_guest("g")
         platform.manager.save_all()
         platform.sealer.lock()
-        platform.hw_client.extend(0, hashlib.sha1(b"evil-bootkit").digest())
+        platform.hw.client.extend(0, hashlib.sha1(b"evil-bootkit").digest())
         with pytest.raises(SealingError):
             platform.restart_manager()
 

@@ -33,12 +33,11 @@ from hypothesis import strategies as st
 
 from repro.core import audit
 from repro.core.anchor import AuditAnchor
+from repro.core.hwroot import HardwareRoot
 from repro.crypto.random_source import RandomSource
 from repro.sim import timing as _timing
 from repro.sim.clock import VirtualClock
 from repro.sim.timing import CostModel, TimingContext, charge, context_scope
-from repro.tpm.client import TpmClient
-from repro.tpm.device import TpmDevice
 
 # -- the reference: the eager-record log, verbatim --------------------------------
 
@@ -337,12 +336,8 @@ def test_every_reader_matches_the_reference(steps, batch, checkpoint):
 
 
 def _anchor() -> AuditAnchor:
-    rng = RandomSource(b"prop-audit-anchor")
-    device = TpmDevice(rng.fork("dev"), key_bits=512)
-    device.power_on()
-    client = TpmClient(device.execute, rng.fork("cli"))
-    client.take_ownership(b"O" * 20, b"S" * 20, client.read_pubek())
-    return AuditAnchor(client, b"O" * 20, b"A" * 20, b"C" * 20)
+    hw = HardwareRoot(RandomSource(b"prop-audit-anchor"))
+    return AuditAnchor(hw, b"A" * 20, b"C" * 20)
 
 
 def _edit_reason(log, victim: int) -> None:
@@ -506,3 +501,42 @@ def test_a_table_edited_after_append_id_fails_verification(
         ident = log._ids[data.draw(st.integers(0, len(log) - 1))]
         log._table[ident] = _retyped(log._table[ident])
         assert not log.verify_chain()
+
+
+# -- mixed-type streams ---------------------------------------------------------------
+
+#: runs of one decision: equal fields of different types, repeated
+RUNS = st.lists(
+    st.tuples(DECISIONS, st.integers(1, 60), st.floats(0.0, 50.0)),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RUNS, CHECKPOINTS)
+def test_mixed_type_streams_keep_one_tuple_per_typed_decision(runs, checkpoint):
+    writes = [
+        (decision, advance, True)
+        for decision, count, advance in runs for _ in range(count)
+    ]
+    log, reference = audit.AuditLog(), AuditLog()
+    with mock.patch.object(audit, "_CHECKPOINT", checkpoint):
+        assert len(writes) < audit._CHAIN_BATCH
+        written = [_write(each, writes) for each in (log, reference)]
+        assert written[0] == written[1]
+        seen = [_observe(each) for each in (log, reference)]
+    assert seen[0] == seen[1]
+    assert seen[0][3] is True
+    typed = {_typed(decision) for decision, _count, _advance in runs}
+    assert len(log._table) == len(log._suffixes) == len(typed)
+
+
+def test_equal_decisions_of_another_type_share_one_new_tuple():
+    log = audit.AuditLog()
+    with context_scope(TimingContext(model=CostModel(), clock=VirtualClock())):
+        log.append_buffered("s", 1, "TPM_Extend", True, "r")
+        for _ in range(1_000):
+            log.append_buffered("s", True, "TPM_Extend", True, "r")
+        assert log.verify_chain()
+    assert len(log._table) == len(log._suffixes) == 2
+    assert [type(fields[1]) for fields in log._table] == [int, bool]

@@ -4,17 +4,21 @@ import pytest
 
 from repro.core.anchor import Anchor, AuditAnchor
 from repro.core.audit import AuditLog, AuditRecord
+from repro.core.hwroot import HardwareRoot
 from repro.util.errors import AccessControlError
-
-from tests.conftest import OWNER
 
 AREA_AUTH = b"anchor-area-auth!!!!"
 CTR_AUTH = b"anchor-counter-au!!!"
 
 
 @pytest.fixture
-def anchor_client(owned_client):
-    return AuditAnchor(owned_client, OWNER, AREA_AUTH, CTR_AUTH)
+def hw(rng):
+    return HardwareRoot(rng.fork("hw"))
+
+
+@pytest.fixture
+def anchor_client(hw):
+    return AuditAnchor(hw, AREA_AUTH, CTR_AUTH)
 
 
 def _filled_log(n: int = 5) -> AuditLog:
@@ -103,20 +107,20 @@ class TestAnchoring:
         assert anchor.sequence == 1_000
         assert built == []
 
-    def test_stale_anchor_replay_detected(self, anchor_client, owned_client):
+    def test_stale_anchor_replay_detected(self, anchor_client, hw):
         """Restoring an old NV image cannot hide later anchors: the
         monotonic counter disagrees."""
         from repro.core.anchor import ANCHOR_NV_INDEX, ANCHOR_SIZE
 
         log = _filled_log()
         first = anchor_client.anchor(log)
-        stale_nv = owned_client.nv_read(
+        stale_nv = hw.client.nv_read(
             ANCHOR_NV_INDEX, 0, ANCHOR_SIZE, auth=AREA_AUTH
         )
         log.append("x", 0, "TPM_Sign", True, "r")
         anchor_client.anchor(log)
         # Attacker restores the older NV content (counter cannot rewind).
-        owned_client.nv_write(AREA_AUTH, ANCHOR_NV_INDEX, 0, stale_nv)
+        hw.client.nv_write(AREA_AUTH, ANCHOR_NV_INDEX, 0, stale_nv)
         ok, reason = anchor_client.verify(log)
         assert not ok and "replayed" in reason
         assert first.count == 1

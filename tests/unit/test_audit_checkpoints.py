@@ -108,10 +108,9 @@ class TestReadersMatchAnEagerChain:
             type(_decision(s)[1]) for s in range(SEQUENCES)
         ]
         # ``True`` and ``1.0`` equal the interned ``1`` decision but encode
-        # differently, so each of their entries keeps a tuple of its own.
-        assert len(log._table) == 4 + sum(
-            type(instance) is not int for instance in instances
-        )
+        # differently, so each gets a tuple of its own, which all of its
+        # later entries share.
+        assert len(log._table) == len(DECISIONS)
 
 
 class TestReEncodingIsBounded:

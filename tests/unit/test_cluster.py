@@ -9,7 +9,6 @@ from repro.cluster import (
     ConsistentHashRing,
     HostState,
     build_fleet,
-    measure_host,
     verify_report,
 )
 from repro.cluster.host import Host
@@ -110,7 +109,7 @@ class TestHost:
 class TestAttestation:
     def test_verify_rejects_each_mismatch(self):
         platform = build_platform(AccessMode.IMPROVED, seed=303, name="n2")
-        identity = measure_host(platform.hw_client)
+        identity = platform.hw.composite().hex()
         report = AttestationReport(
             host_id="h0", nonce=b"n" * 20, measured_identity=identity,
             policy_epoch=3,
@@ -129,9 +128,9 @@ class TestAttestation:
 
     def test_measurement_tracks_live_hardware_pcrs(self):
         platform = build_platform(AccessMode.IMPROVED, seed=304, name="n3")
-        before = measure_host(platform.hw_client)
-        platform.hw_client.extend(1, b"\xee" * 20)
-        assert measure_host(platform.hw_client) != before
+        before = platform.hw.composite().hex()
+        platform.hw.client.extend(1, b"\xee" * 20)
+        assert platform.hw.composite().hex() != before
 
 
 class TestSchedulerAndRouter:
@@ -255,7 +254,7 @@ class TestMigrator:
         fleet = build_fleet(num_hosts=2, seed=322, capacity=8, name="mt")
         source = fleet.add_guest("victim")
         target = "h1" if source == "h0" else "h0"
-        fleet.hosts[target].platform.hw_client.extend(0, b"\xbd" * 20)
+        fleet.hosts[target].platform.hw.client.extend(0, b"\xbd" * 20)
         with pytest.raises(ClusterError, match="identity"):
             fleet.migrate("victim", target)
         # fail closed: the guest keeps serving where it was

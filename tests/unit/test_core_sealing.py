@@ -4,33 +4,20 @@ import hashlib
 
 import pytest
 
+from repro.core.hwroot import HardwareRoot
 from repro.core.sealing import StateSealer
-from repro.crypto.random_source import RandomSource
-from repro.tpm.client import TpmClient
-from repro.tpm.device import TpmDevice
 from repro.util.errors import SealingError
-
-OWNER = b"seal-owner-auth!!!!!"
-SRK = b"seal-srk-auth!!!!!!!"
 
 
 @pytest.fixture
 def hw(rng):
-    device = TpmDevice(rng.fork("hw"), key_bits=512)
-    device.power_on()
-    client = TpmClient(device.execute, rng.fork("hwc"))
-    ek = client.read_pubek()
-    client.take_ownership(OWNER, SRK, ek)
-    for i, stage in enumerate((b"bios", b"loader", b"kernel")):
-        client.extend(i, hashlib.sha1(stage).digest())
-    return device, client
+    return HardwareRoot(rng.fork("hw"))
 
 
 @pytest.fixture
 def sealer(hw, rng):
-    _device, client = hw
-    sealer = StateSealer(client, SRK, rng.fork("sealer"))
-    sealer.initialize(pcr_indices=(0, 1, 2))
+    sealer = StateSealer(hw, rng.fork("sealer"))
+    sealer.initialize()
     return sealer
 
 
@@ -46,27 +33,28 @@ class TestRootLifecycle:
         assert sealer.unlocked
 
     def test_unlock_fails_after_pcr_drift(self, hw, sealer):
-        _device, client = hw
         sealer.lock()
-        client.extend(1, hashlib.sha1(b"firmware-update").digest())
+        hw.client.extend(1, hashlib.sha1(b"firmware-update").digest())
         with pytest.raises(SealingError, match="refused to unseal"):
             sealer.unlock()
 
     def test_unlock_fails_on_foreign_tpm(self, sealer, rng):
-        foreign_device = TpmDevice(rng.fork("other-hw"), key_bits=512)
-        foreign_device.power_on()
-        foreign_client = TpmClient(foreign_device.execute, rng.fork("fc"))
-        ek = foreign_client.read_pubek()
-        foreign_client.take_ownership(OWNER, SRK, ek)
-        thief = StateSealer(foreign_client, SRK, rng.fork("thief"))
+        thief = StateSealer(HardwareRoot(rng.fork("other-hw")), rng.fork("thief"))
         with pytest.raises(SealingError):
             thief.unlock(sealer.sealed_root_blob)
 
     def test_unlock_without_blob_rejected(self, hw, rng):
-        _device, client = hw
-        sealer = StateSealer(client, SRK, rng.fork("s2"))
+        sealer = StateSealer(hw, rng.fork("s2"))
         with pytest.raises(SealingError, match="no sealed root"):
             sealer.unlock()
+
+    def test_unlock_from_empty_blob_fails_closed(self, sealer):
+        """An empty blob is a blob: it must not fall back to the
+        platform's own sealed root."""
+        sealer.lock()
+        with pytest.raises(SealingError):
+            sealer.unlock(b"")
+        assert not sealer.unlocked
 
 
 class TestStateProtection:

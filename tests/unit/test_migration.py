@@ -269,14 +269,6 @@ class TestSealedMigration:
         assert counters.value("vtpm.migration.export_aborted") == 1
         assert counters.value("vtpm.migration.export_committed") == 0
 
-    def test_requires_hw_client(self, pair_improved):
-        source, _ = pair_improved
-        from repro.vtpm.migration import MigrationEndpoint
-
-        endpoint = MigrationEndpoint(source.manager, source.rng.fork("x"))
-        with pytest.raises(MigrationError, match="hardware TPM"):
-            endpoint.prepare_target()
-
 
 def _imposter(destination, index=0):
     return destination.xen.create_domain(
@@ -285,7 +277,7 @@ def _imposter(destination, index=0):
 
 
 def _loaded_keys(platform):
-    return platform.hw_tpm.state.keys.loaded_count
+    return platform.hw.device.state.keys.loaded_count
 
 
 class TestOneTransaction:
