@@ -11,15 +11,26 @@ Run as a script to (re)generate ``BENCH_PIPELINE.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_wallclock_pipeline.py
 
-or as the CI perf-smoke gate, which fails if throughput drops more than
-30% below the committed numbers::
+or as the CI perf-smoke gate, which fails if throughput at nominal host
+speed drops more than 30% below the committed figure::
 
     PYTHONPATH=src python benchmarks/bench_wallclock_pipeline.py --check
 
 Each slice is timed here, outside the ``repro`` package, which never
 reads the host clock: build the platform, check a warm-up round trip,
-pause the cycle collector, run the ``perf_counter`` loop, verify the
-audit chain.
+pause the cycle collector, run the ``perf_counter`` loop, time the
+host-speed probe, verify the audit chain.
+
+**Host-speed probe.**  A shared host runs the interpreter faster or
+slower from one moment to the next, for reasons outside the program; the
+raw batch-1 rate has read anywhere from about 31k to 75k cmds/s on the
+same code.  Beside each slice the benchmark times a fixed,
+allocation-free loop, the probe ``bench/passes.py`` documents (same
+loop, same nominal time), and scales that slice's rate by
+``probe / NOMINAL_PROBE_NS`` to the host's nominal speed.  The floor
+gate compares the median nominal batch-1 rate with the committed one, so
+it follows the code, not the phase of the host that wrote the file.
+The probe is benchmark code, so no change to the program can move it.
 
 As a pytest module it checks the pipeline's *relative* invariants only
 (cache hit rate, audit-chain integrity, batching's virtual-time saving),
@@ -62,11 +73,38 @@ MAX_SUPERVISED_OVERHEAD_PCT = 15.0
 #: this gate's headroom on a virtualized host.
 TRACE_SAMPLE_RATE = 32
 
+#: iterations of the probe loop and repeats per probe (best one counts)
+PROBE_LOOPS = 2000
+PROBE_REPEATS = 3
+#: the probe's time at nominal host speed (2-vCPU x86-64 VM, Python 3.11);
+#: ``bench/passes.py`` scales its wall metrics to the same speed
+NOMINAL_PROBE_NS = 175_000
+
+
+def _probe_step(acc: int, i: int) -> int:
+    return (acc * 3 + i) & 0xFFFF
+
+
+def probe_ns() -> int:
+    """Best-of-``PROBE_REPEATS`` wall time of the fixed probe loop."""
+    perf = time.perf_counter_ns
+    best = None
+    for _ in range(PROBE_REPEATS):
+        start = perf()
+        acc = 0
+        for i in range(PROBE_LOOPS):
+            acc = _probe_step(acc, i)
+        elapsed = perf() - start
+        if best is None or elapsed < best:
+            best = elapsed
+    return best
+
 
 #: decimals each per-slice figure keeps in the JSON ``runs`` list
 RUN_ROUNDING = {
     "wall_seconds": 6,
     "ops_per_sec": 1,
+    "nominal_ops_per_sec": 1,
     "wall_us_per_cmd": 3,
     "virtual_us_per_cmd": 3,
     "cache_hit_rate": 4,
@@ -132,6 +170,7 @@ def time_slice(commands: int, batch_size: int = 1, tracer=None,
                 if tail:
                     transport_batch(tail)
                 wall = time.perf_counter() - start
+        probe = probe_ns()
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -145,6 +184,8 @@ def time_slice(commands: int, batch_size: int = 1, tracer=None,
         "batch_size": batch_size,
         "wall_seconds": wall,
         "ops_per_sec": commands / wall,
+        "nominal_ops_per_sec": commands / wall * probe / NOMINAL_PROBE_NS,
+        "probe_ns": probe,
         "wall_us_per_cmd": wall * 1e6 / commands,
         "virtual_us_per_cmd": virtual_us / commands,
         "cache_hit_rate": monitor.cache_hits / lookups if lookups else 0.0,
@@ -173,6 +214,11 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
     cannot skew the rates, and a genuine code regression slows every
     slice, so the estimate still gates it.
 
+    The floor gate reads the **median nominal** batch-1 rate: each
+    batch-1 slice's rate scaled by the probe timed beside it (see the
+    module docstring), so a slow host phase does not read as a
+    regression.
+
     Overheads are **paired**: each round compares every variant with the
     batch-1 slice of the same round, and the gate reads the median of
     those per-round ratios.  Two slices of one round share the host's
@@ -200,6 +246,7 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
     variants += [("traced",), ("traced_full",), ("supervised",)]
     fastest = {variant: [] for variant in variants}  # two smallest walls
     ratios = {variant: [] for variant in variants}  # vs batch 1, per round
+    nominal = []  # batch-1 rate at nominal host speed, per round
     for round_no in range(max(1, repeats)):
         shift = round_no % len(variants)
         rates = {}
@@ -208,6 +255,8 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
             if not run["chain_ok"]:
                 raise AssertionError("audit chain broke during the benchmark")
             rates[variant] = run["ops_per_sec"]
+            if variant == ("batch", 1):
+                nominal.append(run["nominal_ops_per_sec"])
             pair = fastest[variant]
             pair.append(run)
             pair.sort(key=lambda r: r["wall_seconds"])
@@ -237,6 +286,8 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
         ),
         "pre_overhaul_ops_per_sec": PRE_OVERHAUL_OPS_PER_SEC,
         "ops_per_sec": unbatched,
+        "nominal_probe_ns": NOMINAL_PROBE_NS,
+        "nominal_ops_per_sec": round(statistics.median(nominal), 1),
         "speedup_vs_pre_overhaul": round(
             unbatched / PRE_OVERHAUL_OPS_PER_SEC, 2
         ),
@@ -278,6 +329,10 @@ def main(argv=None) -> int:
             f"cache hit rate {run['cache_hit_rate']:.1%}"
         )
     print(
+        f"batch= 1 at nominal host speed: "
+        f"{payload['nominal_ops_per_sec']:>10,.0f} cmds/s (median)"
+    )
+    print(
         f"speedup vs pre-overhaul harness "
         f"({payload['pre_overhaul_ops_per_sec']:,.0f} cmds/s): "
         f"{payload['speedup_vs_pre_overhaul']:.2f}x"
@@ -298,13 +353,15 @@ def main(argv=None) -> int:
 
     if args.check:
         committed = json.loads(args.output.read_text())
-        floor = committed["ops_per_sec"] * CHECK_FLOOR
+        floor = committed["nominal_ops_per_sec"] * CHECK_FLOOR
+        fresh_nominal = payload["nominal_ops_per_sec"]
         fresh = payload["ops_per_sec"]
         failures = []
-        if fresh < floor:
+        if fresh_nominal < floor:
             failures.append(
-                f"{fresh:,.0f} cmds/s is below {CHECK_FLOOR:.0%} of the "
-                f"committed {committed['ops_per_sec']:,.0f} cmds/s"
+                f"{fresh_nominal:,.0f} cmds/s at nominal host speed is below "
+                f"{CHECK_FLOOR:.0%} of the committed "
+                f"{committed['nominal_ops_per_sec']:,.0f} cmds/s"
             )
         if fresh < MIN_OPS_PER_SEC:
             failures.append(
@@ -327,8 +384,9 @@ def main(argv=None) -> int:
                 print(f"PERF REGRESSION: {failure}", file=sys.stderr)
             return 1
         print(
-            f"perf-smoke OK: {fresh:,.0f} cmds/s >= {floor:,.0f} cmds/s "
-            f"floor; trace {payload['trace_overhead_pct']:.1f}% / "
+            f"perf-smoke OK: {fresh_nominal:,.0f} nominal cmds/s >= "
+            f"{floor:,.0f} cmds/s floor; {fresh:,.0f} raw cmds/s >= "
+            f"{MIN_OPS_PER_SEC:,.0f}; trace {payload['trace_overhead_pct']:.1f}% / "
             f"supervised {payload['supervised_overhead_pct']:.1f}% "
             f"<= {MAX_TRACE_OVERHEAD_PCT:.0f}% overhead"
         )
@@ -393,6 +451,8 @@ def test_committed_numbers_are_fresh():
     assert committed["speedup_vs_pre_overhaul"] >= 1.2
     assert committed["runs"], "at least one recorded run"
     assert committed["ops_per_sec"] >= MIN_OPS_PER_SEC
+    assert committed["nominal_probe_ns"] == NOMINAL_PROBE_NS
+    assert committed["nominal_ops_per_sec"] >= MIN_OPS_PER_SEC
     assert committed["trace_sample_rate"] == TRACE_SAMPLE_RATE
     assert committed["traced_ops_per_sec"] > 0
     assert committed["trace_overhead_pct"] <= MAX_TRACE_OVERHEAD_PCT

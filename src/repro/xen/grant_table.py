@@ -81,9 +81,9 @@ class GrantTable:
         ]
         page = self._memory.page(frame)
         if readonly:
-            page.shared_with.add(grantee)
+            page.shared_with = page.shared_with | {grantee}
         else:
-            page.shared_with.discard(grantee)
+            page.shared_with = page.shared_with - {grantee}
         if readonly and all(readonly):
             page.read_only_for = page.read_only_for | {grantee}
         else:

@@ -6,11 +6,15 @@ any other domain's frames (``xc_map_foreign_range``), which is exactly what
 the vTPM manager's secret-holding frames *hypervisor-protected*: foreign
 map requests against them fail (or return zeroed snapshots), closing the
 dump channel while leaving normal grant-based sharing intact.
+
+Frames are demand-zero: a page holds no bytes until its first write, and
+reads, foreign maps and dumps of an unwritten frame see zeros without
+giving it any.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.sim.timing import charge
@@ -18,17 +22,24 @@ from repro.util.errors import PageFault, XenError
 
 PAGE_SIZE = 4096
 
+#: What every whole-page snapshot of an unwritten frame returns.
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
-@dataclass
+
+@dataclass(slots=True)
 class Page:
     """One machine frame."""
 
     frame: int
     owner: int                      # domain id
-    data: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
+    data: Optional[bytearray] = None  # backing, created by the first write
     protected: bool = False         # excluded from foreign mapping
-    shared_with: set[int] = field(default_factory=set)  # via grant table
+    shared_with: frozenset[int] = frozenset()    # via grant table
     read_only_for: frozenset[int] = frozenset()  # grantees mapped read-only
+
+    def snapshot(self) -> bytes:
+        """The whole frame's bytes; unwritten frames share one zero page."""
+        return _ZERO_PAGE if self.data is None else bytes(self.data)
 
 
 class PhysicalMemory:
@@ -66,7 +77,7 @@ class PhysicalMemory:
         for frame in frames:
             page = self._pages.pop(frame, None)
             if page is not None:
-                page.data[:] = b"\x00" * PAGE_SIZE
+                page.data = None
 
     def page(self, frame: int) -> Page:
         try:
@@ -91,15 +102,21 @@ class PhysicalMemory:
                 raise PageFault(f"dom{domid} maps frame {frame} read-only")
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise PageFault(f"write beyond page: {offset}+{len(data)}")
-        page.data[offset : offset + len(data)] = data
+        backing = page.data
+        if backing is None:
+            backing = page.data = bytearray(PAGE_SIZE)
+        backing[offset : offset + len(data)] = data
 
     def read(self, domid: int, frame: int, offset: int, size: int) -> bytes:
         page = self.page(frame)
         if page.owner != domid and domid not in page.shared_with:
             raise PageFault(f"dom{domid} does not own frame {frame}")
-        if offset < 0 or offset + size > PAGE_SIZE:
+        if offset < 0 or size < 0 or offset + size > PAGE_SIZE:
             raise PageFault(f"read beyond page: {offset}+{size}")
-        return bytes(page.data[offset : offset + size])
+        backing = page.data
+        if backing is None:
+            return bytes(size)
+        return bytes(backing[offset : offset + size])
 
     # -- protection (the paper's hook) -------------------------------------------
 
@@ -130,13 +147,13 @@ class PhysicalMemory:
                 f"frame {frame} is hypervisor-protected; foreign map refused"
             )
         if page.owner == requester:
-            return bytes(page.data)
+            return page.snapshot()
         if not requester_privileged:
             raise PageFault(
                 f"dom{requester} is not privileged to foreign-map frame {frame}"
             )
         charge("xen.page.copy", PAGE_SIZE)
-        return bytes(page.data)
+        return page.snapshot()
 
 
 class MemoryRegion:
@@ -168,7 +185,7 @@ class MemoryRegion:
             pos += chunk
 
     def read(self, offset: int, size: int) -> bytes:
-        if offset < 0 or offset + size > self.size:
+        if offset < 0 or size < 0 or offset + size > self.size:
             raise PageFault(f"region read out of range: {offset}+{size}")
         out = bytearray()
         pos = 0

@@ -41,6 +41,7 @@ from repro.tpm.constants import (
 from repro.tpm.nvram import NV_PER_AUTHWRITE
 from repro.tpm.pcr import PcrSelection
 from repro.vtpm.migration import migrate_with_recovery
+from repro.xen.memory import PAGE_SIZE
 
 OWNER = b"o" * 20
 SRK = b"s" * 20
@@ -362,7 +363,10 @@ def test_shrunk_image_leaves_no_key_material_in_the_frames(mode, drop):
     memory = platform.xen.memory
 
     def frames() -> bytes:
-        return b"".join(bytes(memory.page(f).data) for f in instance.state_region.frames)
+        region = instance.state_region
+        return b"".join(
+            memory.read(region.domid, f, 0, PAGE_SIZE) for f in region.frames
+        )
 
     assert private in frames()
     if drop == "evict":

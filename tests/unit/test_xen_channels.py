@@ -4,7 +4,7 @@ import pytest
 
 from repro.xen.event_channel import EventChannels
 from repro.xen.grant_table import GrantTable
-from repro.xen.memory import PhysicalMemory
+from repro.xen.memory import PAGE_SIZE, PhysicalMemory
 from repro.xen.ring import MAX_PAYLOAD, TpmRing
 from repro.util.errors import EventChannelError, GrantError, RingError
 
@@ -217,7 +217,7 @@ class TestTpmRing:
         """The bytes really live in the granted frame (dump-visible)."""
         ring.connect_backend(lambda cmd: b"response-data")
         ring.send_command(b"command-data")
-        page = bytes(memory.page(ring.frame).data)
+        page = memory.read(ring.front_domid, ring.frame, 0, PAGE_SIZE)
         assert b"response-data" in page
 
     @pytest.mark.parametrize("answer", [

@@ -32,7 +32,7 @@ class TestAllocation:
         memory.write(1, frame, 0, b"sensitive")
         page = memory.page(frame)
         memory.free([frame])
-        assert b"sensitive" not in bytes(page.data)
+        assert b"sensitive" not in page.snapshot()
         with pytest.raises(PageFault):
             memory.page(frame)
 
@@ -58,7 +58,8 @@ class TestOwnerAccess:
 
     def test_shared_with_allows_access(self, memory):
         [frame] = memory.allocate(5, 1)
-        memory.page(frame).shared_with.add(6)
+        page = memory.page(frame)
+        page.shared_with = page.shared_with | {6}
         memory.write(6, frame, 0, b"via grant")
         assert memory.read(6, frame, 0, 9) == b"via grant"
 
@@ -68,6 +69,16 @@ class TestOwnerAccess:
             memory.write(5, frame, PAGE_SIZE - 2, b"xyz")
         with pytest.raises(PageFault):
             memory.read(5, frame, PAGE_SIZE, 1)
+
+    @pytest.mark.parametrize("written", [False, True], ids=["unwritten", "written"])
+    def test_negative_read_size_faults(self, memory, written):
+        [frame] = memory.allocate(5, 1)
+        if written:
+            memory.write(5, frame, 0, b"data")
+        with pytest.raises(PageFault, match="read beyond page"):
+            memory.read(5, frame, 10, -4)
+        with pytest.raises(PageFault, match="read beyond page"):
+            memory.read(5, frame, -4, 10)
 
 
 class TestForeignMap:
@@ -120,6 +131,8 @@ class TestMemoryRegion:
             region.write(PAGE_SIZE - 1, b"ab")
         with pytest.raises(PageFault):
             region.read(0, PAGE_SIZE + 1)
+        with pytest.raises(PageFault, match="region read out of range"):
+            region.read(10, -4)
 
     def test_region_size(self, memory):
         region = MemoryRegion(memory, 9, memory.allocate(9, 2))
