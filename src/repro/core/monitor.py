@@ -328,7 +328,8 @@ class AccessControlMonitor(Monitor):
             hit = self._cache.get(cache_key)
             if hit is not None:
                 self.cache_hits += 1
-                _AC_CACHE_HIT.inc()
+                if obs_counters._current_registry is not None:
+                    _AC_CACHE_HIT.inc()
                 charge("ac.policy.cache_hit")
                 if tracer is not None:
                     span.set("cache", "hit")

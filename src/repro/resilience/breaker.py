@@ -2,7 +2,7 @@
 
 A failing instance must stop consuming ring transfers, manager dispatch
 and retry backoff for commands that are doomed anyway.  The breaker sits
-in front of :meth:`VtpmBackend._forward`/:meth:`_forward_batch` (via the
+in front of :meth:`VtpmBackend._forward` (via the
 supervisor's admission verdict): while **open**, commands are shed at the
 ring with busy responses and never reach the manager.
 

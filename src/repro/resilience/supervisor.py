@@ -182,7 +182,8 @@ class Supervisor:
             # allow() returns True with zero side effects.  Bulk-admit
             # with identical state effects and skip the per-frame walk.
             admission.admitted += n
-            admission._admitted_counter.add(n)
+            if obs_counters._current_registry is not None:
+                admission._admitted_counter.add(n)
             return [None] * n
         return admission.verdicts(wires, record, breaker)
 
@@ -199,13 +200,16 @@ class Supervisor:
 
     # -- backend-side: outcome observations ----------------------------------------
 
-    def observe(self, backend, outcomes) -> None:
+    def observe(self, backend, responses: list, elapsed: list) -> None:
         """Apply one ring notify's per-frame outcomes, in submission order.
 
-        Each outcome is ``(response, elapsed_us, exhausted)`` as reported
-        by :meth:`~repro.vtpm.manager.VtpmManager.handle_batch` after the
-        notify's last frame ran, so a batch never restarts its instance
-        under its own remaining frames; a lone frame is the n=1 case.
+        Frame k's outcome is ``responses[k]`` and ``elapsed[k]``, its
+        dispatch's virtual microseconds as recorded by
+        :meth:`~repro.vtpm.manager.VtpmManager.handle_batch`, or ``None``
+        when it exhausted its retries.  The back-end reports them after
+        the notify's last frame ran, so a batch never restarts its
+        instance under its own remaining frames; a lone frame is the n=1
+        case.
 
         The breaker measures *responsiveness*: any answered frame except a
         degraded ``TPM_FAIL`` counts as breaker success (an auth denial
@@ -216,8 +220,8 @@ class Supervisor:
         """
         record, breaker, admission = backend._supervised
         alpha = admission.config.ewma_alpha
-        for response, elapsed_us, exhausted in outcomes:
-            if exhausted is None:
+        for response, elapsed_us in zip(responses, elapsed):
+            if elapsed_us is not None:
                 # The admission EWMA (AdmissionController.observe_service_us)
                 # sees every answered frame, fast path or slow.
                 admission.service_estimate_us += alpha * (
@@ -385,7 +389,7 @@ class Supervisor:
                     # outcome feeds back via observe().
                     if breaker.state is BreakerState.OPEN:
                         breaker.allow()  # cooldown elapsed → half-open slot
-                    backend._forward(PROBE_WIRE)
+                    backend._forward([PROBE_WIRE])
 
     # -- exposition -------------------------------------------------------------------
 

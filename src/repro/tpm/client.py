@@ -68,9 +68,42 @@ from repro.tpm.marshal import AuthTrailer
 from repro.tpm.pcr import PcrSelection
 from repro.tpm.sessions import compute_auth, osap_shared_secret
 from repro.util.bytesio import ByteReader, ByteWriter
-from repro.util.errors import TpmError
+from repro.util.errors import MarshalError, TpmError
 
 Transport = Callable[[bytes], bytes]
+
+# The cheap ordinals every measurement loop sends build and check their
+# few bytes directly, raising the same MarshalErrors a ByteWriter or
+# ByteReader would.
+
+
+def _u32(value: int) -> bytes:
+    """A u32 parameter (``ByteWriter.u32`` without the writer)."""
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise MarshalError(f"u32 out of range: {value}")
+    return value.to_bytes(4, "big")
+
+
+def _digest_out(params: bytes) -> bytes:
+    """Out-params that must be exactly one 20-byte digest; on a length
+    mismatch a ByteReader re-reads them for its error."""
+    if len(params) != DIGEST_SIZE:
+        reader = ByteReader(params)
+        reader.raw(DIGEST_SIZE)
+        reader.expect_end()
+    return params
+
+
+def _sized_out(params: bytes) -> bytes:
+    """Out-params that must be exactly one sized buffer (within
+    ``ByteReader.sized``'s 1 MiB cap); on a mismatch a ByteReader re-reads
+    them for its error."""
+    data = params[4:]
+    if params[:4] != len(data).to_bytes(4, "big") or len(data) > 1 << 20:
+        reader = ByteReader(params)
+        reader.sized()
+        reader.expect_end()
+    return data
 
 
 @dataclass
@@ -185,10 +218,7 @@ class TpmClient:
         self._call(TPM_ORD_ContinueSelfTest, b"")
 
     def get_random(self, count: int) -> bytes:
-        out = ByteReader(self._call(TPM_ORD_GetRandom, ByteWriter().u32(count).getvalue()))
-        data = out.sized()
-        out.expect_end()
-        return data
+        return _sized_out(self._call(TPM_ORD_GetRandom, _u32(count)))
 
     def get_capability_property(self, prop: int) -> bytes:
         params = ByteWriter().u32(0x5).sized(prop.to_bytes(4, "big")).getvalue()
@@ -233,17 +263,12 @@ class TpmClient:
     # -- PCRs ---------------------------------------------------------------------------
 
     def extend(self, index: int, measurement: bytes) -> bytes:
-        params = ByteWriter().u32(index).raw(measurement).getvalue()
-        out = ByteReader(self._call(TPM_ORD_Extend, params))
-        value = out.raw(DIGEST_SIZE)
-        out.expect_end()
-        return value
+        return _digest_out(
+            self._call(TPM_ORD_Extend, _u32(index) + measurement)
+        )
 
     def pcr_read(self, index: int) -> bytes:
-        out = ByteReader(self._call(TPM_ORD_PcrRead, ByteWriter().u32(index).getvalue()))
-        value = out.raw(DIGEST_SIZE)
-        out.expect_end()
-        return value
+        return _digest_out(self._call(TPM_ORD_PcrRead, _u32(index)))
 
     def pcr_reset(self, indices: Iterable[int]) -> None:
         params = PcrSelection(indices).serialize()

@@ -18,6 +18,7 @@ from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import (
     TPM_BAD_ORDINAL,
+    TPM_BAD_PARAMETER,
     TPM_AUTHFAIL,
     TPM_FAIL,
     TPM_INVALID_POSTINIT,
@@ -127,55 +128,54 @@ class TpmExecutor:
                     code = exc.code if isinstance(exc, TpmError) else TPM_FAIL
                     return marshal.build_response(code)
         self.commands_executed += 1
-        if tracer is None:
-            return self._run(parsed, locality)
-        with tracer.start_span(
-            "tpm.execute", {"ordinal": ordinal_name(parsed.ordinal)}
-        ):
-            return self._run(parsed, locality)
-
-    def _run(self, parsed: ParsedCommand, locality: int) -> bytes:
-        fn = _HANDLERS.get(parsed.ordinal)
-        if fn is None:
-            self.failures += 1
-            return marshal.build_response(TPM_BAD_ORDINAL)
-        if not self.state.flags.started and parsed.ordinal != TPM_ORD_Startup:
-            self.failures += 1
-            return marshal.build_response(TPM_INVALID_POSTINIT)
-        # The 1H1 param digest is consumed only by verify_auth(), which is
-        # unreachable without an auth trailer — so unauthorized commands
-        # (the fast-path bulk) skip the hash entirely.  The digest helper
-        # charges nothing, so skipping it is virtual-time-neutral.
-        ctx = CommandContext(
-            state=self.state,
-            ordinal=parsed.ordinal,
-            reader=ByteReader(parsed.params),
-            auth=parsed.auth,
-            locality=locality,
-            _param_digest=(
-                marshal.command_param_digest(parsed.ordinal, parsed.params)
-                if parsed.auth is not None else b""
-            ),
+        ordinal = parsed.ordinal
+        # Entered by hand, so the untraced path pays no span round trip.
+        span = None if tracer is None else tracer.start_span(
+            "tpm.execute", {"ordinal": ordinal_name(ordinal)}
         )
         try:
-            out_params = fn(ctx)
-        except TpmError as exc:
-            self.failures += 1
-            return marshal.build_response(exc.code)
-        except MarshalError:
-            self.failures += 1
-            from repro.tpm.constants import TPM_BAD_PARAMETER
-
-            return marshal.build_response(TPM_BAD_PARAMETER)
-        if ctx._session is not None and ctx._new_nonce_even is not None:
+            fn = _HANDLERS.get(ordinal)
+            if fn is None:
+                self.failures += 1
+                return marshal.build_response(TPM_BAD_ORDINAL)
+            if not self.state.flags.started and ordinal != TPM_ORD_Startup:
+                self.failures += 1
+                return marshal.build_response(TPM_INVALID_POSTINIT)
+            # The 1H1 param digest is consumed only by verify_auth(), which
+            # is unreachable without an auth trailer — so unauthorized
+            # commands (the fast-path bulk) skip the hash entirely.  The
+            # digest helper charges nothing, so skipping it is
+            # virtual-time-neutral.
+            auth = parsed.auth
+            ctx = CommandContext(
+                state=self.state,
+                ordinal=ordinal,
+                reader=ByteReader(parsed.params),
+                auth=auth,
+                locality=locality,
+                _param_digest=(
+                    marshal.command_param_digest(ordinal, parsed.params)
+                    if auth is not None else b""
+                ),
+            )
+            try:
+                out_params = fn(ctx)
+            except TpmError as exc:
+                self.failures += 1
+                return marshal.build_response(exc.code)
+            except MarshalError:
+                self.failures += 1
+                return marshal.build_response(TPM_BAD_PARAMETER)
+            if ctx._session is None or ctx._new_nonce_even is None:
+                return marshal.build_response(TPM_SUCCESS, out_params)
             out_digest = marshal.response_param_digest(
-                TPM_SUCCESS, parsed.ordinal, out_params
+                TPM_SUCCESS, ordinal, out_params
             )
             response_auth = compute_auth(
                 ctx._hmac_key,
                 out_digest,
                 ctx._new_nonce_even,
-                parsed.auth.nonce_odd,
+                auth.nonce_odd,
                 ctx._continue,
             )
             return marshal.build_response(
@@ -185,7 +185,9 @@ class TpmExecutor:
                 continue_session=ctx._continue,
                 response_auth=response_auth,
             )
-        return marshal.build_response(TPM_SUCCESS, out_params)
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
 
 def registered_ordinals() -> frozenset[int]:

@@ -125,7 +125,7 @@ class ByteReader:
 
     def expect_end(self) -> None:
         """Assert the whole buffer was consumed (strict unmarshalling)."""
-        if self.remaining() != 0:
+        if self._pos != len(self._data):
             raise MarshalError(f"{self.remaining()} trailing bytes after structure")
 
     def rest(self) -> bytes:

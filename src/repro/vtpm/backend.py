@@ -33,8 +33,6 @@ class VtpmBackend:
 
     #: the owning :class:`~repro.resilience.supervisor.Supervisor`, if any
     supervision = None
-    #: the supervisor's per-notify outcome hook bound to this back-end
-    _observe = None
     #: (health record, breaker, admission controller), cached here by
     #: ``Supervisor.attach`` so the per-notify hooks skip uuid dict lookups
     _supervised = None
@@ -56,7 +54,7 @@ class VtpmBackend:
                                       privileged=True))
         if ring_ref != frontend.ring.gref:
             raise VtpmError("xenstore ring-ref does not match the front-end ring")
-        frontend.ring.connect_backend(self._forward, self._forward_batch)
+        frontend.ring.connect_backend(self._forward)
         # Record the binding where xend kept it.
         xen.store.write(
             0,
@@ -72,20 +70,15 @@ class VtpmBackend:
         """Route this ring's frames through the supervisor's admission
         control and report every forwarded outcome back to it."""
         self.supervision = supervisor
-        self._observe = functools.partial(supervisor.observe, self)
         self.frontend.ring.set_admission(
             functools.partial(supervisor.admit, self)
         )
 
     # -- the forwarding path --------------------------------------------------------
 
-    def _forward(self, wire: bytes) -> bytes:
-        """The unbatched ring layout's handler: a batch of one."""
-        return self._forward_batch([wire])[0]
-
-    def _forward_batch(self, wires: list) -> list:
+    def _forward(self, wires: list) -> list:
         """Prefix the configured instance number and hand one ring
-        notify's frames to the manager.
+        notify's frames to the manager (a lone frame is ``[wire]``).
 
         ``front_domid`` comes from the ring itself (hypervisor ground
         truth); ``instance_id`` is backend configuration (attacker-editable
@@ -97,20 +90,28 @@ class VtpmBackend:
         dead ring.  Under supervision every frame's outcome is reported to
         the supervisor once the notify's last frame has run.
         """
+        supervision = self.supervision
+        elapsed = None if supervision is None else []
         tracer = obs_trace._current_tracer
         if tracer is None:
-            return self.manager.handle_batch(
+            responses = self.manager.handle_batch(
                 self.front_domid, self.instance_id, wires,
-                self.frontend.locality, self._observe,
+                self.frontend.locality, elapsed,
             )
+            if elapsed is not None:
+                supervision.observe(self, responses, elapsed)
+            return responses
         with tracer.start_span(
             "backend.forward",
             {"instance": self.instance_id, "frames": len(wires)},
         ):
-            return self.manager.handle_batch(
+            responses = self.manager.handle_batch(
                 self.front_domid, self.instance_id, wires,
-                self.frontend.locality, self._observe,
+                self.frontend.locality, elapsed,
             )
+            if elapsed is not None:
+                supervision.observe(self, responses, elapsed)
+            return responses
 
     # -- re-binding (the attack knob, now fail-closed) -------------------------------
 

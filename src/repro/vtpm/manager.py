@@ -194,7 +194,7 @@ class VtpmManager:
         instance_id: int,
         wires: list,
         locality: int = 0,
-        observe=None,
+        elapsed: Optional[list] = None,
     ) -> list:
         """The packets of one ring notify — a lone frame is a batch of one.
 
@@ -210,23 +210,28 @@ class VtpmManager:
         exhausts its retries degrades to a fault response without
         poisoning the rest of the batch.
 
-        ``observe``, when given, receives one ``(response, elapsed_us,
-        exhausted)`` outcome per frame after the last frame ran, each
-        timed around that frame's own dispatch (the supervisor's hook).
-        The instance's state image is refreshed once, before ``observe``
-        runs, even when a frame raised.
+        ``elapsed``, when given, receives one entry per frame: the virtual
+        microseconds of that frame's own dispatch, or ``None`` for a frame
+        that exhausted its retries (the supervisor's outcome record).  The
+        instance's state image is refreshed once, after the last frame and
+        even when a frame raised, so an observer of the responses reads a
+        current image.
         """
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
-        caller, registers, scrub = self._notify_context(caller_domid)
+        # What stays fixed for a whole notify: the caller's domain, the
+        # manager vCPU's register file and whether it is scrubbed.
+        xen = self.xen
+        caller = xen.domain(caller_domid)
+        registers = xen.domain(self.manager_domid).vcpu.registers
+        scrub = self.protector is not None and self.protector.enabled
         # Neither a tracer nor the injector can be (un)installed mid-notify
         # — the ring is serviced synchronously — so one check covers the
         # whole batch.  Without either, a frame needs no span and can never
         # raise an injected fault, so it skips the envelope.
         enveloped = tracer is not None or _injector._current_injector is not None
-        clock = None if observe is None else _timing._current_context.clock
+        clock = None if elapsed is None else _timing._current_context.clock
         responses = []
-        outcomes = []
         try:
             for wire in wires:
                 if clock is not None:
@@ -243,13 +248,14 @@ class VtpmManager:
                     )
                 responses.append(response)
                 if clock is not None:
-                    outcomes.append(
-                        (response, clock._now_us - start_us, exhausted)
+                    elapsed.append(
+                        None if exhausted is not None
+                        else clock._now_us - start_us
                     )
         finally:
-            self._flush_image(instance_id, tracer)
-        if clock is not None:
-            observe(outcomes)
+            instance = self._instances.get(instance_id)
+            if instance is not None and instance.image_effect:
+                self._flush_image(instance, tracer)
         return responses
 
     def _dispatch_enveloped(
@@ -274,18 +280,16 @@ class VtpmManager:
             except RetryExhausted as exc:
                 return self.fault_response(instance_id, exc), exc
 
-    def _flush_image(self, instance_id: int, tracer) -> None:
-        """Apply the notify's strongest image effect to the instance's
-        state image once, before any observer can read the frames.
+    def _flush_image(self, instance: VtpmInstance, tracer) -> None:
+        """Apply the notify's strongest (pending, non-NONE) image effect to
+        the instance's state image once, before any observer can read the
+        frames.
 
-        A notify of NONE-effect commands writes nothing.  An image that
-        outgrew its frames moved to new ones, so the protector's record
-        for the instance is pointed at them.
+        An image that outgrew its frames moved to new ones, so the
+        protector's record for the instance is pointed at them.
         """
-        instance = self._instances.get(instance_id)
-        if instance is None or not instance.image_effect:
-            return
         region = instance.state_region
+        instance_id = instance.instance_id
         with (NULL_SPAN if tracer is None else tracer.start_span(
             "serialize", {"instance": instance_id}
         )):
@@ -294,14 +298,6 @@ class VtpmManager:
             self.protector.protect_region(
                 ("vtpm", instance_id), instance.state_region
             )
-
-    def _notify_context(self, caller_domid: int):
-        """What stays fixed for a whole notify: the caller's domain, the
-        manager vCPU's register file and whether it is scrubbed."""
-        caller = self.xen.domain(caller_domid)
-        registers = self.xen.domain(self.manager_domid).vcpu.registers
-        scrub = self.protector is not None and self.protector.enabled
-        return caller, registers, scrub
 
     def _dispatch_frame(
         self, caller: Domain, registers: dict, scrub: bool, instance_id: int,

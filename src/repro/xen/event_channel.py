@@ -59,7 +59,9 @@ class EventChannels:
     def notify(self, port: int, from_domid: int) -> None:
         """Fire the channel: runs the remote end's handler."""
         charge("xen.evtchn.notify")
-        channel = self._get(port)
+        channel = self._channels.get(port)
+        if channel is None:
+            raise EventChannelError(f"no event channel on port {port}")
         if from_domid == channel.dom_a:
             handler = channel.handler_b
         elif from_domid == channel.dom_b:

@@ -94,7 +94,9 @@ class PhysicalMemory:
 
     def write(self, domid: int, frame: int, offset: int, data: bytes) -> None:
         """Write by the owner, or by a domain with a read-write grant mapping."""
-        page = self.page(frame)
+        page = self._pages.get(frame)
+        if page is None:
+            raise PageFault(f"frame {frame} is not allocated")
         if page.owner != domid:
             if domid not in page.shared_with:
                 raise PageFault(f"dom{domid} does not own frame {frame}")
@@ -108,7 +110,9 @@ class PhysicalMemory:
         backing[offset : offset + len(data)] = data
 
     def read(self, domid: int, frame: int, offset: int, size: int) -> bytes:
-        page = self.page(frame)
+        page = self._pages.get(frame)
+        if page is None:
+            raise PageFault(f"frame {frame} is not allocated")
         if page.owner != domid and domid not in page.shared_with:
             raise PageFault(f"dom{domid} does not own frame {frame}")
         if offset < 0 or size < 0 or offset + size > PAGE_SIZE:

@@ -16,6 +16,9 @@ The front-end packs up to a page's worth of commands, kicks the channel
 the per-notify costs (``xen.evtchn.notify``, the manager's
 ``vtpm.dispatch`` demux) are amortized over the whole batch while every
 command is still individually authorized.
+
+The back-end installs one callable for both layouts: a list of wires in,
+one response per wire out.  A lone command reaches it as ``[wire]``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ MAX_PAYLOAD = PAGE_SIZE - _HEADER.size
 #: how many times tpmfront re-kicks a silent back-end before giving up
 MAX_KICKS = 5
 
-Backend = Callable[[bytes], bytes]
+#: the back-end's command handler: list of wires → one response per wire
 BatchBackend = Callable[[list], list]
 #: admission callback: list of wires → per-frame verdicts (None = admit,
 #: bytes = the pre-built shed response to return instead)
@@ -114,8 +117,7 @@ class TpmRing:
         [self.frame] = memory.allocate(front_domid, 1)
         self.gref = grants.grant_access(front_domid, back_domid, self.frame)
         self.port = events.alloc_unbound(front_domid, back_domid)
-        self._backend: Optional[Backend] = None
-        self._batch_backend: Optional[BatchBackend] = None
+        self._backend: Optional[BatchBackend] = None
         self._admission: Optional[Admission] = None
         self._admission_one = None
         self._mapped_frame: Optional[int] = None
@@ -125,20 +127,21 @@ class TpmRing:
 
     # -- back-end side -----------------------------------------------------------
 
-    def connect_backend(
-        self, backend: Backend, batch_backend: Optional[BatchBackend] = None
-    ) -> None:
-        """Back-end maps the grant and installs its command handler(s).
+    def connect_backend(self, backend: BatchBackend, retired=None) -> None:
+        """Back-end maps the grant and installs its command handler: a
+        list-of-wires → list-of-responses callable that serves both page
+        layouts (a lone command arrives as ``[wire]``).
 
-        ``batch_backend`` (a list-of-wires → list-of-responses callable)
-        enables the vector protocol; without it, batched submissions are
-        drained through ``backend`` one frame at a time.
+        ``retired`` is the second handler of the old two-callable form.
+        ``bench/layers.py`` still passes it, always ``None``; any other
+        value is refused, so a caller of the old form fails loudly.
         """
+        if retired is not None:
+            raise RingError("the ring takes one back-end callable")
         self._mapped_frame = self._grants.map_grant(
             self.back_domid, self.front_domid, self.gref
         )
         self._backend = backend
-        self._batch_backend = batch_backend
         self._events.bind(self.port, self.back_domid, self._on_back_event)
 
     def set_admission(self, admission: Optional[Admission],
@@ -163,7 +166,6 @@ class TpmRing:
             self._grants.unmap_grant(self.back_domid, self.front_domid, self.gref)
             self._mapped_frame = None
         self._backend = None
-        self._batch_backend = None
         self._admission = None
         self._admission_one = None
 
@@ -195,7 +197,7 @@ class TpmRing:
             _RING_SHED.inc()
             response = verdict
         else:
-            response = self._backend(command)
+            [response] = self._execute([command])
         if len(response) > MAX_PAYLOAD:
             raise RingError(f"response of {len(response)} bytes exceeds page window")
         charge("xen.ring.transfer", len(response))
@@ -241,10 +243,7 @@ class TpmRing:
         """The back-end's responses to ``commands``, one per frame."""
         if not commands:
             return []
-        if self._batch_backend is not None:
-            executed = self._batch_backend(commands)
-        else:
-            executed = [self._backend(command) for command in commands]
+        executed = self._backend(commands)
         if len(executed) != len(commands):
             raise RingError(
                 f"back-end answered {len(executed)} frames for "
@@ -270,24 +269,26 @@ class TpmRing:
             return self._send_command(command)
 
     def _send_command(self, command: bytes) -> bytes:
-        _RING_KICKS.inc()
+        if obs_counters._current_registry is not None:
+            _RING_KICKS.inc()
         charge("xen.ring.transfer", len(command))
-        self._memory.write(
-            self.front_domid,
-            self.frame,
-            0,
-            _HEADER.pack(STATUS_COMMAND, len(command)) + command,
+        memory, front, frame = self._memory, self.front_domid, self.frame
+        memory.write(
+            front, frame, 0, _HEADER.pack(STATUS_COMMAND, len(command)) + command
         )
         self._response_ready = False
-        self._kick_backend()
+        if _injector._current_injector is None:
+            self._events.notify(self.port, front)
+        else:
+            self._kick_backend()
         if not self._response_ready:
             raise RingError("back-end did not produce a response")
-        status, length = _HEADER.unpack(
-            self._memory.read(self.front_domid, self.frame, 0, _HEADER.size)
-        )
+        status, length = _HEADER.unpack(memory.read(front, frame, 0, _HEADER.size))
         if status != STATUS_RESPONSE:
             raise RingError(f"front-end woke with status {status}, not RESPONSE")
-        response = self._memory.read(self.front_domid, self.frame, _HEADER.size, length)
+        if length > MAX_PAYLOAD:
+            raise RingError(f"response of {length} bytes exceeds page window")
+        response = memory.read(front, frame, _HEADER.size, length)
         self.commands_carried += 1
         return response
 
@@ -309,8 +310,9 @@ class TpmRing:
             return self._send_batch(commands)
 
     def _send_batch(self, commands: list) -> list:
-        _RING_KICKS.inc()
-        _RING_BATCHED_FRAMES.add(len(commands))
+        if obs_counters._current_registry is not None:
+            _RING_KICKS.inc()
+            _RING_BATCHED_FRAMES.add(len(commands))
         submission = _pack_vector(STATUS_BATCH, commands)
         if len(submission) > PAGE_SIZE:
             raise RingError(
@@ -320,7 +322,10 @@ class TpmRing:
         charge("xen.ring.transfer", len(submission) - _HEADER.size)
         self._memory.write(self.front_domid, self.frame, 0, submission)
         self._response_ready = False
-        self._kick_backend()
+        if _injector._current_injector is None:
+            self._events.notify(self.port, self.front_domid)
+        else:
+            self._kick_backend()
         if not self._response_ready:
             raise RingError("back-end did not produce a response")
         page = self._memory.read(self.front_domid, self.frame, 0, PAGE_SIZE)
@@ -345,11 +350,8 @@ class TpmRing:
         (the back-end never wakes).  The real tpmfront driver waits on a
         timeout and re-kicks; we model that bounded-retry loop here, so a
         lossy event channel degrades latency rather than correctness.
+        Both senders notify directly while no injector is installed.
         """
-        if _injector._current_injector is None:
-            # Fault-free fast path: no kwargs dict, no clock read, no loop.
-            self._events.notify(self.port, self.front_domid)
-            return
         # The driver timeout is the whole wait between kicks: no backoff.
         with_retry(self._kick_once, site="xen.ring.notify", attempts=MAX_KICKS,
                    base_backoff_us=0.0)

@@ -93,7 +93,7 @@ def test_frames_that_fit_cross_the_ring_unchanged(frames):
         seen.append(wires)
         return [wire[::-1] for wire in wires]
 
-    ring.connect_backend(lambda wire: wire, backend)
+    ring.connect_backend(backend)
     assert ring.send_batch(frames) == [frame[::-1] for frame in frames]
     assert seen == [frames]
 
@@ -101,7 +101,7 @@ def test_frames_that_fit_cross_the_ring_unchanged(frames):
 def _back_end_reads(page: bytes) -> None:
     """Hand ``page`` to the back-end as a batched submission."""
     ring = _ring()
-    ring.connect_backend(lambda wire: wire, lambda wires: wires)
+    ring.connect_backend(lambda wires: wires)
     ring._memory.write(FRONT, ring.frame, 0, page)
     ring._events.notify(ring.port, FRONT)
 
@@ -117,7 +117,7 @@ def _front_end_reads(page: bytes, count: int, monkeypatch) -> None:
 
     monkeypatch.setattr(ring_mod, "_pack_vector", answer)
     ring = _ring()
-    ring.connect_backend(lambda wire: wire, lambda wires: wires)
+    ring.connect_backend(lambda wires: wires)
     ring.send_batch([b"x"] * count)
 
 

@@ -15,6 +15,7 @@ import pytest
 import repro.core.audit as audit_mod
 import repro.core.monitor as monitor_mod
 import repro.core.policy as policy_mod
+import repro.tpm.client as client_mod
 import repro.tpm.constants as constants_mod
 import repro.xen.ring as ring_mod
 from repro.core.config import AccessMode
@@ -298,6 +299,56 @@ class TestPerFrameWorkGuard:
         assert frame.calls == 4
 
 
+class TestSingleFrameWorkGuard:
+    """A warm single frame — the kick every ``TpmClient`` call takes —
+    does only per-frame work on each layer it crosses."""
+
+    def test_client_builds_no_codec_objects(self, guest, monkeypatch):
+        guest.client.pcr_read(0)  # warm
+        writer = _counted(client_mod.ByteWriter)
+        reader = _counted(client_mod.ByteReader)
+        monkeypatch.setattr(client_mod, "ByteWriter", writer)
+        monkeypatch.setattr(client_mod, "ByteReader", reader)
+        assert guest.client.pcr_read(0) == bytes(20)
+        assert writer.calls == 0
+        assert reader.calls == 0
+
+    def test_manager_resolves_domains_once_per_kick(
+        self, guest, monkeypatch
+    ):
+        guest.client.pcr_read(0)  # warm
+        domain = _counted(Xen.domain)
+        monkeypatch.setattr(Xen, "domain", domain)
+        guest.client.pcr_read(0)
+        assert domain.calls <= 2  # caller and manager
+
+    def test_image_is_flushed_only_for_a_pending_effect(
+        self, platform, guest, monkeypatch
+    ):
+        guest.client.pcr_read(0)  # warm
+        flush = _counted(platform.manager._flush_image)
+        monkeypatch.setattr(platform.manager, "_flush_image", flush)
+        guest.client.pcr_read(0)  # NONE effect
+        assert flush.calls == 0
+        guest.client.extend(8, b"m" * 20)  # a PCR-slot effect
+        assert flush.calls == 1
+
+    def test_supervised_kick_admits_and_observes_once(
+        self, platform, guest, monkeypatch
+    ):
+        from repro.resilience.supervisor import Supervisor
+
+        admit = _counted(Supervisor.admit)
+        observe = _counted(Supervisor.observe)
+        monkeypatch.setattr(Supervisor, "admit", admit)
+        monkeypatch.setattr(Supervisor, "observe", observe)
+        platform.enable_supervision()
+        guest.client.pcr_read(0)  # warm
+        admit.calls = observe.calls = 0
+        assert guest.client.pcr_read(0) == bytes(20)
+        assert (admit.calls, observe.calls) == (1, 1)
+
+
 # -- the ring's shed handling ------------------------------------------------------
 
 
@@ -311,14 +362,14 @@ class TestShedMerge:
         """Record the frame lists the ring decodes, its back-end receives
         and returns, and the response list the ring packs."""
         seen = {"decoded": [], "received": [], "returned": [], "packed": []}
-        backend = ring._batch_backend
+        backend = ring._backend
 
         def batch_backend(wires):
             seen["received"].append(wires)
             seen["returned"].append(backend(wires))
             return seen["returned"][-1]
 
-        monkeypatch.setattr(ring, "_batch_backend", batch_backend)
+        monkeypatch.setattr(ring, "_backend", batch_backend)
         pack, unpack = ring_mod._pack_vector, ring_mod._unpack_vector
 
         def packing(status, frames):

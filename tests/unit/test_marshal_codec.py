@@ -22,6 +22,7 @@ from typing import Optional
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.tpm import client as client_mod
 from repro.tpm import marshal
 from repro.tpm.constants import (
     AUTHDATA_SIZE,
@@ -356,3 +357,72 @@ def test_any_tag_with_consistent_size(tag, code, body):
 def test_arbitrary_garbage(wire):
     assert_same_parse(ref_parse_command, marshal.parse_command, wire)
     assert_same_parse(ref_parse_response, marshal.parse_response, wire)
+
+
+# -- the client's direct field codec ------------------------------------------------
+#
+# ``TpmClient.pcr_read``, ``extend`` and ``get_random`` build and check
+# their fields without a writer or reader; the reference is the
+# ByteWriter/ByteReader code they replaced.  Same values, same errors, the
+# same message text.
+
+
+def ref_u32(value: int) -> bytes:
+    return ByteWriter().u32(value).getvalue()
+
+
+def ref_digest_out(params: bytes) -> bytes:
+    out = ByteReader(params)
+    value = out.raw(20)
+    out.expect_end()
+    return value
+
+
+def ref_sized_out(params: bytes) -> bytes:
+    out = ByteReader(params)
+    data = out.sized()
+    out.expect_end()
+    return data
+
+
+def same_result_and_message(ref_fn, fn, arg) -> None:
+    try:
+        expected = ("ok", ref_fn(arg))
+    except MarshalError as exc:
+        expected = ("raised", str(exc))
+    try:
+        got = ("ok", fn(arg))
+    except MarshalError as exc:
+        got = ("raised", str(exc))
+    assert got == expected, arg
+
+
+@given(st.one_of(u32, not_u32))
+def test_client_u32_matches_the_writer(value):
+    same_result_and_message(ref_u32, client_mod._u32, value)
+
+
+@given(st.binary(max_size=48))
+def test_client_digest_check_matches_the_reader(params):
+    same_result_and_message(ref_digest_out, client_mod._digest_out, params)
+
+
+sized_bodies = st.one_of(
+    st.binary(max_size=48),
+    st.builds(lambda n, body: n.to_bytes(4, "big") + body, u32,
+              st.binary(max_size=48)),
+    st.binary(max_size=40).map(lambda b: len(b).to_bytes(4, "big") + b),
+)
+
+
+@given(sized_bodies)
+def test_client_sized_check_matches_the_reader(params):
+    same_result_and_message(ref_sized_out, client_mod._sized_out, params)
+
+
+def test_client_sized_check_keeps_the_cap():
+    over = (1 << 20) + 1
+    params = over.to_bytes(4, "big") + bytes(over)
+    same_result_and_message(ref_sized_out, client_mod._sized_out, params)
+    at_cap = (1 << 20).to_bytes(4, "big") + bytes(1 << 20)
+    assert client_mod._sized_out(at_cap) == bytes(1 << 20)

@@ -169,7 +169,7 @@ class TestTpmRing:
         return TpmRing(memory, grants, events, front_domid=5, back_domid=0)
 
     def test_roundtrip(self, ring):
-        ring.connect_backend(lambda cmd: b"echo:" + cmd)
+        ring.connect_backend(lambda cmds: [b"echo:" + c for c in cmds])
         assert ring.send_command(b"hello") == b"echo:hello"
         assert ring.commands_carried == 1
 
@@ -178,29 +178,29 @@ class TestTpmRing:
             ring.send_command(b"hello")
 
     def test_oversized_command_rejected(self, ring):
-        ring.connect_backend(lambda cmd: b"")
+        ring.connect_backend(lambda cmds: [b""] * len(cmds))
         with pytest.raises(RingError, match="exceeds page window"):
             ring.send_command(b"x" * (MAX_PAYLOAD + 1))
 
     def test_oversized_response_rejected(self, ring):
-        ring.connect_backend(lambda cmd: b"y" * (MAX_PAYLOAD + 1))
+        ring.connect_backend(lambda cmds: [b"y" * (MAX_PAYLOAD + 1)] * len(cmds))
         with pytest.raises(RingError):
             ring.send_command(b"hi")
 
     def test_max_payload_exact_fits(self, ring):
-        ring.connect_backend(lambda cmd: cmd)
+        ring.connect_backend(lambda cmds: cmds)
         payload = b"z" * MAX_PAYLOAD
         assert ring.send_command(payload) == payload
 
     def test_many_commands_sequential(self, ring):
-        ring.connect_backend(lambda cmd: cmd[::-1])
+        ring.connect_backend(lambda cmds: [c[::-1] for c in cmds])
         for i in range(50):
             msg = f"message-{i}".encode()
             assert ring.send_command(msg) == msg[::-1]
         assert ring.commands_carried == 50
 
     def test_teardown_releases_resources(self, memory, grants, events, ring):
-        ring.connect_backend(lambda cmd: cmd)
+        ring.connect_backend(lambda cmds: cmds)
         before_pages = memory.allocated_pages
         ring.teardown()
         assert memory.allocated_pages == before_pages - 1
@@ -208,14 +208,14 @@ class TestTpmRing:
         assert events.open_count == 0
 
     def test_disconnect_then_send_fails(self, ring):
-        ring.connect_backend(lambda cmd: cmd)
+        ring.connect_backend(lambda cmds: cmds)
         ring.disconnect_backend()
         with pytest.raises(RingError):
             ring.send_command(b"hello")
 
     def test_payload_transits_shared_page(self, memory, ring):
         """The bytes really live in the granted frame (dump-visible)."""
-        ring.connect_backend(lambda cmd: b"response-data")
+        ring.connect_backend(lambda cmds: [b"response-data"] * len(cmds))
         ring.send_command(b"command-data")
         page = memory.read(ring.front_domid, ring.frame, 0, PAGE_SIZE)
         assert b"response-data" in page
@@ -225,12 +225,46 @@ class TestTpmRing:
         lambda cmds: [c[::-1] for c in cmds] + [b"extra"],   # one long
     ], ids=["short", "long"])
     def test_batch_reply_length_must_match_admitted(self, ring, answer):
-        ring.connect_backend(lambda cmd: cmd, answer)
+        ring.connect_backend(answer)
         with pytest.raises(RingError, match="answered .* frames for 3 admitted"):
             ring.send_batch([b"a1", b"b2", b"c3"])
 
+    @pytest.mark.parametrize("answer", [
+        lambda cmds: [],                      # none
+        lambda cmds: [b"one", b"two"],        # one too many
+    ], ids=["none", "two"])
+    def test_single_reply_must_be_one_frame(self, ring, answer):
+        ring.connect_backend(answer)
+        with pytest.raises(RingError, match="answered .* frames for 1 admitted"):
+            ring.send_command(b"hi")
+
+    def test_the_old_two_handler_form_is_refused(self, ring):
+        with pytest.raises(RingError, match="one back-end callable"):
+            ring.connect_backend(lambda cmd: cmd, lambda cmds: cmds)
+
+    def test_response_length_past_the_page_window_is_a_ring_error(
+        self, memory, events, ring
+    ):
+        """A back-end that rewrites the response header with a length
+        past the page window after answering: the front-end refuses it
+        as a RingError, as the back-end side and both vector sides do,
+        instead of faulting on the page read."""
+        ring.connect_backend(lambda cmds: [b"ok"] * len(cmds))
+        notify = events.notify
+
+        def rewrite_then_notify(port, domid):
+            if domid == ring.back_domid:  # the back-end's answer is written
+                memory.write(
+                    domid, ring.frame, 4, (MAX_PAYLOAD + 1).to_bytes(4, "big")
+                )
+            notify(port, domid)
+
+        events.notify = rewrite_then_notify
+        with pytest.raises(RingError, match="exceeds page window"):
+            ring.send_command(b"hi")
+
     def test_batch_reply_length_counts_only_admitted(self, ring):
         """Shed frames are answered by the verdict, not the back-end."""
-        ring.connect_backend(lambda cmd: cmd, lambda cmds: [c.upper() for c in cmds])
+        ring.connect_backend(lambda cmds: [c.upper() for c in cmds])
         ring.set_admission(lambda cmds: [None, b"shed", None])
         assert ring.send_batch([b"a1", b"b2", b"c3"]) == [b"A1", b"shed", b"C3"]
