@@ -99,8 +99,6 @@ class TpmExecutor:
 
     def __init__(self, state: TpmState) -> None:
         self.state = state
-        self.commands_executed = 0
-        self.failures = 0
 
     def execute(
         self,
@@ -124,10 +122,8 @@ class TpmExecutor:
                 try:
                     parsed = marshal.parse_command(wire)
                 except (MarshalError, TpmError) as exc:
-                    self.failures += 1
                     code = exc.code if isinstance(exc, TpmError) else TPM_FAIL
                     return marshal.build_response(code)
-        self.commands_executed += 1
         ordinal = parsed.ordinal
         # Entered by hand, so the untraced path pays no span round trip.
         span = None if tracer is None else tracer.start_span(
@@ -136,10 +132,8 @@ class TpmExecutor:
         try:
             fn = _HANDLERS.get(ordinal)
             if fn is None:
-                self.failures += 1
                 return marshal.build_response(TPM_BAD_ORDINAL)
             if not self.state.flags.started and ordinal != TPM_ORD_Startup:
-                self.failures += 1
                 return marshal.build_response(TPM_INVALID_POSTINIT)
             # The 1H1 param digest is consumed only by verify_auth(), which
             # is unreachable without an auth trailer — so unauthorized
@@ -161,10 +155,8 @@ class TpmExecutor:
             try:
                 out_params = fn(ctx)
             except TpmError as exc:
-                self.failures += 1
                 return marshal.build_response(exc.code)
             except MarshalError:
-                self.failures += 1
                 return marshal.build_response(TPM_BAD_PARAMETER)
             if ctx._session is None or ctx._new_nonce_even is None:
                 return marshal.build_response(TPM_SUCCESS, out_params)

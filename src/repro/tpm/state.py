@@ -46,9 +46,10 @@ class ImageEffect(IntEnum):
 
     #: no durable change: the resident image stays current
     NONE = 0
-    #: only PCR values: the changed 20-byte slots of the PCR window
+    #: only PCR values: the changed 20-byte slots of the PCR window,
+    #: written back when the window's frames are next read
     PCR_SLOTS = 1
-    #: anything: re-serialize the blob
+    #: anything: re-serialize the blob at the end of the notify
     WHOLE = 2
 
 

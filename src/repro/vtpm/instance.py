@@ -11,15 +11,16 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs import trace as obs_trace
-from repro.sim import timing as _timing
-from repro.sim.timing import get_context
-from repro.tpm.constants import DIGEST_SIZE
+from repro.tpm.constants import DIGEST_SIZE, NUM_PCRS
 from repro.tpm.device import TpmDevice
 from repro.tpm.state import IMAGE_EFFECTS, ImageEffect
 from repro.xen.memory import PAGE_SIZE, MemoryRegion, PhysicalMemory
 
 #: pages reserved per instance for the in-memory state image
 STATE_PAGES = 8
+
+#: bytes of the PCR window: every PCR's 20-byte slot, in index order
+_PCR_WINDOW = DIGEST_SIZE * NUM_PCRS
 
 _IMAGE_EFFECT = IMAGE_EFFECTS.get
 _NONE = ImageEffect.NONE
@@ -50,9 +51,6 @@ class VtpmInstance:
         self.bound_identity_hex = bound_identity_hex
         self.device = device
         self.commands_handled = 0
-        #: virtual timestamp of the last executed command; the supervisor's
-        #: watchdog reads it to tell a quiet instance from a wedged one
-        self.last_activity_us = 0.0
         #: memoized EK-fragment register image, filled lazily by the
         #: manager's working-register model
         self.working_registers = None
@@ -61,13 +59,17 @@ class VtpmInstance:
         frames = memory.allocate(manager_domid, pages)
         self.state_region = MemoryRegion(memory, manager_domid, frames)
         self._memory = memory
-        #: the strongest :class:`ImageEffect` of the commands run since the
-        #: last :meth:`sync_to_memory`
+        #: WHOLE when a command since the last :meth:`sync_to_memory` may
+        #: have changed more than PCR values, else NONE
         self.image_effect = _WHOLE
+        #: whether the window pages carry a pending PCR-slot write-back
+        self._slots_pending = False
         #: blob bytes resident after the length word
         self._image_len = 0
         #: region offset of PCR 0's slot in the resident image
         self._pcr_window = 0
+        #: the pages the PCR window lies on
+        self._window_pages: list = []
         self.sync_to_memory()
 
     def sync_to_memory(self) -> int:
@@ -76,28 +78,35 @@ class VtpmInstance:
 
         Models the manager daemon's heap residency of instance state; no
         virtual time is charged because the real daemon holds this state
-        in place rather than copying it per command.  The manager calls
-        this once per ring notify, after the notify's last frame, when
-        :meth:`execute` recorded an effect other than NONE.
+        in place rather than copying it per command.  It is the only
+        writer of the image, and runs at two points: the manager calls it
+        after a notify's last frame when :meth:`execute` recorded a WHOLE
+        effect, and a read of a window page marked by a PCR_SLOTS command
+        runs it as the page's writer (see :mod:`repro.xen.memory`).
 
         The image is ``len(blob) || blob`` followed by zeros to the end of
-        the region.  A PCR_SLOTS effect rewrites only the PCR slots the
-        bank marks dirty, in place.  A WHOLE effect re-serializes the blob,
-        moves it to larger frames if it outgrew the region, and zeroes
-        whatever the previous, longer image left past the new end.
+        the region.  A pending PCR-slot write-back rewrites only the PCR
+        slots the bank marks dirty, in place.  A WHOLE effect drops that
+        write-back (the new blob holds the same PCR values),
+        re-serializes the blob, moves it to larger frames if it outgrew
+        the region, and zeroes whatever the previous, longer image left
+        past the new end.
         """
-        effect = self.image_effect
-        if effect is _NONE:
-            return self._image_len
-        self.image_effect = _NONE
+        slots = self._slots_pending
+        if slots:
+            self._drop_write_back()
         state = self.device.state
         pcrs = state.pcrs
-        dirty = pcrs.take_dirty()
-        if effect is _PCR_SLOTS:
-            window = self._pcr_window
-            for index in dirty:
-                self.state_region.write(window + DIGEST_SIZE * index, pcrs.read(index))
+        if self.image_effect is _NONE:
+            if slots:
+                window = self._pcr_window
+                for index in pcrs.take_dirty():
+                    self.state_region.write(
+                        window + DIGEST_SIZE * index, pcrs.read(index)
+                    )
             return self._image_len
+        self.image_effect = _NONE
+        pcrs.take_dirty()
         blob = self.device.save_state_blob()
         stale_end = 4 + self._image_len
         if len(blob) + 4 > self.state_region.size:
@@ -116,8 +125,21 @@ class VtpmInstance:
         if stale_end > end:
             self.state_region.write(end, bytes(stale_end - end))
         self._image_len = len(blob)
-        self._pcr_window = 4 + state.pcr_window_offset()
+        self._pcr_window = window = 4 + state.pcr_window_offset()
+        page = self._memory.page
+        self._window_pages = [
+            page(frame) for frame in self.state_region.frames[
+                window // PAGE_SIZE : (window + _PCR_WINDOW - 1) // PAGE_SIZE + 1
+            ]
+        ]
         return len(blob)
+
+    def _drop_write_back(self) -> None:
+        """Unmark the window pages: their PCR-slot write is being done,
+        or a whole rewrite or a teardown overtakes it."""
+        for page in self._window_pages:
+            page.writer = None
+        self._slots_pending = False
 
     def memory_image(self) -> bytes:
         """The state bytes as resident in memory (owner view, for tests)."""
@@ -130,9 +152,12 @@ class VtpmInstance:
         ``parsed`` optionally carries the already-parsed frame (the monitor
         parses every command once).  The command's image effect (see
         :data:`~repro.tpm.state.IMAGE_EFFECTS`) is recorded before it runs,
-        so a command that raises still gets its image refreshed; the
-        manager applies the strongest effect with :meth:`sync_to_memory`
-        once its notify's last frame has run.
+        so a command that raises still gets its image refreshed.  A WHOLE
+        effect is recorded for the manager, which applies it with
+        :meth:`sync_to_memory` once its notify's last frame has run.  A
+        PCR_SLOTS effect writes nothing: it marks the window pages with
+        :meth:`sync_to_memory` as their writer, once until that runs, so
+        the dirty slots are written when a reader first maps those pages.
         """
         if parsed is not None:
             ordinal = parsed.ordinal
@@ -141,8 +166,13 @@ class VtpmInstance:
         else:
             ordinal = -1
         effect = _IMAGE_EFFECT(ordinal, _WHOLE)
-        if effect > self.image_effect:
-            self.image_effect = effect
+        if effect is _WHOLE:
+            self.image_effect = _WHOLE
+        elif effect is _PCR_SLOTS and not self._slots_pending:
+            writer = self.sync_to_memory
+            for page in self._window_pages:
+                page.writer = writer
+            self._slots_pending = True
         tracer = obs_trace._current_tracer
         if tracer is None:
             response = self.device.execute(wire, locality=locality, parsed=parsed)
@@ -152,15 +182,12 @@ class VtpmInstance:
                     wire, locality=locality, parsed=parsed
                 )
         self.commands_handled += 1
-        self.last_activity_us = _timing._current_context.clock._now_us
         return response
 
-    def idle_us(self) -> float:
-        """Virtual time since the last executed command (watchdog input)."""
-        return get_context().clock.now_us - self.last_activity_us
-
     def teardown(self) -> None:
-        """Scrub and free the state frames."""
+        """Drop any pending write-back, then scrub and free the state
+        frames."""
+        self._drop_write_back()
         self.state_region.write(0, b"\x00" * self.state_region.size)
         self._memory.free(self.state_region.frames)
 

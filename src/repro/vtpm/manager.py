@@ -212,10 +212,11 @@ class VtpmManager:
 
         ``elapsed``, when given, receives one entry per frame: the virtual
         microseconds of that frame's own dispatch, or ``None`` for a frame
-        that exhausted its retries (the supervisor's outcome record).  The
-        instance's state image is refreshed once, after the last frame and
-        even when a frame raised, so an observer of the responses reads a
-        current image.
+        that exhausted its retries (the supervisor's outcome record).  A
+        whole-image rewrite is applied once, after the last frame and even
+        when a frame raised; PCR-slot changes are written back when the
+        image's frames are read.  Either way an observer of the responses
+        reads a current image.
         """
         charge("vtpm.dispatch")
         tracer = obs_trace._current_tracer
@@ -281,9 +282,8 @@ class VtpmManager:
                 return self.fault_response(instance_id, exc), exc
 
     def _flush_image(self, instance: VtpmInstance, tracer) -> None:
-        """Apply the notify's strongest (pending, non-NONE) image effect to
-        the instance's state image once, before any observer can read the
-        frames.
+        """Apply the notify's pending WHOLE image effect to the instance's
+        state image once, before any observer can read the frames.
 
         An image that outgrew its frames moved to new ones, so the
         protector's record for the instance is pointed at them.

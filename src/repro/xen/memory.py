@@ -10,12 +10,18 @@ dump channel while leaving normal grant-based sharing intact.
 Frames are demand-zero: a page holds no bytes until its first write, and
 reads, foreign maps and dumps of an unwritten frame see zeros without
 giving it any.
+
+Frames can also be written back: an owner that defers a write marks the
+frames it covers with a *writer*, and an allowed read or foreign map of a
+marked frame runs that writer before it returns the bytes.  A refused
+read runs none.  The writer drops its own marks, and a marked frame
+cannot be freed: its owner drops the mark first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.sim.timing import charge
 from repro.util.errors import PageFault, XenError
@@ -28,7 +34,8 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 
 @dataclass(slots=True)
 class Page:
-    """One machine frame."""
+    """One machine frame; ``writer``, when set, is a write its owner
+    deferred, run by the next allowed read or foreign map."""
 
     frame: int
     owner: int                      # domain id
@@ -36,6 +43,7 @@ class Page:
     protected: bool = False         # excluded from foreign mapping
     shared_with: frozenset[int] = frozenset()    # via grant table
     read_only_for: frozenset[int] = frozenset()  # grantees mapped read-only
+    writer: Optional[Callable[[], object]] = None  # a deferred write
 
     def snapshot(self) -> bytes:
         """The whole frame's bytes; unwritten frames share one zero page."""
@@ -73,11 +81,19 @@ class PhysicalMemory:
         return frames
 
     def free(self, frames: Iterable[int]) -> None:
-        """Release frames; contents are scrubbed (Xen scrubs on free)."""
+        """Release frames; contents are scrubbed (Xen scrubs on free).
+
+        A frame with a pending writer is refused: its owner drops the
+        deferred write first.
+        """
         for frame in frames:
-            page = self._pages.pop(frame, None)
-            if page is not None:
-                page.data = None
+            page = self._pages.get(frame)
+            if page is None:
+                continue
+            if page.writer is not None:
+                raise XenError(f"frame {frame} has a pending write-back")
+            del self._pages[frame]
+            page.data = None
 
     def page(self, frame: int) -> Page:
         try:
@@ -117,6 +133,8 @@ class PhysicalMemory:
             raise PageFault(f"dom{domid} does not own frame {frame}")
         if offset < 0 or size < 0 or offset + size > PAGE_SIZE:
             raise PageFault(f"read beyond page: {offset}+{size}")
+        if page.writer is not None:
+            page.writer()
         backing = page.data
         if backing is None:
             return bytes(size)
@@ -150,13 +168,14 @@ class PhysicalMemory:
             raise PageFault(
                 f"frame {frame} is hypervisor-protected; foreign map refused"
             )
-        if page.owner == requester:
-            return page.snapshot()
-        if not requester_privileged:
-            raise PageFault(
-                f"dom{requester} is not privileged to foreign-map frame {frame}"
-            )
-        charge("xen.page.copy", PAGE_SIZE)
+        if page.owner != requester:
+            if not requester_privileged:
+                raise PageFault(
+                    f"dom{requester} is not privileged to foreign-map frame {frame}"
+                )
+            charge("xen.page.copy", PAGE_SIZE)
+        if page.writer is not None:
+            page.writer()
         return page.snapshot()
 
 

@@ -2,11 +2,12 @@
 
 Dump tooling reads an instance's state through its frames, so after every
 ring notify — and after every direct ``handle_batch`` call — the whole region must
-be exactly ``len(blob) || blob`` followed by zeros, where ``blob`` is
-``device.save_state_blob()``.  The manager refreshes it once per notify,
-after the notify's last frame and before the supervisor observes the
-outcomes, by applying the notify's strongest image effect: nothing, a
-patch of the dirty PCR slots, or a whole rewrite.  These tests pin that
+read as exactly ``len(blob) || blob`` followed by zeros, where ``blob`` is
+``device.save_state_blob()``.  A notify that needs a whole rewrite gets it
+once, after the notify's last frame and before the supervisor observes
+the outcomes; a notify that only extends or resets PCRs marks the PCR
+window's frames, and the read below writes the dirty slots back before
+it returns their bytes.  These tests pin that
 for every path shape (single frame, batch, supervised batch, a migrated
 guest's ring on its new platform, a direct ``handle_batch`` call), for a
 batch mixing all three effects, for a batch that grows the image

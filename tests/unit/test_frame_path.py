@@ -33,6 +33,7 @@ from repro.tpm.constants import (
 from repro.util.bytesio import ByteWriter
 from repro.util.errors import VtpmError
 from repro.xen.hypervisor import Xen
+from repro.xen.memory import PAGE_SIZE, PhysicalMemory
 
 
 def _pcr_read_wire(index: int = 0) -> bytes:
@@ -325,13 +326,39 @@ class TestSingleFrameWorkGuard:
     def test_image_is_flushed_only_for_a_pending_effect(
         self, platform, guest, monkeypatch
     ):
+        """Only a WHOLE effect is flushed per notify.  A PCR-slot notify
+        writes nothing into the state frames; the first read of the
+        window writes exactly the dirty slots, once."""
         guest.client.pcr_read(0)  # warm
+        instance = platform.manager.instance(guest.instance_id)
+        region = instance.state_region
         flush = _counted(platform.manager._flush_image)
         monkeypatch.setattr(platform.manager, "_flush_image", flush)
+        writes = []
+        write = PhysicalMemory.write
+
+        def recording(memory, domid, frame, offset, data):
+            if frame in region.frames:
+                at = region.frames.index(frame) * PAGE_SIZE + offset
+                writes.append((at, bytes(data)))
+            return write(memory, domid, frame, offset, data)
+
+        monkeypatch.setattr(PhysicalMemory, "write", recording)
         guest.client.pcr_read(0)  # NONE effect
+        guest.client.extend(8, b"m" * 20)  # PCR-slot effects
+        guest.client.extend(9, b"n" * 20)
         assert flush.calls == 0
-        guest.client.extend(8, b"m" * 20)  # a PCR-slot effect
-        assert flush.calls == 1
+        assert writes == []
+        image = region.read(0, region.size)  # the window's first read
+        window = 4 + instance.device.state.pcr_window_offset()
+        pcrs = instance.device.state.pcrs
+        assert sorted(writes) == [
+            (window + 20 * i, pcrs.read(i)) for i in (8, 9)
+        ]
+        writes.clear()
+        assert region.read(0, region.size) == image
+        assert writes == []
+        assert flush.calls == 0
 
     def test_supervised_kick_admits_and_observes_once(
         self, platform, guest, monkeypatch

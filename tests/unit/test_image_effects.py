@@ -2,9 +2,10 @@
 ``IMAGE_EFFECTS`` says.
 
 The resident state image of a vTPM instance is refreshed from the table:
-a NONE command writes nothing and a PCR_SLOTS command rewrites only the
-PCR slots the bank marks dirty.  A wrong entry leaves stale state in the
-manager's frames, so every frame of these tests runs through a checking
+a NONE command writes nothing, and a PCR_SLOTS command marks the PCR
+window's frames so that their first read rewrites only the PCR slots the
+bank marks dirty.  A wrong entry leaves stale state in the manager's
+frames, so every frame of these tests runs through a checking
 transport that serializes the state before and after it and asserts:
 
 - after a NONE command the blob is byte-identical;
